@@ -56,6 +56,7 @@ from .forms import (
     InvarianceReport,
     continuation_ratio,
     convergence_range,
+    diagonal_sign,
     form_diagonal,
     form_pairing,
     gR_form_diagonal,

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 
 from .exact import RationalLike, Sign
 from .filtrations import hodge_level, w1_member
-from .forms import form_diagonal, gR_form_diagonal
+from .forms import diagonal_sign
 from .modules import (
     BasisVector,
     ModuleSpec,
@@ -29,6 +29,7 @@ from .modules import (
     basis_window,
     constituents,
     is_reduction_point,
+    theta_sign,
 )
 
 __all__ = [
@@ -87,7 +88,7 @@ def verify_conjecture(spec: ModuleSpec, bound: int) -> ConjectureReport:
     for v in basis_window(spec, bound):
         p = hodge_level(v, spec)
         expected = Sign.POSITIVE if (p - a) % 2 == 0 else Sign.NEGATIVE
-        records.append(ConjectureRecord(v, p, a, form_diagonal(v, spec).sign, expected))
+        records.append(ConjectureRecord(v, p, a, diagonal_sign(v, spec), expected))
     return ConjectureReport(spec, bound, tuple(records))
 
 
@@ -140,8 +141,8 @@ def jantzen_crossing(
         records.append(
             JantzenRecord(
                 v,
-                form_diagonal(v, below).sign,
-                form_diagonal(v, above).sign,
+                diagonal_sign(v, below),
+                diagonal_sign(v, above),
                 w1_member(v, lambda0, parity),
             )
         )
@@ -149,7 +150,9 @@ def jantzen_crossing(
 
 
 def _g_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
-    return gR_form_diagonal(v, spec).sign
+    # (theta v, v) = theta_sign(v) (v, v); a pole stays a pole
+    sign = diagonal_sign(v, spec)
+    return sign if theta_sign(v, spec) == 1 else -sign
 
 
 def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:

@@ -13,8 +13,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Union
 
-from scipy.integrate import quad
-
 # Exact rational scalar used throughout.  fractions.Fraction already
 # guarantees lowest terms, positive denominator, exact arithmetic, a total
 # order, and raises ZeroDivisionError on inversion of zero.
@@ -156,6 +154,10 @@ def beta_value(a: RationalLike, b: RationalLike) -> float:
 def _half_integral(a: float, t: float) -> float:
     # int_0^1 u^(a-1) (1+u)^(-t) du; the u^(a-1) endpoint singularity is
     # integrable for a > 0 and is resolved by the adaptive subdivision.
+    # scipy is imported here, not at module top: only the quadrature
+    # cross-checks need it, and it is most of the package's import time.
+    from scipy.integrate import quad
+
     value, _ = quad(
         lambda u: u ** (a - 1.0) * (1.0 + u) ** (-t),
         0.0,

@@ -207,3 +207,10 @@ def test_classify_matches_classical_list():
                 assert e.unitary
             else:
                 assert e.unitary == (e.constituent.dim == 1)
+
+
+def test_classify_large_odd_lambda_reads_exact_signs():
+    # the definiteness scan reaches ratios past the float range; the verdict
+    # must come from exact signs (it used to raise OverflowError)
+    (entry,) = classify(Fraction(1021), Parity.ODD).entries
+    assert entry.definiteness is Definiteness.INDEFINITE and not entry.unitary

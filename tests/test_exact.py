@@ -1,9 +1,13 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import su11hodge
 from su11hodge.exact import (
     DIVERGENT,
     HalfInt,
@@ -203,3 +207,15 @@ def test_sign_negation():
     assert -Sign.NEGATIVE is Sign.POSITIVE
     assert -Sign.ZERO is Sign.ZERO
     assert -Sign.POLE is Sign.POLE
+
+
+def test_import_does_not_load_scipy():
+    # scipy is needed only by the quadrature cross-checks, which import it
+    # on first use; a fresh interpreter shows what a CLI call pays for
+    src = str(Path(su11hodge.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import su11hodge, su11hodge.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from su11hodge import forms
 from su11hodge.exact import Sign, quadrature_integral
 from su11hodge.filtrations import hodge_level
 from su11hodge.forms import (
@@ -286,6 +287,22 @@ def test_invariance_point_at_infinity():
 
 # ---------------------------------------------------------------------------
 # reference magnitude
+
+def test_invariance_reports_failing_pairs(monkeypatch):
+    # double the compact-form value at n = 1: both e+/e- laws then fail on
+    # the pairs (1, 0) and (2, 1), the h law and the diagonal pairs hold
+    exact = forms._u_ratio
+    monkeypatch.setattr(
+        forms, "_u_ratio", lambda u, spec: exact(u, spec) * (2 if u.index.twice == 2 else 1))
+    report = invariance_check(PS(Fraction(1, 3)), 2)
+    assert not report.ok
+    assert report.failures == (
+        "(e+u,w)=(u,e-w) fails at u=v[1], w=v[0]: -2/3 != -4/3",
+        "(e+u,w)=-(u,e-w) fails at u=v[1], w=v[0]: -2/3 != -4/3",
+        "(e+u,w)=(u,e-w) fails at u=v[2], w=v[1]: 20/3 != 10/3",
+        "(e+u,w)=-(u,e-w) fails at u=v[2], w=v[1]: -20/3 != -10/3",
+    )
+
 
 def test_reference_magnitude_values():
     assert reference_magnitude(PointModule(2, Orbit.AT_ZERO)) == 1.0

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from su11hodge import modules
 from su11hodge.modules import (
     BasisVector,
     Generator,
@@ -259,3 +260,28 @@ def test_lincomb_drops_zeros_and_merges():
 def test_lincomb_str():
     assert str(LinComb.zero()) == "0"
     assert "v[1]" in str(LinComb.single(v(1), Fraction(1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# the checks report what fails, one line per broken relation
+
+def test_bracket_check_reports_failures(monkeypatch):
+    # a non-linear index map breaks [h,e+] and [e+,e-] on a point module
+    monkeypatch.setattr(modules, "_point_index", lambda u: (u.index.twice // 2) ** 2)
+    report = bracket_check(PointModule(1, Orbit.AT_ZERO), 3)
+    assert not report.ok
+    assert report.failures == (
+        "[h,e+] != 2 e+ at v[1]", "[e+,e-] != h at v[1]",
+        "[h,e+] != 2 e+ at v[2]", "[h,e-] != -2 e- at v[2]", "[e+,e-] != h at v[2]",
+        "[h,e+] != 2 e+ at v[3]", "[h,e-] != -2 e- at v[3]", "[e+,e-] != h at v[3]",
+    )
+
+
+def test_theta_check_reports_failures(monkeypatch):
+    monkeypatch.setattr(modules, "theta_sign", lambda u, spec: 1)
+    report = theta_check(PS(Fraction(1, 2), Parity.ODD), 2)
+    assert not report.ok
+    assert report.failures == tuple(
+        f"theta {g} theta != -{g} at v[{n}]"
+        for n in ("-3/2", "-1/2", "1/2", "3/2") for g in ("e+", "e-")
+    )
