@@ -20,7 +20,6 @@ from .modules import (
     BasisVector,
     CheckResult,
     Generator,
-    LinComb,
     ModuleSpec,
     Orbit,
     Parity,
@@ -28,7 +27,6 @@ from .modules import (
     PrincipalSeries,
     W1Sub,
     act,
-    act_comb,
     basis_window,
     belongs,
     bracket_check,
@@ -36,7 +34,6 @@ from .modules import (
     h_weight,
     is_reduction_point,
     reference_index,
-    theta,
     theta_check,
     theta_sign,
 )

@@ -3,7 +3,17 @@
 Twisting parameters are accepted only as exact rational strings ("3",
 "-1/2"); float syntax is refused so that no sign decision ever passes
 through floating point.  Exit status: 0 all checks pass, 1 a verified
-property fails, 2 usage error.
+property fails, 2 usage or I/O error.
+
+Each subcommand declares its table once: a list of columns and a list of
+row tuples.  A column is ``(name, kind)`` or ``(name, kind, text header)``;
+``name`` is the JSON key and the CSV field stem, and the text header
+defaults to it.  ``_emit`` alone renders the table as text, JSON or CSV,
+each kind through the three renderers of ``_KINDS``: ``index`` is written
+as ``n`` in text, ``{"num", "den"}`` in JSON and ``<name>_twice`` in CSV;
+``rational`` as ``p/q``, ``{"num", "den"}`` and ``<name>_num``,
+``<name>_den``.  The CSV header comes from the columns, so an empty window
+still prints it.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import io
 import json
 import sys
 from fractions import Fraction
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import classify, jantzen_crossing, verify_conjecture
 from .exact import beta_value, parse_rational, quadrature_integral
@@ -42,18 +52,6 @@ USAGE_ERROR = 2
 CHECK_FAILED = 1
 
 ORACLE_TOLERANCE = 1e-8
-
-# fixed CSV schema for form tables
-FORM_TABLE_FIELDS = [
-    "index_twice",
-    "hodge_level",
-    "u_sign",
-    "ratio_num",
-    "ratio_den",
-    "magnitude",
-    "g_sign",
-    "w1",
-]
 
 
 class UsageError(Exception):
@@ -89,14 +87,6 @@ def render_json(payload: Dict[str, Any]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def render_csv(rows: List[Dict[str, Any]], fields: List[str]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
-    writer.writeheader()
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _table(headers: List[str], rows: List[List[str]]) -> str:
     widths = [len(h) for h in headers]
     for row in rows:
@@ -109,6 +99,65 @@ def _table(headers: List[str], rows: List[List[str]]) -> str:
 
 def _fmt_float(x: Optional[float]) -> str:
     return "" if x is None else f"{x:.10g}"
+
+
+def _yes_no(flag: bool) -> str:
+    return "yes" if flag else "no"
+
+
+# kind -> (text cell, JSON value, CSV field suffixes, CSV cells)
+_KINDS: Dict[str, Tuple[Callable, Callable, Tuple[str, ...], Callable]] = {
+    "int": (str, lambda x: x, ("",), lambda n: (n,)),
+    "sign": (lambda s: s.value, lambda s: s.value, ("",), lambda s: (s.value,)),
+    "bool": (_yes_no, lambda x: x, ("",), lambda b: (str(b).lower(),)),
+    "check": (lambda b: "yes" if b else "NO", lambda x: x, ("",),
+              lambda b: (str(b).lower(),)),
+    "index": (str, lambda n: rational_to_json(n.as_fraction), ("_twice",),
+              lambda n: (n.twice,)),
+    "rational": (str, rational_to_json, ("_num", "_den"),
+                 lambda q: (q.numerator, q.denominator)),
+    "float": (_fmt_float, lambda x: x, ("",), lambda x: (_fmt_float(x),)),
+    "err": ("{:.3e}".format, lambda x: x, ("",), lambda x: (f"{x:.3e}",)),
+    "spec": (str, spec_to_json, ("",), lambda s: (str(s),)),
+}
+
+Column = Tuple[str, ...]  # (name, kind) or (name, kind, text header)
+
+
+def _emit(args, preamble: str, payload: Dict[str, Any], rows_key: str,
+          columns: Sequence[Column], rows: Sequence[tuple]) -> None:
+    """Render the table ``columns`` x ``rows`` in the chosen format and write it.
+
+    Text is ``preamble`` plus an aligned table; JSON is ``payload`` with the
+    rows as a list of dicts under ``rows_key``; CSV is the table alone.
+    """
+    kinds = [_KINDS[col[1]] for col in columns]
+    if args.output == "json":
+        records = [
+            {col[0]: kind[1](value) for col, kind, value in zip(columns, kinds, row)}
+            for row in rows
+        ]
+        out = render_json({**payload, rows_key: records})
+    elif args.output == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow([col[0] + suffix for col, kind in zip(columns, kinds)
+                         for suffix in kind[2]])
+        writer.writerows(
+            [cell for kind, value in zip(kinds, row) for cell in kind[3](value)]
+            for row in rows
+        )
+        out = buf.getvalue()
+    else:
+        out = preamble + _table(
+            [col[2] if len(col) > 2 else col[0] for col in columns],
+            [[kind[0](value) for kind, value in zip(kinds, row)] for row in rows],
+        )
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(out)
+    else:
+        sys.stdout.write(out)
 
 
 def _build_spec(args) -> ModuleSpec:
@@ -126,19 +175,8 @@ def _build_spec(args) -> ModuleSpec:
     return PointModule(args.point_m, orbit)
 
 
-def _emit(args, text: str, payload: Dict[str, Any], rows: List[Dict[str, Any]],
-          fields: List[str]) -> None:
-    if args.output == "json":
-        out = render_json(payload)
-    elif args.output == "csv":
-        out = render_csv(rows, fields)
-    else:
-        out = text
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+def _verdict(ok: bool) -> str:
+    return "pass" if ok else "FAIL"
 
 
 # ---------------------------------------------------------------------------
@@ -151,14 +189,6 @@ def cmd_describe(args) -> int:
     reducible = isinstance(spec, PrincipalSeries) and spec.reducible
     conv = convergence_range(spec) if isinstance(spec, PrincipalSeries) else None
 
-    rows = [
-        {
-            "index_twice": r.vector.index.twice,
-            "hodge_level": r.hodge_level,
-            "w1": str(r.w1_member).lower(),
-        }
-        for r in table
-    ]
     payload = {
         "command": "describe",
         "spec": spec_to_json(spec),
@@ -168,27 +198,15 @@ def cmd_describe(args) -> int:
         "convergence_range": None if conv is None else [
             rational_to_json(n.as_fraction) for n in conv
         ],
-        "filtration": [
-            {
-                "index": rational_to_json(r.vector.index.as_fraction),
-                "hodge_level": r.hodge_level,
-                "w1": r.w1_member,
-            }
-            for r in table
-        ],
     }
-    lines = [f"module: {spec}", f"reducible: {'yes' if reducible else 'no'}"]
-    lines.append("constituents:")
+    lines = [f"module: {spec}", f"reducible: {_yes_no(reducible)}", "constituents:"]
     lines.extend(f"  {p}" for p in parts)
     if conv is not None:
         lines.append("convergence range: " + (", ".join(str(n) for n in conv) or "(empty)"))
     lines.append(f"filtration (window bound {args.bound}):")
-    body = _table(
-        ["index", "hodge_level", "w1"],
-        [[str(r.vector.index), str(r.hodge_level), "yes" if r.w1_member else "no"] for r in table],
-    )
-    text = "\n".join(lines) + "\n" + body
-    _emit(args, text, payload, rows, ["index_twice", "hodge_level", "w1"])
+    _emit(args, "\n".join(lines) + "\n", payload, "filtration",
+          [("index", "index"), ("hodge_level", "int"), ("w1", "bool")],
+          [(r.vector.index, r.hodge_level, r.w1_member) for r in table])
     return 0
 
 
@@ -199,50 +217,26 @@ def cmd_form_table(args) -> int:
             f"lambda={spec.lam} is a reduction point; use classify/describe, "
             "or evaluate the constituents"
         )
-    table_rows = []
-    json_rows = []
-    csv_rows = []
+    rows = []
     for v in basis_window(spec, args.bound):
         u = form_diagonal(v, spec)
         g = gR_form_diagonal(v, spec)
-        p = hodge_level(v, spec)
-        w1 = True  # irreducible: weight filtration collapses
-        ratio = u.ratio_to_reference
-        table_rows.append([
-            str(v.index), str(p), u.sign.value, str(ratio), _fmt_float(u.magnitude),
-            g.sign.value, "yes" if w1 else "no",
-        ])
-        json_rows.append({
-            "index": rational_to_json(v.index.as_fraction),
-            "hodge_level": p,
-            "u_sign": u.sign.value,
-            "ratio": rational_to_json(ratio),
-            "magnitude": u.magnitude,
-            "g_sign": g.sign.value,
-            "w1": w1,
-        })
-        csv_rows.append({
-            "index_twice": v.index.twice,
-            "hodge_level": p,
-            "u_sign": u.sign.value,
-            "ratio_num": ratio.numerator,
-            "ratio_den": ratio.denominator,
-            "magnitude": _fmt_float(u.magnitude),
-            "g_sign": g.sign.value,
-            "w1": str(w1).lower(),
-        })
+        # irreducible: the weight filtration collapses, so every vector is in W1
+        rows.append((v.index, hodge_level(v, spec), u.sign, u.ratio_to_reference,
+                     u.magnitude, g.sign, True))
     ref_mag = reference_magnitude(spec)
     payload = {
         "command": "form-table",
         "spec": spec_to_json(spec),
         "bound": args.bound,
         "reference_magnitude": ref_mag,
-        "rows": json_rows,
     }
-    text = f"module: {spec}\nreference magnitude: {_fmt_float(ref_mag)}\n" + _table(
-        ["index", "p", "u_sign", "ratio", "magnitude", "g_sign", "w1"], table_rows
-    )
-    _emit(args, text, payload, csv_rows, FORM_TABLE_FIELDS)
+    preamble = f"module: {spec}\nreference magnitude: {_fmt_float(ref_mag)}\n"
+    _emit(args, preamble, payload, "rows",
+          [("index", "index"), ("hodge_level", "int", "p"), ("u_sign", "sign"),
+           ("ratio", "rational"), ("magnitude", "float"), ("g_sign", "sign"),
+           ("w1", "bool")],
+          rows)
     return 0
 
 
@@ -258,17 +252,6 @@ def cmd_verify(args) -> int:
     invariance = invariance_check(spec, args.bound)
     all_ok = report.verdict and brackets.ok and thetas.ok and invariance.ok
 
-    csv_rows = [
-        {
-            "index_twice": r.vector.index.twice,
-            "hodge_level": r.hodge_level,
-            "codim": r.codim,
-            "sign": r.sign.value,
-            "expected": r.expected.value,
-            "ok": str(r.ok).lower(),
-        }
-        for r in report.records
-    ]
     payload = {
         "command": "verify",
         "spec": spec_to_json(spec),
@@ -277,35 +260,19 @@ def cmd_verify(args) -> int:
         "bracket_ok": brackets.ok,
         "theta_ok": thetas.ok,
         "invariance_ok": invariance.ok,
-        "records": [
-            {
-                "index": rational_to_json(r.vector.index.as_fraction),
-                "hodge_level": r.hodge_level,
-                "codim": r.codim,
-                "sign": r.sign.value,
-                "expected": r.expected.value,
-                "ok": r.ok,
-            }
-            for r in report.records
-        ],
     }
-    body = _table(
-        ["index", "p", "codim", "sign", "expected", "ok"],
-        [
-            [str(r.vector.index), str(r.hodge_level), str(r.codim), r.sign.value,
-             r.expected.value, "yes" if r.ok else "NO"]
-            for r in report.records
-        ],
-    )
-    text = (
+    preamble = (
         f"module: {spec}\n"
-        f"sign conjecture: {'pass' if report.verdict else 'FAIL'}\n"
-        f"bracket relations: {'pass' if brackets.ok else 'FAIL'}\n"
-        f"theta intertwining: {'pass' if thetas.ok else 'FAIL'}\n"
-        f"form invariance: {'pass' if invariance.ok else 'FAIL'}\n" + body
+        f"sign conjecture: {_verdict(report.verdict)}\n"
+        f"bracket relations: {_verdict(brackets.ok)}\n"
+        f"theta intertwining: {_verdict(thetas.ok)}\n"
+        f"form invariance: {_verdict(invariance.ok)}\n"
     )
-    _emit(args, text, payload, csv_rows,
-          ["index_twice", "hodge_level", "codim", "sign", "expected", "ok"])
+    _emit(args, preamble, payload, "records",
+          [("index", "index"), ("hodge_level", "int", "p"), ("codim", "int"),
+           ("sign", "sign"), ("expected", "sign"), ("ok", "check")],
+          [(r.vector.index, r.hodge_level, r.codim, r.sign, r.expected, r.ok)
+           for r in report.records])
     return 0 if all_ok else CHECK_FAILED
 
 
@@ -313,16 +280,6 @@ def cmd_jantzen(args) -> int:
     if args.lam is None or args.parity is None:
         raise UsageError("jantzen requires --lambda and --parity")
     report = jantzen_crossing(args.lam, Parity(args.parity), args.epsilon, args.bound)
-    csv_rows = [
-        {
-            "index_twice": r.vector.index.twice,
-            "sign_below": r.sign_below.value,
-            "sign_above": r.sign_above.value,
-            "preserved": str(r.preserved).lower(),
-            "w1": str(r.w1).lower(),
-        }
-        for r in report.records
-    ]
     payload = {
         "command": "jantzen",
         "lambda0": rational_to_json(report.lambda0),
@@ -330,32 +287,17 @@ def cmd_jantzen(args) -> int:
         "epsilon": rational_to_json(report.epsilon),
         "bound": report.bound,
         "verdict": "pass" if report.verdict else "fail",
-        "records": [
-            {
-                "index": rational_to_json(r.vector.index.as_fraction),
-                "sign_below": r.sign_below.value,
-                "sign_above": r.sign_above.value,
-                "preserved": r.preserved,
-                "w1": r.w1,
-            }
-            for r in report.records
-        ],
     }
-    body = _table(
-        ["index", "sign@-eps", "sign@+eps", "preserved", "w1"],
-        [
-            [str(r.vector.index), r.sign_below.value, r.sign_above.value,
-             "yes" if r.preserved else "no", "yes" if r.w1 else "no"]
-            for r in report.records
-        ],
-    )
-    text = (
+    preamble = (
         f"reduction point: lambda0={report.lambda0} ({report.parity.value}), "
         f"epsilon={report.epsilon}\n"
-        f"sign preserved exactly on W1: {'pass' if report.verdict else 'FAIL'}\n" + body
+        f"sign preserved exactly on W1: {_verdict(report.verdict)}\n"
     )
-    _emit(args, text, payload, csv_rows,
-          ["index_twice", "sign_below", "sign_above", "preserved", "w1"])
+    _emit(args, preamble, payload, "records",
+          [("index", "index"), ("sign_below", "sign", "sign@-eps"),
+           ("sign_above", "sign", "sign@+eps"), ("preserved", "bool"), ("w1", "bool")],
+          [(r.vector.index, r.sign_below, r.sign_above, r.preserved, r.w1)
+           for r in report.records])
     return 0 if report.verdict else CHECK_FAILED
 
 
@@ -363,40 +305,15 @@ def cmd_classify(args) -> int:
     if args.lam is None or args.parity is None:
         raise UsageError("classify requires --lambda and --parity")
     report = classify(args.lam, Parity(args.parity))
-    csv_rows = [
-        {
-            "constituent": str(e.constituent),
-            "hermitian": str(e.hermitian).lower(),
-            "definiteness": e.definiteness.value,
-            "unitary": str(e.unitary).lower(),
-        }
-        for e in report.entries
-    ]
     payload = {
         "command": "classify",
         "lambda": rational_to_json(report.lam),
         "parity": report.parity.value,
-        "entries": [
-            {
-                "constituent": spec_to_json(e.constituent),
-                "hermitian": e.hermitian,
-                "definiteness": e.definiteness.value,
-                "unitary": e.unitary,
-            }
-            for e in report.entries
-        ],
     }
-    body = _table(
-        ["constituent", "hermitian", "definiteness", "unitary"],
-        [
-            [str(e.constituent), "yes" if e.hermitian else "no",
-             e.definiteness.value, "yes" if e.unitary else "no"]
-            for e in report.entries
-        ],
-    )
-    text = f"lambda={report.lam}, parity={report.parity.value}\n" + body
-    _emit(args, text, payload, csv_rows,
-          ["constituent", "hermitian", "definiteness", "unitary"])
+    _emit(args, f"lambda={report.lam}, parity={report.parity.value}\n", payload, "entries",
+          [("constituent", "spec"), ("hermitian", "bool"), ("definiteness", "sign"),
+           ("unitary", "bool")],
+          [(e.constituent, e.hermitian, e.definiteness, e.unitary) for e in report.entries])
     return 0
 
 
@@ -409,61 +326,33 @@ ORACLE_GRID: List[Tuple[Fraction, Fraction]] = [
 
 def cmd_oracle(args) -> int:
     rows = []
-    worst = 0.0
-    worst_ibp = 0.0
     for s, t in ORACLE_GRID:
         q = quadrature_integral(s, t)
         b = beta_value(s, t - s)
         rel = abs(q - b) / b
         ibp = quadrature_integral(s + 1, t + 1)
         ibp_rel = abs(float(s) * q - float(t) * ibp) / (float(s) * q)
-        worst = max(worst, rel)
-        worst_ibp = max(worst_ibp, ibp_rel)
         rows.append((s, t, q, b, rel, ibp_rel))
+    worst = max(row[4] for row in rows)
+    worst_ibp = max(row[5] for row in rows)
     ok = worst <= ORACLE_TOLERANCE and worst_ibp <= ORACLE_TOLERANCE
-    csv_rows = [
-        {
-            "s_num": s.numerator, "s_den": s.denominator,
-            "t_num": t.numerator, "t_den": t.denominator,
-            "quadrature": _fmt_float(q), "beta": _fmt_float(b),
-            "rel_err": f"{rel:.3e}", "ibp_rel_err": f"{ibp:.3e}",
-        }
-        for s, t, q, b, rel, ibp in rows
-    ]
     payload = {
         "command": "oracle",
         "tolerance": ORACLE_TOLERANCE,
         "max_rel_err": worst,
         "max_ibp_rel_err": worst_ibp,
         "pass": ok,
-        "grid": [
-            {
-                "s": rational_to_json(s),
-                "t": rational_to_json(t),
-                "quadrature": q,
-                "beta": b,
-                "rel_err": rel,
-                "ibp_rel_err": ibp,
-            }
-            for s, t, q, b, rel, ibp in rows
-        ],
     }
-    body = _table(
-        ["s", "t", "quadrature", "beta", "rel_err", "ibp_rel_err"],
-        [
-            [str(s), str(t), _fmt_float(q), _fmt_float(b), f"{rel:.3e}", f"{ibp:.3e}"]
-            for s, t, q, b, rel, ibp in rows
-        ],
-    )
-    text = (
+    preamble = (
         f"quadrature vs exact Beta on {len(rows)} grid points\n"
         f"max relative error: {worst:.3e} (tolerance {ORACLE_TOLERANCE:.0e})\n"
         f"max integration-by-parts error: {worst_ibp:.3e}\n"
-        f"verdict: {'pass' if ok else 'FAIL'}\n" + body
+        f"verdict: {_verdict(ok)}\n"
     )
-    _emit(args, text, payload, csv_rows,
-          ["s_num", "s_den", "t_num", "t_den", "quadrature", "beta",
-           "rel_err", "ibp_rel_err"])
+    _emit(args, preamble, payload, "grid",
+          [("s", "rational"), ("t", "rational"), ("quadrature", "float"),
+           ("beta", "float"), ("rel_err", "err"), ("ibp_rel_err", "err")],
+          rows)
     return 0 if ok else CHECK_FAILED
 
 
@@ -539,11 +428,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except OverflowError as exc:
+        print(f"error: a magnitude is out of float range: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
 

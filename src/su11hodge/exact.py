@@ -34,8 +34,10 @@ __all__ = [
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' exactly.  Decimal or float notation is refused."""
+    """Parse 'p' or 'p/q' exactly.  Decimal, float and '1_0' notation is refused."""
     s = text.strip()
+    if "_" in s:  # int() would read digit groups
+        raise ValueError(f"not an exact rational: {text!r}")
     num, sep, den = s.partition("/")
     try:
         if sep:

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from .exact import HalfInt, RationalLike
 
@@ -58,15 +58,12 @@ __all__ = [
     "W1Sub",
     "ModuleSpec",
     "BasisVector",
-    "LinComb",
     "is_reduction_point",
     "belongs",
     "require_member",
     "reference_index",
     "act",
-    "act_comb",
     "theta_sign",
-    "theta",
     "constituents",
     "basis_window",
     "h_weight",
@@ -208,67 +205,6 @@ class BasisVector:
         return f"v[{self.index}]"
 
 
-class LinComb:
-    """Finite rational linear combination of basis vectors; zero terms dropped."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Iterable[Tuple[BasisVector, RationalLike]] = ()):
-        acc: Dict[BasisVector, Fraction] = {}
-        for v, c in terms:
-            c = Fraction(c)
-            if c:
-                acc[v] = acc.get(v, Fraction(0)) + c
-                if not acc[v]:
-                    del acc[v]
-        self._terms = acc
-
-    @classmethod
-    def zero(cls) -> "LinComb":
-        return cls()
-
-    @classmethod
-    def single(cls, v: BasisVector, c: RationalLike = 1) -> "LinComb":
-        return cls([(v, c)])
-
-    def coeff(self, v: BasisVector) -> Fraction:
-        return self._terms.get(v, Fraction(0))
-
-    def items(self) -> Iterator[Tuple[BasisVector, Fraction]]:
-        return iter(sorted(self._terms.items()))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __add__(self, other: "LinComb") -> "LinComb":
-        return LinComb(list(self._terms.items()) + list(other._terms.items()))
-
-    def __sub__(self, other: "LinComb") -> "LinComb":
-        return self + (-1) * other
-
-    def __rmul__(self, c: RationalLike) -> "LinComb":
-        return LinComb((v, Fraction(c) * x) for v, x in self._terms.items())
-
-    def __neg__(self) -> "LinComb":
-        return (-1) * self
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinComb) and self._terms == other._terms
-
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = [f"{c}*{v}" for v, c in self.items()]
-        return " + ".join(parts).replace("+ -", "- ")
-
-    def __repr__(self) -> str:
-        return f"LinComb({self})"
-
-
 def belongs(v: BasisVector, spec: ModuleSpec) -> bool:
     """Whether the index lies on the basis lattice of the module."""
     tw = v.index.twice
@@ -331,9 +267,10 @@ def _step(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Tuple[RationalLik
     return up
 
 
-def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> LinComb:
+def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, Fraction]:
     """Apply one sl(2) generator to a basis vector, exactly.
 
+    Returns ``{target: coefficient}``, empty when the coefficient is zero.
     Principal-series coefficients come from the product rule on z^n s0^mu;
     point-module coefficients from normal differentiation of the delta
     function and the twist.  W1 members use the ambient formulas (the
@@ -341,14 +278,7 @@ def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> LinComb:
     """
     require_member(v, spec)
     coefficient, shift = _step(gen, v, spec)
-    return LinComb.single(BasisVector(v.index + shift), coefficient)
-
-
-def act_comb(gen: Generator, comb: LinComb, spec: ModuleSpec) -> LinComb:
-    out = LinComb.zero()
-    for v, c in comb.items():
-        out = out + c * act(gen, v, spec)
-    return out
+    return {BasisVector(v.index + shift): Fraction(coefficient)} if coefficient else {}
 
 
 def theta_sign(v: BasisVector, spec: ModuleSpec) -> int:
@@ -356,10 +286,6 @@ def theta_sign(v: BasisVector, spec: ModuleSpec) -> int:
     require_member(v, spec)
     steps = (v.index.twice - reference_index(spec).twice) // 2
     return -1 if steps % 2 else 1
-
-
-def theta(v: BasisVector, spec: ModuleSpec) -> LinComb:
-    return LinComb.single(v, theta_sign(v, spec))
 
 
 def constituents(spec: PrincipalSeries) -> List[ModuleSpec]:

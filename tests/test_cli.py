@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su11hodge import cli
 
@@ -157,6 +159,68 @@ def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+def test_digit_group_underscores_exit_2(capsys):
+    code, out, err = run(capsys, "verify", "--lambda", "1_0", "--parity", "even")
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# I/O and float-range errors: one "error:" line on stderr, exit 2
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_out_into_missing_directory_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, "form-table", "--lambda", "1/2", "--parity", "even",
+                         "--output", "json", "--out", str(target))
+    assert code == 2 and out == ""
+    assert_one_error_line(err)
+    assert not target.exists()
+
+
+def test_float_overflow_exits_2(capsys):
+    # the exact ratio at |n| = 700 exceeds the float range
+    code, out, err = run(capsys, "form-table", "--lambda", "1021", "--parity", "odd",
+                         "--bound", "700")
+    assert code == 2 and out == ""
+    assert_one_error_line(err)
+
+
+# ---------------------------------------------------------------------------
+# an empty window: the header alone in text and CSV, no rows in JSON
+
+EMPTY_WINDOWS = [
+    (["describe", "--lambda", "1/2", "--parity", "odd"], "filtration",
+     "filtration (window bound 0):", "index  hodge_level  w1", "index_twice,hodge_level,w1"),
+    (["form-table", "--lambda", "1/2", "--parity", "odd"], "rows",
+     "reference magnitude: 46.59797908", "index  p  u_sign  ratio  magnitude  g_sign  w1",
+     "index_twice,hodge_level,u_sign,ratio_num,ratio_den,magnitude,g_sign,w1"),
+    (["verify", "--lambda", "1/2", "--parity", "odd"], "records",
+     "form invariance: pass", "index  p  codim  sign  expected  ok",
+     "index_twice,hodge_level,codim,sign,expected,ok"),
+    (["jantzen", "--lambda", "2", "--parity", "odd"], "records",
+     "sign preserved exactly on W1: pass", "index  sign@-eps  sign@+eps  preserved  w1",
+     "index_twice,sign_below,sign_above,preserved,w1"),
+]
+
+
+@pytest.mark.parametrize("argv,key,last_preamble,text_header,csv_header", EMPTY_WINDOWS,
+                         ids=[case[0][0] for case in EMPTY_WINDOWS])
+def test_empty_window(capsys, argv, key, last_preamble, text_header, csv_header):
+    argv = argv + ["--bound", "0", "--output"]
+    code, out, _ = run(capsys, *argv, "text")
+    assert code == 0
+    assert out.endswith(f"\n{last_preamble}\n{text_header}\n")
+    code, out, _ = run(capsys, *argv, "csv")
+    assert code == 0 and out == csv_header + "\n"
+    code, out, _ = run(capsys, *argv, "json")
+    assert code == 0 and json.loads(out)[key] == []
+
+
 # ---------------------------------------------------------------------------
 # failure propagation: a failing check must exit 1
 
@@ -176,3 +240,40 @@ def test_failing_report_exits_1(capsys, monkeypatch):
                        "--bound", "3")
     assert code == 1
     assert "FAIL" in out
+
+
+# ---------------------------------------------------------------------------
+# the exit contract holds for every argv
+
+RATIONALS = ["0", "1/2", "2", "3", "4", "5/2", "7/3", "1021", "-1", "0.5", "1_0", "1/0", "x"]
+
+
+@st.composite
+def argvs(draw):
+    argv = [draw(st.sampled_from(
+        ["describe", "form-table", "verify", "jantzen", "classify", "oracle"]))]
+    optional = [
+        ("--lambda", RATIONALS),
+        ("--parity", ["even", "odd", "both"]),
+        ("--point-m", ["0", "2", "5", "-1", "1/2"]),
+        ("--orbit", ["0", "inf", "1"]),
+        ("--epsilon", RATIONALS),
+    ]
+    for flag, values in optional:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    if draw(st.booleans()):
+        argv += ["--bound", draw(st.sampled_from(["-1", "x"] + [str(b) for b in range(21)]))]
+    return argv + ["--output", draw(st.sampled_from(["text", "json", "csv"]))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(argvs())
+def test_fuzz_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 2 and argv[-1] == "json":
+        assert cli.render_json(json.loads(out.getvalue())) == out.getvalue()

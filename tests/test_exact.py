@@ -113,6 +113,13 @@ def test_parse_rational_rejects_floats_and_garbage(bad):
         parse_rational(bad)
 
 
+@pytest.mark.parametrize("bad", ["1_0", "1/2_0", "-1_000/3"])
+def test_parse_rational_rejects_digit_group_underscores(bad):
+    # int() reads "1_0" as 10; the exact syntax is only "p" or "p/q"
+    with pytest.raises(ValueError):
+        parse_rational(bad)
+
+
 @given(st.integers(), st.integers().filter(lambda q: q != 0))
 def test_rational_normal_form(p, q):
     x = Fraction(p, q)
