@@ -7,8 +7,6 @@ tracking (floats carry magnitudes only).
 """
 
 from .exact import (
-    DIVERGENT,
-    Divergent,
     HalfInt,
     Rational,
     Sign,
@@ -47,8 +45,6 @@ from .filtrations import (
     w1_member,
 )
 from .forms import (
-    INDETERMINATE,
-    POLE,
     FormValue,
     InvarianceReport,
     continuation_ratio,

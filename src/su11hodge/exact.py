@@ -2,16 +2,19 @@
 
 Every sign decision in this package is made on exact rationals; floating
 point enters only as a magnitude backend (log-Gamma) and as an independent
-numerical check (adaptive quadrature of the defining integral).
+numerical check (adaptive quadrature of the defining integral).  Both
+backends return ``None`` exactly when that integral has no finite value,
+decided on exact rationals: divergence is data, not an error.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 # Exact rational scalar used throughout.  fractions.Fraction already
 # guarantees lowest terms, positive denominator, exact arithmetic, a total
@@ -26,27 +29,26 @@ __all__ = [
     "parse_rational",
     "HalfInt",
     "Sign",
-    "Divergent",
-    "DIVERGENT",
     "beta_value",
     "quadrature_integral",
 ]
 
 
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p' or 'p/q' exactly.  Decimal, float and '1_0' notation is refused."""
+    """Parse 'p' or 'p/q' exactly: ASCII digits, an optional leading '-',
+    no inner spaces; outer whitespace is ignored.  Anything else (decimals,
+    floats, '+3', '1_0', '1/-2', non-ASCII digits, q = 0) is refused."""
     s = text.strip()
-    if "_" in s:  # int() would read digit groups
+    if not _RATIONAL.fullmatch(s):
         raise ValueError(f"not an exact rational: {text!r}")
-    num, sep, den = s.partition("/")
+    num, _, den = s.partition("/")
     try:
-        if sep:
-            value = Fraction(int(num), int(den))
-        else:
-            value = Fraction(int(num))
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(int(num), int(den or 1))
+    except ZeroDivisionError as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
-    return value
 
 
 @dataclass(frozen=True, order=True)
@@ -94,7 +96,8 @@ class HalfInt:
 
 
 class Sign(Enum):
-    """Sign of an exactly tracked quantity; POLE marks a continuation pole."""
+    """Sign of an exactly tracked quantity; POLE is the sign of ``None``, which
+    stands for no finite value (a continuation pole or a divergent integral)."""
 
     POSITIVE = "+"
     NEGATIVE = "-"
@@ -102,19 +105,14 @@ class Sign(Enum):
     POLE = "pole"
 
     @classmethod
-    def of(cls, x: RationalLike) -> "Sign":
+    def of(cls, x: Optional[RationalLike]) -> "Sign":
+        if x is None:
+            return cls.POLE
         if x > 0:
             return cls.POSITIVE
         if x < 0:
             return cls.NEGATIVE
         return cls.ZERO
-
-    def __mul__(self, other: "Sign") -> "Sign":
-        if Sign.POLE in (self, other):
-            return Sign.POLE
-        if Sign.ZERO in (self, other):
-            return Sign.ZERO
-        return Sign.POSITIVE if self is other else Sign.NEGATIVE
 
     def __neg__(self) -> "Sign":
         if self is Sign.POSITIVE:
@@ -124,31 +122,14 @@ class Sign(Enum):
         return self
 
 
-class Divergent:
-    """Reported outcome when the integral has no finite value.
+def beta_value(a: RationalLike, b: RationalLike) -> Optional[float]:
+    """Gamma(a)Gamma(b)/Gamma(a+b) = int_0^inf u^(a-1) (1+u)^(-a-b) du, via log-Gamma.
 
-    Divergence at the boundary of the convergence strip is data, not an
-    error, so it is returned rather than raised.
+    The integral converges exactly when a > 0 and b > 0 (decided on exact
+    rationals); otherwise None is returned.
     """
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self) -> str:
-        return "Divergent"
-
-
-DIVERGENT = Divergent()
-
-
-def beta_value(a: RationalLike, b: RationalLike) -> float:
-    """Gamma(a)Gamma(b)/Gamma(a+b) for a, b > 0 via log-Gamma."""
     if not (a > 0 and b > 0):
-        raise ValueError(f"beta_value requires positive arguments, got ({a}, {b})")
+        return None
     af, bf = float(a), float(b)
     return math.exp(math.lgamma(af) + math.lgamma(bf) - math.lgamma(af + bf))
 
@@ -171,12 +152,13 @@ def _half_integral(a: float, t: float) -> float:
     return value
 
 
-def quadrature_integral(s: RationalLike, t: RationalLike) -> Union[float, Divergent]:
+def quadrature_integral(s: RationalLike, t: RationalLike) -> Optional[float]:
     """Numerically evaluate int_0^inf u^(s-1) (1+u)^(-t) du.
 
     Converges exactly when 0 < s < t (decided on exact rationals); outside
-    that strip DIVERGENT is returned.  The domain is split at u = 1 and the
-    tail mapped back to (0, 1] by u -> 1/u, which turns the integral into
+    that strip None is returned, as by beta_value(s, t - s).  The domain is
+    split at u = 1 and the tail mapped back to (0, 1] by u -> 1/u, which
+    turns the integral into
 
         int_0^1 u^(s-1) (1+u)^(-t) du  +  int_0^1 u^(t-s-1) (1+u)^(-t) du,
 
@@ -185,6 +167,6 @@ def quadrature_integral(s: RationalLike, t: RationalLike) -> Union[float, Diverg
     s = Fraction(s)
     t = Fraction(t)
     if s <= 0 or s >= t:
-        return DIVERGENT
+        return None
     tf = float(t)
     return _half_integral(float(s), tf) + _half_integral(float(t - s), tf)

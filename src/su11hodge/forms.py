@@ -16,6 +16,10 @@ ratios are products of these rational steps anchored at the reference
 vector (n = 0 even, 1/2 odd); the float magnitude is |ratio| times the
 reference Beta value and never participates in a sign decision.
 
+A pole of the continuation and a divergent integral are the same fact,
+no finite value: every ratio and magnitude here is then ``None``, and its
+sign ``Sign.POLE``.
+
 On point modules the diagonal values are the closed form
 
     P(k) = (-1)^k k! (m+1)(m+2)...(m+k)    (exact integers),
@@ -32,10 +36,7 @@ new index, whatever order the indices are asked for in; every consumer
 form table) reads from it.  A window sweep of bound B therefore costs
 O(B) rational steps instead of the O(B^2) of walking from the reference
 for every vector, and the reference Beta value is computed once per
-module.  Signs for verdicts are read from the exact entries alone.  On the
-benchmark's window_scan workload (bounds 25 to 200, 2-CPU x86_64 host,
-Python 3.11) this, with the scalar checks in ``modules``, took one pass
-from 259 to 26 host-speed units, median of 10 seeds.
+module.  Signs for verdicts are read from the exact entries alone.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
@@ -61,8 +62,6 @@ from .modules import (
 )
 
 __all__ = [
-    "POLE",
-    "INDETERMINATE",
     "continuation_ratio",
     "FormValue",
     "diagonal_sign",
@@ -77,89 +76,63 @@ __all__ = [
 ]
 
 
-class _Pole:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Pole"
-
-
-class _Indeterminate:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "Indeterminate"
-
-
-POLE = _Pole()
-INDETERMINATE = _Indeterminate()
-
-RatioResult = Union[Fraction, _Pole, _Indeterminate]
-
-
-def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> RatioResult:
+def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Optional[Fraction]:
     """Exact one-step ratio V(n+1)/V(n) = (2n+lam+1)/(lam-1-2n).
 
-    POLE when only the denominator vanishes (this happens exactly at
-    reduction points); INDETERMINATE for the single 0/0 configuration,
-    which lies off the valid parameter set.
+    None (a pole) when the denominator vanishes, which happens exactly at
+    reduction points.  The one 0/0 configuration, n = -1/2 at lam = 0,
+    lies on the reducible PS(0, odd), whose ambient values are all poles.
     """
     n = HalfInt.of(n)
     lam = Fraction(lam)
-    numerator = n.twice + lam + 1
     denominator = lam - 1 - n.twice
-    if denominator == 0:
-        return POLE if numerator != 0 else INDETERMINATE
-    return numerator / denominator
+    return (n.twice + lam + 1) / denominator if denominator else None
 
 
 @dataclass(frozen=True)
 class FormValue:
     """Diagonal form value as exact data relative to the reference vector.
 
-    ``ratio_to_reference`` is absent exactly when the continuation has a
-    pole; ``magnitude`` (when present) is |ratio| * reference_magnitude.
+    ``ratio_to_reference`` is None exactly at a pole (sign POLE) and
+    ``reference_magnitude`` where the reference integral diverges;
+    ``magnitude`` is |ratio| * reference_magnitude, None when either is.
     """
 
     sign: Sign
     ratio_to_reference: Optional[Fraction]
     magnitude: Optional[float]
-    reference_magnitude: float
+    reference_magnitude: Optional[float]
 
     @classmethod
-    def pole(cls, reference_magnitude: float) -> "FormValue":
-        return cls(Sign.POLE, None, None, reference_magnitude)
-
-    @classmethod
-    def from_ratio(cls, ratio: Fraction, reference_magnitude: float) -> "FormValue":
-        return cls(
-            Sign.of(ratio), ratio, abs(float(ratio)) * reference_magnitude,
-            reference_magnitude,
-        )
+    def of(cls, ratio: Optional[Fraction], ref_mag: Optional[float]) -> "FormValue":
+        magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
+        return cls(Sign.of(ratio), ratio, magnitude, ref_mag)
 
 
-def reference_magnitude(spec: ModuleSpec) -> float:
+def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
     """Float value of the diagonal form at the reference vector.
 
     On the open-orbit modules this is 4 pi times the Beta value of the
-    convergent reference integral; on point modules the anchor is 1.
+    reference integral, None where it diverges (only on PS(0, odd)); on
+    point modules the anchor is 1.
     """
     if isinstance(spec, PointModule):
         return 1.0
     ps = spec.base if isinstance(spec, W1Sub) else spec
     n0 = reference_index(ps).as_fraction
     half = (ps.lam + 1) / 2
-    return 4.0 * math.pi * beta_value(half + n0, half - n0)
+    beta = beta_value(half + n0, half - n0)
+    return None if beta is None else 4.0 * math.pi * beta
 
 
 class _Table:
     """Exact diagonal values of one module relative to its reference vector.
 
     ``_up[k]`` (``_down[k]``) is the value k steps above (below) the
-    reference index, each entry computed from the one before it by
-    ``_next_up`` (``_next_down``).  Entries are only ever added, each from
-    its predecessor, so concurrent callers can at worst compute the same
-    entry twice.
+    reference index (None at a pole), each entry computed from the one
+    before it by ``_next_up`` (``_next_down``).  Entries are only ever
+    added, each from its predecessor, so concurrent callers can at worst
+    compute the same entry twice.
     """
 
     __slots__ = ("_ref_twice", "_up", "_down", "magnitude")
@@ -170,33 +143,32 @@ class _Table:
         self._down = {0: Fraction(1)}
         self.magnitude: Optional[float] = None  # reference magnitude, set on first use
 
-    def ratio(self, n: HalfInt) -> RatioResult:
+    def ratio(self, n: HalfInt) -> Optional[Fraction]:
         k = (n.twice - self._ref_twice) // 2
         if k >= 0:
             return self._entry(self._up, k, self._next_up)
         return self._entry(self._down, -k, self._next_down)
 
     @staticmethod
-    def _entry(entries, k: int, step) -> RatioResult:
-        value = entries.get(k)
-        if value is None:
-            # the keys are always 0..len-1, since an entry is added only after
-            # its predecessor, so the walk resumes at the last one
-            j = len(entries) - 1
-            value = entries[j]
-            while j < k:
-                value = step(value, j)
-                j += 1
-                entries[j] = value
+    def _entry(entries, k: int, step) -> Optional[Fraction]:
+        # the keys are always 0..len-1, since an entry is added only after
+        # its predecessor, so the walk resumes at the last one
+        j = len(entries) - 1
+        if k <= j:
+            return entries[k]
+        value = entries[j]
+        while j < k:
+            value = step(value, j)
+            j += 1
+            entries[j] = value
         return value
 
 
 class _SeriesTable(_Table):
     """Continuation products of a principal series.
 
-    Walking up, every index past the first non-finite step reports that
-    step (POLE or INDETERMINATE); walking down, a non-finite or zero step
-    gives POLE for all further indices.
+    Walking up, every index past the first pole step is None; walking
+    down, a pole or zero step makes every further index None.
     """
 
     __slots__ = ("_lam",)
@@ -205,19 +177,17 @@ class _SeriesTable(_Table):
         super().__init__(reference_index(spec).twice)
         self._lam = spec.lam
 
-    def _next_up(self, value: RatioResult, j: int) -> RatioResult:
-        if not isinstance(value, Fraction):
-            return value
+    def _next_up(self, value: Optional[Fraction], j: int) -> Optional[Fraction]:
+        if value is None:
+            return None
         step = continuation_ratio(HalfInt(self._ref_twice + 2 * j), self._lam)
-        return value * step if isinstance(step, Fraction) else step
+        return None if step is None else value * step
 
-    def _next_down(self, value: RatioResult, j: int) -> RatioResult:
-        if not isinstance(value, Fraction):
-            return POLE
+    def _next_down(self, value: Optional[Fraction], j: int) -> Optional[Fraction]:
+        if value is None:
+            return None
         step = continuation_ratio(HalfInt(self._ref_twice - 2 * (j + 1)), self._lam)
-        if not isinstance(step, Fraction) or step == 0:
-            return POLE
-        return value / step
+        return value / step if step else None  # None or 0: a pole
 
 
 class _PointTable(_Table):
@@ -247,19 +217,15 @@ def _table(spec: ModuleSpec) -> _Table:
     return table
 
 
-def _ratio(v: BasisVector, spec: ModuleSpec) -> RatioResult:
-    """Exact (v, v) relative to the reference value, or POLE.
-
-    On a reducible principal series the module-level pairing is defined
-    only on the constituents, so every ambient value is a pole.
-    """
+def _ratio(v: BasisVector, spec: ModuleSpec) -> Optional[Fraction]:
+    """Exact (v, v) relative to the reference value, None at a pole."""
     require_member(v, spec)
     if isinstance(spec, PrincipalSeries) and spec.reducible:
-        return POLE
+        return None
     return _table(spec).ratio(v.index)
 
 
-def _magnitude(spec: ModuleSpec) -> float:
+def _magnitude(spec: ModuleSpec) -> Optional[float]:
     table = _table(spec)
     if table.magnitude is None:
         table.magnitude = reference_magnitude(spec)
@@ -281,17 +247,12 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     defined only on the constituents, so every ambient value reports a
     pole; evaluate on W1Sub or the point modules instead.
     """
-    ratio = _ratio(v, spec)
-    ref_mag = _magnitude(spec)
-    if not isinstance(ratio, Fraction):
-        return FormValue.pole(ref_mag)
-    return FormValue.from_ratio(ratio, ref_mag)
+    return FormValue.of(_ratio(v, spec), _magnitude(spec))
 
 
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
     """Exact sign of (v, v) (Sign.POLE at a pole), with no float magnitude."""
-    ratio = _ratio(v, spec)
-    return Sign.of(ratio) if isinstance(ratio, Fraction) else Sign.POLE
+    return Sign.of(_ratio(v, spec))
 
 
 def form_pairing(v: BasisVector, w: BasisVector, spec: ModuleSpec) -> FormValue:
@@ -299,17 +260,17 @@ def form_pairing(v: BasisVector, w: BasisVector, spec: ModuleSpec) -> FormValue:
     require_member(v, spec)
     require_member(w, spec)
     if v != w:
-        return FormValue.from_ratio(Fraction(0), _magnitude(spec))
+        return FormValue.of(Fraction(0), _magnitude(spec))
     return form_diagonal(v, spec)
 
 
 def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     """Noncompact-form-invariant diagonal value (theta v, v), exact."""
     base = form_diagonal(v, spec)
-    if base.sign is Sign.POLE:
+    if base.ratio_to_reference is None:
         return base
-    t = theta_sign(v, spec)
-    return FormValue.from_ratio(t * base.ratio_to_reference, base.reference_magnitude)
+    return FormValue.of(theta_sign(v, spec) * base.ratio_to_reference,
+                        base.reference_magnitude)
 
 
 def convergence_range(spec: PrincipalSeries) -> List[HalfInt]:
@@ -324,7 +285,7 @@ def convergence_range(spec: PrincipalSeries) -> List[HalfInt]:
 
 def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
     value = _ratio(v, spec)
-    if not isinstance(value, Fraction):
+    if value is None:
         raise ValueError(f"form has a pole at {v} on {spec}")
     return value
 

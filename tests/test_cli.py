@@ -107,7 +107,8 @@ def test_out_file(tmp_path, capsys):
     code, out, _ = run(capsys, "form-table", "--lambda", "2", "--parity", "even",
                        "--bound", "2", "--output", "csv", "--out", str(path))
     assert code == 0 and out == ""
-    rows = list(csv.DictReader(path.open()))
+    with path.open() as f:
+        rows = list(csv.DictReader(f))
     assert len(rows) == 5
 
 

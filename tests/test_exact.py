@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 import su11hodge
 from su11hodge.exact import (
-    DIVERGENT,
     HalfInt,
     Sign,
     beta_value,
@@ -45,8 +44,7 @@ def test_beta_factorial_identity():
 
 @pytest.mark.parametrize("a,b", [(0, 1), (1, 0), (-1, 2), (Fraction(-1, 2), 1)])
 def test_beta_rejects_nonpositive(a, b):
-    with pytest.raises(ValueError):
-        beta_value(a, b)
+    assert beta_value(a, b) is None
 
 
 # ---------------------------------------------------------------------------
@@ -62,14 +60,24 @@ def test_quadrature_matches_beta_at_three_halves():
 
 
 def test_quadrature_divergent_harmonic_tail():
-    assert quadrature_integral(1, 1) is DIVERGENT
+    assert quadrature_integral(1, 1) is None
 
 
 @pytest.mark.parametrize(
     "s,t", [(0, 2), (Fraction(-1, 2), 1), (2, 2), (3, 2), (Fraction(5, 2), Fraction(5, 2))]
 )
 def test_quadrature_divergence_decided_exactly(s, t):
-    assert quadrature_integral(s, t) is DIVERGENT
+    assert quadrature_integral(s, t) is None
+
+
+@given(st.fractions(-3, 5), st.fractions(-3, 5))
+def test_backends_share_the_divergence_contract(s, t):
+    # both evaluate int_0^inf u^(s-1) (1+u)^(-t) du; divergence is decided
+    # on exact rationals before any float is formed, so no quad call here
+    divergent = not 0 < s < t
+    assert (beta_value(s, t - s) is None) is divergent
+    if divergent:
+        assert quadrature_integral(s, t) is None
 
 
 GRID = [
@@ -107,7 +115,8 @@ def test_parse_rational():
     assert parse_rational(" 1/3 ") == Fraction(1, 3)
 
 
-@pytest.mark.parametrize("bad", ["1.5", "0.25", "three", "1/2/3", "1/0", "", "1e-3"])
+@pytest.mark.parametrize("bad", ["1.5", "0.25", "three", "1/2/3", "1/0", "", "1e-3",
+                                 "1 / 2", "+3", "1/-2", "\u0661/\u0662", "\uff13"])
 def test_parse_rational_rejects_floats_and_garbage(bad):
     with pytest.raises(ValueError):
         parse_rational(bad)
@@ -187,26 +196,7 @@ def test_sign_of():
     assert Sign.of(Fraction(3, 7)) is Sign.POSITIVE
     assert Sign.of(-2) is Sign.NEGATIVE
     assert Sign.of(0) is Sign.ZERO
-
-
-SIGN_TABLE = {
-    (Sign.POSITIVE, Sign.POSITIVE): Sign.POSITIVE,
-    (Sign.POSITIVE, Sign.NEGATIVE): Sign.NEGATIVE,
-    (Sign.NEGATIVE, Sign.NEGATIVE): Sign.POSITIVE,
-    (Sign.POSITIVE, Sign.ZERO): Sign.ZERO,
-    (Sign.NEGATIVE, Sign.ZERO): Sign.ZERO,
-    (Sign.ZERO, Sign.ZERO): Sign.ZERO,
-}
-
-
-@pytest.mark.parametrize("a", list(Sign))
-@pytest.mark.parametrize("b", list(Sign))
-def test_sign_multiplication_total(a, b):
-    got = a * b
-    if Sign.POLE in (a, b):
-        assert got is Sign.POLE
-    else:
-        assert got is SIGN_TABLE.get((a, b)) or got is SIGN_TABLE.get((b, a))
+    assert Sign.of(None) is Sign.POLE  # no finite value
 
 
 def test_sign_negation():

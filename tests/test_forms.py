@@ -7,8 +7,6 @@ from su11hodge import forms
 from su11hodge.exact import Sign, quadrature_integral
 from su11hodge.filtrations import hodge_level
 from su11hodge.forms import (
-    INDETERMINATE,
-    POLE,
     continuation_ratio,
     convergence_range,
     form_diagonal,
@@ -71,12 +69,12 @@ def test_ratio_beyond_convergence():
 
 
 def test_ratio_pole_at_reduction_point():
-    assert continuation_ratio(1, 3) is POLE
+    assert continuation_ratio(1, 3) is None
 
 
 def test_ratio_indeterminate_configuration():
     # numerator and denominator both vanish only at n = -1/2, lambda = 0
-    assert continuation_ratio(Fraction(-1, 2), 0) is INDETERMINATE
+    assert continuation_ratio(Fraction(-1, 2), 0) is None
     assert isinstance(continuation_ratio(Fraction(1, 2), 0), Fraction)
 
 
@@ -113,13 +111,19 @@ def test_reference_vectors_have_unit_positive_value():
 
 
 def test_ambient_form_at_reduction_point_is_pole():
-    ps = PS(3)
-    for n in (-4, -1, 0, 1, 4):
-        fv = form_diagonal(v(n), ps)
-        assert fv.sign is Sign.POLE
-        assert fv.ratio_to_reference is None and fv.magnitude is None
+    # on PS(0, odd) the reference integral itself diverges as well
+    odd0 = PS(0, Parity.ODD)
+    assert reference_magnitude(odd0) is None
+    for ps, indices in ((PS(3), (-4, -1, 0, 1, 4)),
+                        (odd0, (Fraction(-7, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(7, 2)))):
+        for n in indices:
+            for fv in (form_diagonal(v(n), ps), gR_form_diagonal(v(n), ps),
+                       form_pairing(v(n), v(n), ps)):
+                assert fv.sign is Sign.POLE
+                assert fv.ratio_to_reference is None and fv.magnitude is None
+                assert fv.reference_magnitude == reference_magnitude(ps)
     # the same vectors have finite values in the submodule realization
-    w1 = W1Sub(ps)
+    w1 = W1Sub(PS(3))
     assert form_diagonal(v(1), w1).sign is Sign.POSITIVE
 
 
