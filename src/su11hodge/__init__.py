@@ -8,7 +8,6 @@ tracking (floats carry magnitudes only).
 
 from .exact import (
     HalfInt,
-    Rational,
     Sign,
     beta_value,
     parse_rational,
@@ -46,7 +45,6 @@ from .filtrations import (
 )
 from .forms import (
     FormValue,
-    InvarianceReport,
     continuation_ratio,
     convergence_range,
     diagonal_sign,

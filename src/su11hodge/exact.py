@@ -16,15 +16,9 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Union
 
-# Exact rational scalar used throughout.  fractions.Fraction already
-# guarantees lowest terms, positive denominator, exact arithmetic, a total
-# order, and raises ZeroDivisionError on inversion of zero.
-Rational = Fraction
-
 RationalLike = Union[Fraction, int]
 
 __all__ = [
-    "Rational",
     "RationalLike",
     "parse_rational",
     "HalfInt",

@@ -29,12 +29,14 @@ P(k+1) = -(k+1)(m+k+1) P(k).  The noncompact-form-invariant values are
 obtained by twisting with the diagonal Cartan involution signs.
 
 Each module keeps one exact table of these products on the module object
-itself (a W1 submodule shares its ambient series' table).  The table
-grows outward from the reference index in both directions, one step per
-new index, whatever order the indices are asked for in; every consumer
+itself (a W1 submodule shares its ambient series' table).  The values are
+even in n, V(-n) = V(n), since the Beta integral is symmetric in its two
+arguments (and point modules have no negative indices), so the table is
+one-sided: it grows outward from the reference index to |n|, one step per
+new |n|, whatever order the indices are asked for in.  Every consumer
 (form values, invariance, the sign law, Jantzen, definiteness, the CLI
 form table) reads from it.  A window sweep of bound B therefore costs
-O(B) rational steps instead of the O(B^2) of walking from the reference
+about B rational steps instead of the O(B^2) of walking from the reference
 for every vector, and the reference Beta value is computed once per
 module.  Signs for verdicts are read from the exact entries alone.
 """
@@ -44,12 +46,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from functools import partial
+from typing import List, Optional
 
 from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
     _step,
     BasisVector,
+    CheckResult,
     Generator,
     ModuleSpec,
     PointModule,
@@ -69,7 +73,6 @@ __all__ = [
     "form_pairing",
     "gR_form_diagonal",
     "convergence_range",
-    "InvarianceReport",
     "invariance_check",
     "point_diagonal_value",
     "reference_magnitude",
@@ -125,32 +128,41 @@ def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
     return None if beta is None else 4.0 * math.pi * beta
 
 
+def _series_step(ref_twice: int, lam: Fraction, k: int) -> Optional[Fraction]:
+    """V(n0+k+1) / V(n0+k) on a principal series (None at a pole)."""
+    return continuation_ratio(HalfInt(ref_twice + 2 * k), lam)
+
+
+def _point_step(m: int, k: int) -> int:
+    """P(k+1) / P(k) = -(k+1)(m+k+1) on a point module."""
+    return -(k + 1) * (m + k + 1)
+
+
 class _Table:
     """Exact diagonal values of one module relative to its reference vector.
 
-    ``_up[k]`` (``_down[k]``) is the value k steps above (below) the
-    reference index (None at a pole), each entry computed from the one
-    before it by ``_next_up`` (``_next_down``).  Entries are only ever
-    added, each from its predecessor, so concurrent callers can at worst
-    compute the same entry twice.
+    The values are even in n, V(-n) = V(n) (point modules have no negative
+    indices), so the table is one-sided: ``_entries[k]`` is the value at
+    |n| = n0 + k, k steps out from the reference index n0, None at a pole
+    and at every index past one.  Each entry is its predecessor times the
+    step chosen at construction (a partial of a module function, so a used
+    spec still pickles); entries are only ever added, each from its
+    predecessor, so concurrent callers can at worst compute the same entry
+    twice.
     """
 
-    __slots__ = ("_ref_twice", "_up", "_down", "magnitude")
+    __slots__ = ("_ref_twice", "_step", "_entries", "magnitude")
 
-    def __init__(self, ref_twice: int):
-        self._ref_twice = ref_twice
-        self._up = {0: Fraction(1)}
-        self._down = {0: Fraction(1)}
+    def __init__(self, spec: "PrincipalSeries | PointModule"):
+        self._ref_twice = reference_index(spec).twice
+        self._step = (partial(_point_step, spec.m) if isinstance(spec, PointModule)
+                      else partial(_series_step, self._ref_twice, spec.lam))
+        self._entries = {0: Fraction(1)}
         self.magnitude: Optional[float] = None  # reference magnitude, set on first use
 
     def ratio(self, n: HalfInt) -> Optional[Fraction]:
-        k = (n.twice - self._ref_twice) // 2
-        if k >= 0:
-            return self._entry(self._up, k, self._next_up)
-        return self._entry(self._down, -k, self._next_down)
-
-    @staticmethod
-    def _entry(entries, k: int, step) -> Optional[Fraction]:
+        k = (abs(n.twice) - self._ref_twice) // 2
+        entries = self._entries
         # the keys are always 0..len-1, since an entry is added only after
         # its predecessor, so the walk resumes at the last one
         j = len(entries) - 1
@@ -158,49 +170,11 @@ class _Table:
             return entries[k]
         value = entries[j]
         while j < k:
-            value = step(value, j)
+            step = None if value is None else self._step(j)
+            value = None if step is None else value * step
             j += 1
             entries[j] = value
         return value
-
-
-class _SeriesTable(_Table):
-    """Continuation products of a principal series.
-
-    Walking up, every index past the first pole step is None; walking
-    down, a pole or zero step makes every further index None.
-    """
-
-    __slots__ = ("_lam",)
-
-    def __init__(self, spec: PrincipalSeries):
-        super().__init__(reference_index(spec).twice)
-        self._lam = spec.lam
-
-    def _next_up(self, value: Optional[Fraction], j: int) -> Optional[Fraction]:
-        if value is None:
-            return None
-        step = continuation_ratio(HalfInt(self._ref_twice + 2 * j), self._lam)
-        return None if step is None else value * step
-
-    def _next_down(self, value: Optional[Fraction], j: int) -> Optional[Fraction]:
-        if value is None:
-            return None
-        step = continuation_ratio(HalfInt(self._ref_twice - 2 * (j + 1)), self._lam)
-        return value / step if step else None  # None or 0: a pole
-
-
-class _PointTable(_Table):
-    """Point-module values P(k), k >= 0, by P(k+1) = -(k+1)(m+k+1) P(k)."""
-
-    __slots__ = ("_m",)
-
-    def __init__(self, spec: PointModule):
-        super().__init__(0)
-        self._m = spec.m
-
-    def _next_up(self, value: Fraction, j: int) -> Fraction:
-        return -(j + 1) * (self._m + j + 1) * value
 
 
 def _table(spec: ModuleSpec) -> _Table:
@@ -212,8 +186,7 @@ def _table(spec: ModuleSpec) -> _Table:
     owner = spec.base if isinstance(spec, W1Sub) else spec
     table = vars(owner).get("_diagonal_table")
     if table is None:
-        fresh = _PointTable(owner) if isinstance(owner, PointModule) else _SeriesTable(owner)
-        table = vars(owner).setdefault("_diagonal_table", fresh)
+        table = vars(owner).setdefault("_diagonal_table", _Table(owner))
     return table
 
 
@@ -290,17 +263,7 @@ def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
     return value
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
-    """Exact invariance sweep; failures list the first violating pairs."""
-
-    spec: ModuleSpec
-    bound: int
-    ok: bool
-    failures: Tuple[str, ...]
-
-
-def invariance_check(spec: ModuleSpec, bound: int) -> InvarianceReport:
+def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
     """Verify both invariance laws exactly on all window pairs.
 
     Compact form:    (e+ u, w) = (u, e- w)  and  (h u, w) = (u, h w).
@@ -336,4 +299,4 @@ def invariance_check(spec: ModuleSpec, bound: int) -> InvarianceReport:
                 rhs = flip * pair(gen_r, w, u, table)
                 if lhs != rhs:
                     failures.append(f"{law} fails at u={u}, w={w}: {lhs} != {rhs}")
-    return InvarianceReport(spec, bound, not failures, tuple(failures))
+    return CheckResult(not failures, tuple(failures))

@@ -325,11 +325,7 @@ def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
     """Exact h-eigenvalue of a basis vector (always an integer)."""
     require_member(v, spec)
-    if isinstance(spec, (PrincipalSeries, W1Sub)):
-        return -v.index.twice
-    k = _point_index(v)
-    w = 2 * k + spec.m + 1
-    return w if spec.orbit is Orbit.AT_ZERO else -w
+    return int(_step(Generator.H, v, spec)[0])
 
 
 @dataclass(frozen=True)

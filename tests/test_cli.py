@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from su11hodge import cli
+from su11hodge.modules import CheckResult
 
 
 def run(capsys, *argv):
@@ -241,6 +242,30 @@ def test_failing_report_exits_1(capsys, monkeypatch):
                        "--bound", "3")
     assert code == 1
     assert "FAIL" in out
+
+
+CHECK_LINES = {
+    "bracket_check": ("bracket relations", "bracket_ok"),
+    "theta_check": ("theta intertwining", "theta_ok"),
+    "invariance_check": ("form invariance", "invariance_ok"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(CHECK_LINES))
+def test_failing_algebraic_check_exits_1(capsys, monkeypatch, check):
+    monkeypatch.setattr(cli, check, lambda spec, bound: CheckResult(False, ("x",)))
+    argv = ["verify", "--lambda", "1/2", "--parity", "even", "--bound", "3"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    failing, failing_key = CHECK_LINES[check]
+    for label in ["sign conjecture"] + [label for label, _ in CHECK_LINES.values()]:
+        assert f"\n{label}: {'FAIL' if label == failing else 'pass'}\n" in out
+
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    data = json.loads(out)
+    assert code == 1
+    assert {key: data[key] for _, key in CHECK_LINES.values()} == {
+        key: key != failing_key for _, key in CHECK_LINES.values()}
 
 
 # ---------------------------------------------------------------------------
