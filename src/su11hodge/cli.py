@@ -369,9 +369,21 @@ def _add_spec_flags(sub, point: bool = True):
         sub.add_argument("--orbit", choices=["0", "inf"], default=None)
 
 
-def _add_common_flags(sub, default_bound: int = 8):
-    sub.add_argument("--bound", type=int, default=default_bound,
-                     help=f"window bound (default {default_bound})")
+def _bound(text: str) -> int:
+    """A window bound: an integer >= 0, refused at parse time (exit 2) otherwise."""
+    try:
+        bound = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if bound < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {bound}")
+    return bound
+
+
+def _add_common_flags(sub, default_bound: int = 8, bound_used: bool = True):
+    sub.add_argument("--bound", type=_bound, default=default_bound,
+                     help=f"window bound (default {default_bound})" if bound_used
+                     else "window bound; does not change this command's output")
     sub.add_argument("--output", choices=["text", "json", "csv"], default="text")
     sub.add_argument("--out", default=None, metavar="PATH",
                      help="write output to a file instead of stdout")
@@ -409,11 +421,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("classify", help="constituents with unitarity verdicts")
     _add_spec_flags(p, point=False)
-    _add_common_flags(p)
+    _add_common_flags(p, bound_used=False)
     p.set_defaults(fn=cmd_classify)
 
     p = subs.add_parser("oracle", help="quadrature vs exact Beta comparison grid")
-    _add_common_flags(p)
+    _add_common_flags(p, bound_used=False)
     p.set_defaults(fn=cmd_oracle)
 
     return parser

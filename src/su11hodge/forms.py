@@ -34,11 +34,12 @@ even in n, V(-n) = V(n), since the Beta integral is symmetric in its two
 arguments (and point modules have no negative indices), so the table is
 one-sided: it grows outward from the reference index to |n|, one step per
 new |n|, whatever order the indices are asked for in.  Every consumer
-(form values, invariance, the sign law, Jantzen, definiteness, the CLI
-form table) reads from it.  A window sweep of bound B therefore costs
-about B rational steps instead of the O(B^2) of walking from the reference
-for every vector, and the reference Beta value is computed once per
-module.  Signs for verdicts are read from the exact entries alone.
+(form values, the sign law, Jantzen, definiteness, the CLI form table,
+and invariance on its fixed sample of indices) reads from it.  A window
+sweep of bound B therefore costs about B rational steps instead of the
+O(B^2) of walking from the reference for every vector, and the reference
+Beta value is computed once per module.  Signs for verdicts are read from
+the exact entries alone.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from typing import List, Optional
 
 from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
+    _decide,
     _step,
     BasisVector,
     CheckResult,
@@ -59,7 +61,6 @@ from .modules import (
     PointModule,
     PrincipalSeries,
     W1Sub,
-    basis_window,
     reference_index,
     require_member,
     theta_sign,
@@ -263,22 +264,11 @@ def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
     return value
 
 
-def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
-    """Verify both invariance laws exactly on all window pairs.
-
-    Compact form:    (e+ u, w) = (u, e- w)  and  (h u, w) = (u, h w).
-    Noncompact form: (e+ u, w) = -(u, e- w).
-
-    A generator moves an index by at most one step and all pairings reduce
-    to the diagonal, so a pair (u, w) can only violate a law when w is u
-    or a window neighbor of u; every such pair is checked as an exact
-    identity between rational ratio products.
-    """
+def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    window = basis_window(spec, bound)
-    in_window = set(window)
-    uratio = {v: _u_ratio(v, spec) for v in window}
-    gratio = {v: theta_sign(v, spec) * uratio[v] for v in window}
+    members = set(vectors)
+    uratio = {v: _u_ratio(v, spec) for v in vectors}
+    gratio = {v: theta_sign(v, spec) * uratio[v] for v in vectors}
 
     def pair(gen: Generator, u: BasisVector, w: BasisVector, table) -> Fraction:
         # (gen u, w): gen u is one multiple of a single basis vector
@@ -290,13 +280,33 @@ def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
         (Generator.H, Generator.H, 1, uratio, "(hu,w)=(u,hw)"),
         (Generator.E_PLUS, Generator.E_MINUS, -1, gratio, "(e+u,w)=-(u,e-w)"),
     )
-    for u in window:
+    for u in vectors:
         neighbors = [w for w in (BasisVector(u.index - 1), u, BasisVector(u.index + 1))
-                     if w in in_window]
+                     if w in members]
         for gen_l, gen_r, flip, table, law in laws:
             for w in neighbors:
                 lhs = pair(gen_l, u, w, table)
                 rhs = flip * pair(gen_r, w, u, table)
                 if lhs != rhs:
                     failures.append(f"{law} fails at u={u}, w={w}: {lhs} != {rhs}")
-    return CheckResult(not failures, tuple(failures))
+    return failures
+
+
+def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
+    """Decide both invariance laws exactly on every pair of basis vectors.
+
+    Compact form:    (e+ u, w) = (u, e- w)  and  (h u, w) = (u, h w).
+    Noncompact form: (e+ u, w) = -(u, e- w).
+
+    A generator moves an index by at most one step and all pairings reduce
+    to the diagonal, so a pair (u, w) can only violate a law when w is u
+    or a neighbor of u; each such pair is an exact identity between
+    rational ratio products.  The only non-trivial one, at (u, u - 1), is
+    c(u) V(u-1) = c'(u-1) V(u): cross-multiplied by the table step it is a
+    polynomial identity in the index on either side of the fold
+    V(-n) = V(n), decided on a fixed sample (see ``modules._sample``).  The
+    window of ``bound`` is swept only to list the failing pairs when a law
+    fails, or on W1; on a reducible series it raises ValueError at the
+    first pole.
+    """
+    return _decide(spec, bound, _invariance_failures)

@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .exact import HalfInt, RationalLike
 
@@ -308,10 +308,14 @@ def constituents(spec: PrincipalSeries) -> List[ModuleSpec]:
     return [W1Sub(spec)] + points
 
 
-def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
-    """All basis vectors with |n| <= bound (k <= bound on point modules)."""
+def _require_bound(bound: int) -> None:
     if bound < 0:
         raise ValueError("bound must be >= 0")
+
+
+def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
+    """All basis vectors with |n| <= bound (k <= bound on point modules)."""
+    _require_bound(bound)
     if isinstance(spec, PointModule):
         return [BasisVector(HalfInt(2 * k)) for k in range(bound + 1)]
     hi = 2 * bound
@@ -330,10 +334,47 @@ def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
 
 @dataclass(frozen=True)
 class CheckResult:
-    """Outcome of an exact operator-identity sweep over a basis window."""
+    """Outcome of an exact operator-identity check, with the failing window lines."""
 
     ok: bool
     failures: Tuple[str, ...] = field(default_factory=tuple)
+
+
+def _sample(spec: ModuleSpec) -> Optional[List[BasisVector]]:
+    """Basis vectors on which every algebraic law of the module is decided.
+
+    Each ``_step`` coefficient is a polynomial of degree <= 2 in the index
+    and each shift is constant, so each bracket and theta law at v is a
+    polynomial identity of degree <= 4 in the index.  So is each invariance
+    law on either side of the fold V(-n) = V(n), once cross-multiplied by
+    the table step, a ratio of polynomials of degree <= 2.  Such an identity
+    holds on the whole lattice when it holds at five consecutive indices
+    (on each side of the fold).  The sample has them: the reference index
+    +-6 on a principal series, k = 0..5 on a point module.  A W1 submodule
+    is finite and a reducible series has poles; they have no sample (None).
+    """
+    if isinstance(spec, PointModule):
+        return [BasisVector(HalfInt(2 * k)) for k in range(6)]
+    if isinstance(spec, W1Sub) or spec.reducible:
+        return None
+    ref = reference_index(spec).twice
+    return [BasisVector(HalfInt(ref + 2 * j)) for j in range(-6, 7)]
+
+
+def _decide(spec: ModuleSpec, bound: int,
+            failures: Callable[[ModuleSpec, List[BasisVector]], List[str]]) -> CheckResult:
+    """Decide the laws behind ``failures`` on every index, listing window failures.
+
+    When every law holds on the sample it holds on the whole lattice, and
+    the result is ok without a window sweep.  Otherwise (or with no sample)
+    the window of ``bound`` is swept and its failures are listed.
+    """
+    _require_bound(bound)
+    sample = _sample(spec)
+    if sample is not None and not failures(spec, sample):
+        return CheckResult(True)
+    found = failures(spec, basis_window(spec, bound))
+    return CheckResult(not found, tuple(found))
 
 
 def _compose(a: Generator, b: Generator, v: BasisVector, spec: ModuleSpec) -> RationalLike:
@@ -344,34 +385,36 @@ def _compose(a: Generator, b: Generator, v: BasisVector, spec: ModuleSpec) -> Ra
     return c * _step(a, BasisVector(v.index + shift), spec)[0]
 
 
-def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
-    """Verify [h,e+] = 2e+, [h,e-] = -2e-, [e+,e-] = h on the window, exactly.
-
-    Both sides of each relation are multiples of the same basis vector
-    (shifts add), so each relation is one identity between coefficients.
-    """
+def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
     E, H, F = Generator.E_PLUS, Generator.H, Generator.E_MINUS
 
     def bracket(a: Generator, b: Generator, v: BasisVector) -> RationalLike:
         return _compose(a, b, v, spec) - _compose(b, a, v, spec)
 
-    for v in basis_window(spec, bound):
+    for v in vectors:
         if bracket(H, E, v) != 2 * _step(E, v, spec)[0]:
             failures.append(f"[h,e+] != 2 e+ at {v}")
         if bracket(H, F, v) != -2 * _step(F, v, spec)[0]:
             failures.append(f"[h,e-] != -2 e- at {v}")
         if bracket(E, F, v) != _step(H, v, spec)[0]:
             failures.append(f"[e+,e-] != h at {v}")
-    return CheckResult(not failures, tuple(failures))
+    return failures
 
 
-def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
-    """Verify theta^2 = 1 and the intertwining signs on the window, exactly.
+def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
+    """Decide [h,e+] = 2e+, [h,e-] = -2e-, [e+,e-] = h on every index, exactly.
 
-    theta gen theta sends v to a multiple of the same basis vector as
-    gen does, so each intertwining law is one identity between coefficients.
+    Both sides of each relation are multiples of the same basis vector
+    (shifts add), so each relation is one identity between coefficients,
+    a polynomial identity in the index decided on a fixed sample (see
+    ``_sample``).  The window of ``bound`` is swept only to list the
+    failing lines when a relation fails, or on W1 and a reducible series.
     """
+    return _decide(spec, bound, _bracket_failures)
+
+
+def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
 
     def conjugate(gen: Generator, v: BasisVector) -> RationalLike:
@@ -380,7 +423,7 @@ def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
             return 0
         return theta_sign(v, spec) * c * theta_sign(BasisVector(v.index + shift), spec)
 
-    for v in basis_window(spec, bound):
+    for v in vectors:
         if theta_sign(v, spec) ** 2 != 1:
             failures.append(f"theta^2 != 1 at {v}")
         if conjugate(Generator.E_PLUS, v) != -_step(Generator.E_PLUS, v, spec)[0]:
@@ -389,4 +432,17 @@ def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
             failures.append(f"theta e- theta != -e- at {v}")
         if conjugate(Generator.H, v) != _step(Generator.H, v, spec)[0]:
             failures.append(f"theta h theta != h at {v}")
-    return CheckResult(not failures, tuple(failures))
+    return failures
+
+
+def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
+    """Decide theta^2 = 1 and the intertwining signs on every index, exactly.
+
+    theta gen theta sends v to a multiple of the same basis vector as
+    gen does, so each intertwining law is one identity between coefficients;
+    theta_sign(v) theta_sign(v +- 1) = -1 does not depend on v.  The laws
+    are decided on a fixed sample (see ``_sample``), and the window of
+    ``bound`` is swept only to list the failing lines when one fails, or
+    on W1 and a reducible series.
+    """
+    return _decide(spec, bound, _theta_failures)

@@ -161,6 +161,23 @@ def test_unknown_subcommand(capsys):
     assert run(capsys, "frobnicate")[0] == 2
 
 
+@pytest.mark.parametrize(
+    "command", ["describe", "form-table", "verify", "jantzen", "classify", "oracle"])
+def test_negative_bound_refused_at_parse_time(capsys, command):
+    spec = [] if command == "oracle" else ["--lambda", "3", "--parity", "even"]
+    code, out, err = run(capsys, command, *spec, "--bound", "-1")
+    assert code == 2 and out == ""
+    assert "argument --bound: must be >= 0" in err
+
+
+@pytest.mark.parametrize("output", ["text", "json", "csv"])
+def test_classify_output_does_not_depend_on_bound(capsys, output):
+    argv = ["classify", "--lambda", "3", "--parity", "even", "--output", output]
+    first = run(capsys, *argv, "--bound", "0")
+    assert first[0] == 0
+    assert run(capsys, *argv, "--bound", "40") == first
+
+
 def test_digit_group_underscores_exit_2(capsys):
     code, out, err = run(capsys, "verify", "--lambda", "1_0", "--parity", "even")
     assert code == 2 and out == ""

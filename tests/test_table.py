@@ -6,7 +6,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from su11hodge import forms
+from su11hodge import forms, modules
 from su11hodge.analysis import jantzen_crossing, verify_conjecture
 from su11hodge.exact import HalfInt, Sign
 from su11hodge.forms import (
@@ -24,6 +24,8 @@ from su11hodge.modules import (
     PrincipalSeries,
     W1Sub,
     basis_window,
+    bracket_check,
+    theta_check,
 )
 
 
@@ -176,6 +178,19 @@ def test_window_sweeps_cost_one_step_per_index(monkeypatch):
         gR_form_diagonal(v, ps)
     assert steps.calls == bound  # one step per |n| past the reference
     assert magnitudes.calls == 1
+
+
+def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
+    steps = _Counter(modules._step)
+    monkeypatch.setattr(modules, "_step", steps)
+    monkeypatch.setattr(forms, "_step", steps)
+    for check in (bracket_check, theta_check, invariance_check):
+        calls = []
+        for bound in (10, 10_000):
+            steps.calls = 0
+            assert check(PrincipalSeries(Fraction(1, 3), Parity.EVEN), bound).ok
+            calls.append(steps.calls)
+        assert calls[0] == calls[1] > 0
 
 
 def test_verdict_signs_build_no_float():
