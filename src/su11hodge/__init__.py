@@ -49,7 +49,6 @@ from .forms import (
     convergence_range,
     diagonal_sign,
     form_diagonal,
-    form_pairing,
     gR_form_diagonal,
     invariance_check,
     point_diagonal_value,

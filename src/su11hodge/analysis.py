@@ -25,7 +25,6 @@ from .modules import (
     Parity,
     PointModule,
     PrincipalSeries,
-    W1Sub,
     basis_window,
     constituents,
     is_reduction_point,
@@ -165,15 +164,12 @@ def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
     decides the infinite basis exactly.  ``bound`` may widen the scanned
     window but cannot change the verdict.
     """
-    if isinstance(spec, PrincipalSeries) and spec.reducible:
+    if spec.reducible:
         raise ValueError(f"{spec} is reducible; classify its constituents instead")
-    if isinstance(spec, PointModule):
-        scan = basis_window(spec, max(bound or 0, 2))
-    elif isinstance(spec, W1Sub):
-        scan = basis_window(spec, spec.dim)
-    else:
-        tail_start = math.ceil((spec.lam + 1) / 2) + 1
-        scan = basis_window(spec, max(bound or 0, tail_start))
+    # past the convergence strip (a W1 window that wide is all of W1)
+    tail_start = (2 if isinstance(spec, PointModule)
+                  else math.ceil((spec.base.lam + 1) / 2) + 1)
+    scan = basis_window(spec, max(bound or 0, tail_start))
     signs = {_g_sign(v, spec) for v in scan}
     if signs == {Sign.POSITIVE}:
         return Definiteness.POS_DEF

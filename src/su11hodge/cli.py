@@ -185,8 +185,8 @@ def _verdict(ok: bool) -> str:
 def cmd_describe(args) -> int:
     spec = _build_spec(args)
     table = filtration_table(spec, args.bound)
-    parts = constituents(spec) if isinstance(spec, PrincipalSeries) else [spec]
-    reducible = isinstance(spec, PrincipalSeries) and spec.reducible
+    parts = constituents(spec)
+    reducible = spec.reducible
     conv = convergence_range(spec) if isinstance(spec, PrincipalSeries) else None
 
     payload = {
@@ -212,7 +212,7 @@ def cmd_describe(args) -> int:
 
 def cmd_form_table(args) -> int:
     spec = _build_spec(args)
-    if isinstance(spec, PrincipalSeries) and spec.reducible:
+    if spec.reducible:
         raise UsageError(
             f"lambda={spec.lam} is a reduction point; use classify/describe, "
             "or evaluate the constituents"
@@ -242,7 +242,7 @@ def cmd_form_table(args) -> int:
 
 def cmd_verify(args) -> int:
     spec = _build_spec(args)
-    if isinstance(spec, PrincipalSeries) and spec.reducible:
+    if spec.reducible:
         raise UsageError(
             f"lambda={spec.lam} is a reduction point; verify the constituents instead"
         )
@@ -364,17 +364,24 @@ def _add_spec_flags(sub, point: bool = True):
                      metavar="P/Q", help="twist parameter, exact rational (no floats)")
     sub.add_argument("--parity", choices=["even", "odd"], default=None)
     if point:
-        sub.add_argument("--point-m", dest="point_m", type=int, default=None,
+        sub.add_argument("--point-m", dest="point_m", type=_integer, default=None,
                          metavar="M", help="point-module twist (integer >= 0)")
         sub.add_argument("--orbit", choices=["0", "inf"], default=None)
 
 
+def _integer(text: str) -> int:
+    """An integer as ``parse_rational`` reads it, without '/'; refused (exit 2) otherwise."""
+    try:
+        if "/" not in text:
+            return int(parse_rational(text))
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+
+
 def _bound(text: str) -> int:
     """A window bound: an integer >= 0, refused at parse time (exit 2) otherwise."""
-    try:
-        bound = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    bound = _integer(text)
     if bound < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {bound}")
     return bound

@@ -28,7 +28,6 @@ from .modules import (
     Parity,
     PointModule,
     PrincipalSeries,
-    W1Sub,
     basis_window,
     h_weight,
     is_reduction_point,
@@ -52,8 +51,7 @@ def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
     require_member(v, spec)
     if isinstance(spec, PointModule):
         return v.index.twice // 2 + 1
-    lam = spec.lam0 if isinstance(spec, W1Sub) else spec.lam
-    excess = abs(v.index.as_fraction) - (lam + 1) / 2
+    excess = abs(v.index.as_fraction) - (spec.base.lam + 1) / 2
     return max(0, math.ceil(excess))
 
 
@@ -65,25 +63,18 @@ def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:
     return abs(v.index.twice) <= lambda0 - 1
 
 
-def _lattice_count(limit: Fraction, parity: Parity) -> int:
-    # number of lattice indices n (integral or half-integral) with |n| <= limit
-    if limit < 0:
-        return 0
-    if parity is Parity.EVEN:
-        return 2 * math.floor(limit) + 1
-    return 2 * math.floor(limit + Fraction(1, 2))
-
-
 def hodge_dim(spec: ModuleSpec, p: int) -> int:
     """Number of basis vectors with hodge_level <= p (finite for every p)."""
     if p < 0:
         raise ValueError("p must be >= 0")
     if isinstance(spec, PointModule):
         return p
-    if isinstance(spec, W1Sub):
-        # every W1 vector lies strictly inside the level-0 range
-        return spec.dim
-    return _lattice_count((spec.lam + 1) / 2 + p, spec.parity)
+    # the lattice indices with |2n| <= hi: v_n has level <= p iff |2n| <= lam + 1 + 2p
+    residue, _, highest = spec.lattice
+    hi = math.floor(spec.base.lam + 1 + 2 * p)
+    hi = hi if highest is None else min(hi, highest)
+    hi -= (hi - residue) % 2
+    return max(hi + 1, 0)
 
 
 @dataclass(frozen=True)
@@ -103,10 +94,7 @@ def filtration_table(spec: ModuleSpec, bound: int) -> List[FiltrationReport]:
     """
     rows = []
     for v in basis_window(spec, bound):
-        if isinstance(spec, PrincipalSeries) and spec.reducible:
-            in_w1 = w1_member(v, spec.lam, spec.parity)
-        else:
-            in_w1 = True
+        in_w1 = w1_member(v, spec.lam, spec.parity) if spec.reducible else True
         rows.append(FiltrationReport(v, hodge_level(v, spec), in_w1))
     return rows
 

@@ -53,6 +53,7 @@ from typing import List, Optional
 from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
     _decide,
+    _lattice,
     _step,
     BasisVector,
     CheckResult,
@@ -60,7 +61,6 @@ from .modules import (
     ModuleSpec,
     PointModule,
     PrincipalSeries,
-    W1Sub,
     reference_index,
     require_member,
     theta_sign,
@@ -71,7 +71,6 @@ __all__ = [
     "FormValue",
     "diagonal_sign",
     "form_diagonal",
-    "form_pairing",
     "gR_form_diagonal",
     "convergence_range",
     "invariance_check",
@@ -122,7 +121,7 @@ def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
     """
     if isinstance(spec, PointModule):
         return 1.0
-    ps = spec.base if isinstance(spec, W1Sub) else spec
+    ps = spec.base
     n0 = reference_index(ps).as_fraction
     half = (ps.lam + 1) / 2
     beta = beta_value(half + n0, half - n0)
@@ -184,7 +183,7 @@ def _table(spec: ModuleSpec) -> _Table:
     It lives in the instance dictionary, outside the dataclass fields, so
     equality, hashing and repr are untouched; W1 shares its base's table.
     """
-    owner = spec.base if isinstance(spec, W1Sub) else spec
+    owner = spec.base
     table = vars(owner).get("_diagonal_table")
     if table is None:
         table = vars(owner).setdefault("_diagonal_table", _Table(owner))
@@ -194,7 +193,7 @@ def _table(spec: ModuleSpec) -> _Table:
 def _ratio(v: BasisVector, spec: ModuleSpec) -> Optional[Fraction]:
     """Exact (v, v) relative to the reference value, None at a pole."""
     require_member(v, spec)
-    if isinstance(spec, PrincipalSeries) and spec.reducible:
+    if spec.reducible:
         return None
     return _table(spec).ratio(v.index)
 
@@ -229,15 +228,6 @@ def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
     return Sign.of(_ratio(v, spec))
 
 
-def form_pairing(v: BasisVector, w: BasisVector, spec: ModuleSpec) -> FormValue:
-    """Pairing (v, w): zero off the diagonal, form_diagonal on it."""
-    require_member(v, spec)
-    require_member(w, spec)
-    if v != w:
-        return FormValue.of(Fraction(0), _magnitude(spec))
-    return form_diagonal(v, spec)
-
-
 def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     """Noncompact-form-invariant diagonal value (theta v, v), exact."""
     base = form_diagonal(v, spec)
@@ -249,12 +239,8 @@ def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
 
 def convergence_range(spec: PrincipalSeries) -> List[HalfInt]:
     """Basis indices with -(lam+1)/2 < n < (lam+1)/2 (strict, exact)."""
-    bound2 = spec.lam + 1  # strict bound on |2n|
-    res = spec.parity.twice_residue
-    hi = math.ceil(bound2) - 1
-    while Fraction(hi) >= bound2 or hi % 2 != res:
-        hi -= 1
-    return [HalfInt(tw) for tw in range(-hi, hi + 1, 2)] if hi >= 0 else []
+    hi = math.ceil(spec.lam + 1) - 1  # the largest integer < lam + 1
+    return [v.index for v in _lattice(spec, -hi, hi)]
 
 
 def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:

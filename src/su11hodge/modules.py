@@ -38,6 +38,17 @@ The Cartan involution (conjugation by diag(i, -i)) anticommutes with e+
 and e-, commutes with h, and therefore acts diagonally on every basis:
 theta(v_n) = (-1)^(n - n0) v_n, normalized so that theta fixes the
 reference vector (n0 = 0 even, 1/2 odd, k = 0 on point modules).
+
+Each spec class carries the facts of its family, and the functions of
+every layer read them instead of switching on the type: ``reducible``;
+``base``, the ambient series of a W1 (any other module is its own);
+``codim`` of the supporting orbit; ``lattice``, the residue of 2n mod 2
+and the lowest and highest 2n (None: no limit), whose least |2n| is the
+reference index; and ``coefficients``, the formulas above as one
+polynomial of degree <= 2 in the index plus a shift per generator, built
+once per module.  A new family is a class with these facts; only rules
+where the open orbit and a point differ (Hodge levels, the diagonal step,
+the reference magnitude, the definiteness tail) still test the type.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .exact import HalfInt, RationalLike
@@ -94,6 +106,12 @@ class Generator(Enum):
     E_MINUS = "e-"
 
 
+# (2n mod 2, lowest 2n, highest 2n) over the basis indices n; None: no limit
+Lattice = Tuple[int, Optional[int], Optional[int]]
+# gen -> (c0, c1, c2, shift): gen . v_n = (c0 + c1 n + c2 n^2) v_{n + shift}
+Coefficients = Dict[Generator, Tuple[RationalLike, RationalLike, RationalLike, int]]
+
+
 def is_reduction_point(lam: RationalLike, parity: Parity) -> bool:
     """Reducibility criterion: odd integer (even parity), even integer (odd)."""
     lam = Fraction(lam)
@@ -110,6 +128,8 @@ class PrincipalSeries:
     lam: Fraction
     parity: Parity
 
+    codim = 0
+
     def __post_init__(self):
         object.__setattr__(self, "lam", Fraction(self.lam))
         if self.lam < 0:
@@ -124,8 +144,18 @@ class PrincipalSeries:
         return is_reduction_point(self.lam, self.parity)
 
     @property
-    def codim(self) -> int:
-        return 0
+    def base(self) -> "PrincipalSeries":
+        return self
+
+    @cached_property
+    def lattice(self) -> Lattice:
+        return self.parity.twice_residue, None, None
+
+    @cached_property
+    def coefficients(self) -> Coefficients:
+        mu = self.mu
+        return {Generator.E_PLUS: (-mu, -1, 0, -1), Generator.H: (0, -2, 0, 0),
+                Generator.E_MINUS: (-mu, 1, 0, 1)}
 
     def __str__(self) -> str:
         return f"PS(lambda={self.lam}, {self.parity.value})"
@@ -138,13 +168,26 @@ class PointModule:
     m: int
     orbit: Orbit
 
+    codim = 1
+    reducible = False
+    lattice = (0, 0, None)  # k = n >= 0
+
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 0:
             raise ValueError(f"point module twist must be an integer >= 0, got {self.m}")
 
     @property
-    def codim(self) -> int:
-        return 1
+    def base(self) -> "PointModule":
+        return self
+
+    @cached_property
+    def coefficients(self) -> Coefficients:
+        m, E, H, F = self.m, Generator.E_PLUS, Generator.H, Generator.E_MINUS
+        up, down = (-1, 0, 0, 1), (0, m, 1, -1)
+        if self.orbit is Orbit.AT_ZERO:
+            return {E: up, H: (m + 1, 2, 0, 0), F: down}
+        # at infinity: e+ <-> e-, h -> -h
+        return {E: down, H: (-m - 1, -2, 0, 0), F: up}
 
     def __str__(self) -> str:
         where = "0" if self.orbit is Orbit.AT_ZERO else "inf"
@@ -153,9 +196,15 @@ class PointModule:
 
 @dataclass(frozen=True)
 class W1Sub:
-    """Finite-dimensional weight-one submodule at a positive reduction point."""
+    """Finite-dimensional weight-one submodule at a positive reduction point.
+
+    Irreducible, on a narrower lattice; the action and the forms are its base's.
+    """
 
     base: PrincipalSeries
+
+    codim = 0
+    reducible = False
 
     def __post_init__(self):
         if not self.base.reducible or self.base.lam < 1:
@@ -180,9 +229,13 @@ class W1Sub:
         # |2n| <= lam0 - 1
         return int(self.lam0) - 1
 
+    @cached_property
+    def lattice(self) -> Lattice:
+        return self.parity.twice_residue, -self.max_abs_twice, self.max_abs_twice
+
     @property
-    def codim(self) -> int:
-        return 0
+    def coefficients(self) -> Coefficients:
+        return self.base.coefficients
 
     def __str__(self) -> str:
         return f"W1(lambda0={self.lam0}, {self.parity.value}, dim {self.dim})"
@@ -208,13 +261,8 @@ class BasisVector:
 def belongs(v: BasisVector, spec: ModuleSpec) -> bool:
     """Whether the index lies on the basis lattice of the module."""
     tw = v.index.twice
-    if isinstance(spec, PrincipalSeries):
-        return tw % 2 == spec.parity.twice_residue
-    if isinstance(spec, W1Sub):
-        return tw % 2 == spec.parity.twice_residue and abs(tw) <= spec.max_abs_twice
-    if isinstance(spec, PointModule):
-        return tw % 2 == 0 and tw >= 0
-    raise TypeError(f"not a module spec: {spec!r}")
+    residue, lo, hi = spec.lattice
+    return tw % 2 == residue and (lo is None or lo <= tw) and (hi is None or tw <= hi)
 
 
 def require_member(v: BasisVector, spec: ModuleSpec) -> None:
@@ -224,47 +272,21 @@ def require_member(v: BasisVector, spec: ModuleSpec) -> None:
 
 def reference_index(spec: ModuleSpec) -> HalfInt:
     """Index of the vector theta is normalized to fix (also the form anchor)."""
-    if isinstance(spec, PointModule):
-        return HalfInt(0)
-    return HalfInt(spec.parity.twice_residue)
-
-
-def _point_index(v: BasisVector) -> int:
-    return v.index.twice // 2
+    return HalfInt(spec.lattice[0])
 
 
 def _step(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Tuple[RationalLike, int]:
     """The single term of gen . v as (coefficient, index shift).
 
     Every generator sends a basis vector to a rational multiple of one
-    basis vector; the shift is -1, 0 or +1 and depends only on the
-    generator and the module family.  Membership of v is not checked.
+    basis vector: the coefficient is the module's polynomial of degree <= 2
+    in the index (exact ``int`` arithmetic on integral indices) and the
+    shift is -1, 0 or +1.  Membership of v is not checked.
     """
-    if isinstance(spec, (PrincipalSeries, W1Sub)):
-        ps = spec.base if isinstance(spec, W1Sub) else spec
-        nf = v.index.as_fraction
-        if gen is Generator.E_PLUS:
-            return -(nf + ps.mu), -1
-        if gen is Generator.H:
-            return -2 * nf, 0
-        return nf - ps.mu, 1
-
-    k = _point_index(v)
-    up = (-1, 1)
-    down = (k * (k + spec.m), -1)
-    h = 2 * k + spec.m + 1
-    if spec.orbit is Orbit.AT_ZERO:
-        if gen is Generator.E_PLUS:
-            return up
-        if gen is Generator.H:
-            return h, 0
-        return down
-    # at infinity: e+ <-> e-, h -> -h
-    if gen is Generator.E_PLUS:
-        return down
-    if gen is Generator.H:
-        return -h, 0
-    return up
+    c0, c1, c2, shift = spec.coefficients[gen]
+    tw = v.index.twice
+    n = Fraction(tw, 2) if tw & 1 else tw >> 1
+    return c0 + n * (c1 + n * c2), shift
 
 
 def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, Fraction]:
@@ -288,7 +310,7 @@ def theta_sign(v: BasisVector, spec: ModuleSpec) -> int:
     return -1 if steps % 2 else 1
 
 
-def constituents(spec: PrincipalSeries) -> List[ModuleSpec]:
+def constituents(spec: ModuleSpec) -> List[ModuleSpec]:
     """Irreducible constituents: the module itself, or W1 plus two point modules.
 
     At a positive reduction point lam0 the pieces are the lam0-dimensional
@@ -313,17 +335,19 @@ def _require_bound(bound: int) -> None:
         raise ValueError("bound must be >= 0")
 
 
+def _lattice(spec: ModuleSpec, lo: int, hi: int) -> List[BasisVector]:
+    """The basis vectors with lo <= 2n <= hi, in increasing order."""
+    residue, lowest, highest = spec.lattice
+    lo = lo if lowest is None else max(lo, lowest)
+    hi = hi if highest is None else min(hi, highest)
+    lo += (lo - residue) % 2
+    return [BasisVector(HalfInt(tw)) for tw in range(lo, hi + 1, 2)]
+
+
 def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
     """All basis vectors with |n| <= bound (k <= bound on point modules)."""
     _require_bound(bound)
-    if isinstance(spec, PointModule):
-        return [BasisVector(HalfInt(2 * k)) for k in range(bound + 1)]
-    hi = 2 * bound
-    if isinstance(spec, W1Sub):
-        hi = min(hi, spec.max_abs_twice)
-    res = spec.parity.twice_residue
-    start = -hi if (-hi) % 2 == res else -hi + 1
-    return [BasisVector(HalfInt(tw)) for tw in range(start, hi + 1, 2)]
+    return _lattice(spec, -2 * bound, 2 * bound)
 
 
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
@@ -349,16 +373,15 @@ def _sample(spec: ModuleSpec) -> Optional[List[BasisVector]]:
     law on either side of the fold V(-n) = V(n), once cross-multiplied by
     the table step, a ratio of polynomials of degree <= 2.  Such an identity
     holds on the whole lattice when it holds at five consecutive indices
-    (on each side of the fold).  The sample has them: the reference index
-    +-6 on a principal series, k = 0..5 on a point module.  A W1 submodule
-    is finite and a reducible series has poles; they have no sample (None).
+    (on each side of the fold).  The sample has them: the lattice indices
+    within six steps of the reference (k = 0..6 on a point module).  A W1
+    submodule is finite and a reducible series has poles; they have no
+    sample (None).
     """
-    if isinstance(spec, PointModule):
-        return [BasisVector(HalfInt(2 * k)) for k in range(6)]
-    if isinstance(spec, W1Sub) or spec.reducible:
+    if spec.reducible or spec.lattice[2] is not None:  # poles, or finite (W1)
         return None
     ref = reference_index(spec).twice
-    return [BasisVector(HalfInt(ref + 2 * j)) for j in range(-6, 7)]
+    return _lattice(spec, ref - 12, ref + 12)
 
 
 def _decide(spec: ModuleSpec, bound: int,

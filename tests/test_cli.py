@@ -178,6 +178,33 @@ def test_classify_output_does_not_depend_on_bound(capsys, output):
     assert run(capsys, *argv, "--bound", "40") == first
 
 
+NON_ASCII_INTEGERS = ["1_0", "١٢", "３", "+3"]  # Arabic-Indic 12, fullwidth 3
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_INTEGERS)
+@pytest.mark.parametrize(
+    "command", ["describe", "form-table", "verify", "jantzen", "classify", "oracle"])
+def test_bound_takes_ascii_integers_only(capsys, command, bad):
+    spec = [] if command == "oracle" else ["--lambda", "1/2", "--parity", "even"]
+    code, out, err = run(capsys, command, *spec, "--bound", bad)
+    assert code == 2 and out == ""
+    assert f"argument --bound: invalid int value: {bad!r}" in err
+
+
+@pytest.mark.parametrize("bad", NON_ASCII_INTEGERS)
+@pytest.mark.parametrize("command", ["describe", "form-table", "verify"])
+def test_point_m_takes_ascii_integers_only(capsys, command, bad):
+    code, out, err = run(capsys, command, "--point-m", bad, "--orbit", "0")
+    assert code == 2 and out == ""
+    assert f"argument --point-m: invalid int value: {bad!r}" in err
+
+
+def test_integer_flags_ignore_outer_whitespace(capsys):
+    argv = ["describe", "--point-m", "3", "--orbit", "0", "--bound", "2"]
+    padded = ["describe", "--point-m", " 3 ", "--orbit", "0", "--bound", " 2\n"]
+    assert run(capsys, *padded) == run(capsys, *argv)
+
+
 def test_digit_group_underscores_exit_2(capsys):
     code, out, err = run(capsys, "verify", "--lambda", "1_0", "--parity", "even")
     assert code == 2 and out == ""

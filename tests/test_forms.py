@@ -10,7 +10,6 @@ from su11hodge.forms import (
     continuation_ratio,
     convergence_range,
     form_diagonal,
-    form_pairing,
     gR_form_diagonal,
     invariance_check,
     point_diagonal_value,
@@ -117,8 +116,7 @@ def test_ambient_form_at_reduction_point_is_pole():
     for ps, indices in ((PS(3), (-4, -1, 0, 1, 4)),
                         (odd0, (Fraction(-7, 2), Fraction(-1, 2), Fraction(1, 2), Fraction(7, 2)))):
         for n in indices:
-            for fv in (form_diagonal(v(n), ps), gR_form_diagonal(v(n), ps),
-                       form_pairing(v(n), v(n), ps)):
+            for fv in (form_diagonal(v(n), ps), gR_form_diagonal(v(n), ps)):
                 assert fv.sign is Sign.POLE
                 assert fv.ratio_to_reference is None and fv.magnitude is None
                 assert fv.reference_magnitude == reference_magnitude(ps)
@@ -143,16 +141,6 @@ def test_magnitude_invariant_of_formvalue():
     assert fv.magnitude == pytest.approx(
         abs(float(fv.ratio_to_reference)) * fv.reference_magnitude, rel=1e-12
     )
-
-
-# ---------------------------------------------------------------------------
-# pairing
-
-def test_pairing_orthogonality():
-    assert form_pairing(v(1), v(2), PS(2)).sign is Sign.ZERO
-    assert form_pairing(v(1), v(3), PointModule(2, Orbit.AT_ZERO)).ratio_to_reference == 0
-    fv = form_pairing(v(1), v(1), PS(2))
-    assert fv.sign is Sign.POSITIVE and fv.ratio_to_reference == 3
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from su11hodge import modules
+from su11hodge import forms, modules
+from su11hodge.exact import HalfInt, Sign
+from su11hodge.filtrations import hodge_level
+from su11hodge.forms import diagonal_sign
 from su11hodge.modules import (
     BasisVector,
     Generator,
@@ -18,6 +22,7 @@ from su11hodge.modules import (
     constituents,
     h_weight,
     is_reduction_point,
+    reference_index,
     theta_check,
     theta_sign,
 )
@@ -236,8 +241,15 @@ def test_h_weight_principal_series():
 # the checks report what fails, one line per broken relation
 
 def test_bracket_check_reports_failures(monkeypatch):
-    # a non-linear index map breaks [h,e+] and [e+,e-] on a point module
-    monkeypatch.setattr(modules, "_point_index", lambda u: (u.index.twice // 2) ** 2)
+    # a non-linear index map k -> k^2 inside the coefficients, with the
+    # shifts kept, breaks [h,e+] and [e+,e-] on a point module
+    exact = modules._step
+
+    def squared(gen, u, spec):
+        k = u.index.twice // 2
+        return exact(gen, BasisVector(HalfInt(2 * k * k)), spec)[0], exact(gen, u, spec)[1]
+
+    monkeypatch.setattr(modules, "_step", squared)
     report = bracket_check(PointModule(1, Orbit.AT_ZERO), 3)
     assert not report.ok
     assert report.failures == (
@@ -255,3 +267,41 @@ def test_theta_check_reports_failures(monkeypatch):
         f"theta {g} theta != -{g} at v[{n}]"
         for n in ("-3/2", "-1/2", "1/2", "3/2") for g in ("e+", "e-")
     )
+
+
+# ---------------------------------------------------------------------------
+# the lattice and the coefficients each spec carries
+
+def w1_of_dim(dim: int) -> W1Sub:
+    return W1Sub(PS(dim, Parity.EVEN if dim % 2 else Parity.ODD))
+
+
+lattice_specs = st.one_of(
+    st.builds(PrincipalSeries, st.fractions(min_value=0, max_value=12, max_denominator=7),
+              st.sampled_from(Parity)),
+    st.builds(PointModule, st.integers(0, 8), st.sampled_from(Orbit)),
+    st.integers(1, 12).map(w1_of_dim),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(lattice_specs, st.integers(0, 40))
+def test_window_is_the_members_within_the_bound(spec, bound):
+    expected = sorted(BasisVector(HalfInt(tw)) for tw in range(-2 * bound, 2 * bound + 1)
+                      if belongs(BasisVector(HalfInt(tw)), spec))
+    assert basis_window(spec, bound) == expected
+    assert belongs(BasisVector(reference_index(spec)), spec)
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_w1_reads_every_fact_but_the_lattice_from_its_base(dim):
+    w1 = w1_of_dim(dim)
+    assert w1.base.reducible and not w1.reducible
+    members = basis_window(w1, dim)
+    assert len(members) == dim
+    for u in members:
+        for gen in Generator:
+            assert modules._step(gen, u, w1) == modules._step(gen, u, w1.base)
+        assert hodge_level(u, w1) == hodge_level(u, w1.base)
+        # the ambient value is a pole at a reduction point; the table entry is not
+        assert diagonal_sign(u, w1) is Sign.of(forms._table(w1.base).ratio(u.index))
