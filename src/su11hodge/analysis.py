@@ -20,6 +20,7 @@ from .exact import RationalLike, Sign
 from .filtrations import hodge_level, w1_member
 from .forms import diagonal_sign
 from .modules import (
+    _require_bound,
     BasisVector,
     ModuleSpec,
     Parity,
@@ -161,9 +162,11 @@ def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
     Hodge level grows by exactly one per step outside the convergence
     strip while the involution sign alternates, so the sign sequence is
     constant on both tails; scanning past the last level jump therefore
-    decides the infinite basis exactly.  ``bound`` may widen the scanned
-    window but cannot change the verdict.
+    decides the infinite basis exactly.  ``bound`` (>= 0) may widen the
+    scanned window but cannot change the verdict.
     """
+    if bound is not None:
+        _require_bound(bound)
     if spec.reducible:
         raise ValueError(f"{spec} is reducible; classify its constituents instead")
     # past the convergence strip (a W1 window that wide is all of W1)

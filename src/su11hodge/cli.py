@@ -187,7 +187,7 @@ def cmd_describe(args) -> int:
     table = filtration_table(spec, args.bound)
     parts = constituents(spec)
     reducible = spec.reducible
-    conv = convergence_range(spec) if isinstance(spec, PrincipalSeries) else None
+    conv = convergence_range(spec)
 
     payload = {
         "command": "describe",

@@ -3,12 +3,12 @@
 On the open-orbit modules the Hodge level of z^n s0^mu is governed by pole
 order: v_n enters F_p exactly when |n| <= (lam+1)/2 + p, so
 
-    level(n) = max(0, ceil(|n| - (lam+1)/2))
+    level(n) = max(0, ceil(|n| - (lam+1)/2)) = max(0, ceil((q|2n| - p - q) / 2q))
 
-computed over exact rationals (the ceiling lands boundary cases, where the
-difference is an exact integer, on the weak inequality).  On point modules
-the level is the derivative order shifted by the codimension of the
-support: level(k) = k + 1.
+with lam = p/q, computed by integer floor division (the ceiling lands
+boundary cases, where the difference is an exact integer, on the weak
+inequality).  On point modules the level is the derivative order shifted
+by the codimension of the support: level(k) = k + 1.
 
 The weight filtration is trivial in the irreducible case and on point
 modules; at a reduction point lam0 the W1 layer consists of |2n| <= lam0-1.
@@ -51,8 +51,10 @@ def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
     require_member(v, spec)
     if isinstance(spec, PointModule):
         return v.index.twice // 2 + 1
-    excess = abs(v.index.as_fraction) - (spec.base.lam + 1) / 2
-    return max(0, math.ceil(excess))
+    lam = spec.base.lam
+    p, q = lam.numerator, lam.denominator
+    # ceil(a / b) = -(-a // b) with a = q|2n| - p - q and b = 2q > 0
+    return max(0, -((p + q - q * abs(v.index.twice)) // (2 * q)))
 
 
 def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:

@@ -33,13 +33,17 @@ itself (a W1 submodule shares its ambient series' table).  The values are
 even in n, V(-n) = V(n), since the Beta integral is symmetric in its two
 arguments (and point modules have no negative indices), so the table is
 one-sided: it grows outward from the reference index to |n|, one step per
-new |n|, whatever order the indices are asked for in.  Every consumer
-(form values, the sign law, Jantzen, definiteness, the CLI form table,
-and invariance on its fixed sample of indices) reads from it.  A window
-sweep of bound B therefore costs about B rational steps instead of the
-O(B^2) of walking from the reference for every vector, and the reference
-Beta value is computed once per module.  Signs for verdicts are read from
-the exact entries alone.
+new |n|, whatever order the indices are asked for in.  A window sweep of
+bound B therefore costs about B steps instead of the O(B^2) of walking
+from the reference for every vector, and the reference Beta value is
+computed once per module.
+
+The table walks the same steps twice.  Form values and invariance on its
+fixed sample read the exact ``Fraction`` products.  Verdicts (the sign
+law, Jantzen, definiteness) read only the product of the step signs,
+decided by integer comparisons: at lam = p/q the step at n >= 0 has the
+positive numerator q(2n + 1) + p, so its sign is that of p - q(2n + 1)
+(a pole where that is zero); every point-module step is negative.
 """
 
 from __future__ import annotations
@@ -133,48 +137,72 @@ def _series_step(ref_twice: int, lam: Fraction, k: int) -> Optional[Fraction]:
     return continuation_ratio(HalfInt(ref_twice + 2 * k), lam)
 
 
+def _series_sign(ref_twice: int, p: int, q: int, k: int) -> Optional[int]:
+    """Sign of V(n0+k+1) / V(n0+k) on PS(p/q), +1 or -1 (None at a pole)."""
+    denominator = p - q - q * (ref_twice + 2 * k)
+    if not denominator:
+        return None
+    return 1 if denominator > 0 else -1
+
+
 def _point_step(m: int, k: int) -> int:
     """P(k+1) / P(k) = -(k+1)(m+k+1) on a point module."""
     return -(k + 1) * (m + k + 1)
+
+
+def _point_sign(k: int) -> int:
+    """Sign of P(k+1) / P(k): every point-module step is negative."""
+    return -1
+
+
+def _walk(entries: dict, step, k: int):
+    """Entry k of a product walk, each entry its predecessor times ``step(j)``."""
+    # the keys are always 0..len-1, since an entry is added only after its
+    # predecessor, so the walk resumes at the last one
+    j = len(entries) - 1
+    if k <= j:
+        return entries[k]
+    value = entries[j]
+    while j < k:
+        factor = None if value is None else step(j)
+        value = None if factor is None else value * factor
+        j += 1
+        entries[j] = value
+    return value
 
 
 class _Table:
     """Exact diagonal values of one module relative to its reference vector.
 
     The values are even in n, V(-n) = V(n) (point modules have no negative
-    indices), so the table is one-sided: ``_entries[k]`` is the value at
-    |n| = n0 + k, k steps out from the reference index n0, None at a pole
-    and at every index past one.  Each entry is its predecessor times the
-    step chosen at construction (a partial of a module function, so a used
-    spec still pickles); entries are only ever added, each from its
-    predecessor, so concurrent callers can at worst compute the same entry
-    twice.
+    indices), so the table is one-sided: ``_ratios[k]`` is the value at
+    |n| = n0 + k, k steps out from the reference index n0, and
+    ``_signs[k]`` its sign, +1 or -1; both are None at a pole and at every
+    index past one.  Each walk takes a step chosen at construction (a
+    partial of a module function, so a used spec still pickles); entries
+    are only ever added, each from its predecessor, so concurrent callers
+    can at worst compute the same entry twice.
     """
 
-    __slots__ = ("_ref_twice", "_step", "_entries", "magnitude")
+    __slots__ = ("_ref_twice", "_step", "_sign_step", "_ratios", "_signs", "magnitude")
 
     def __init__(self, spec: "PrincipalSeries | PointModule"):
-        self._ref_twice = reference_index(spec).twice
-        self._step = (partial(_point_step, spec.m) if isinstance(spec, PointModule)
-                      else partial(_series_step, self._ref_twice, spec.lam))
-        self._entries = {0: Fraction(1)}
+        ref_twice = self._ref_twice = reference_index(spec).twice
+        if isinstance(spec, PointModule):
+            self._step, self._sign_step = partial(_point_step, spec.m), _point_sign
+        else:
+            lam = spec.lam
+            self._step = partial(_series_step, ref_twice, lam)
+            self._sign_step = partial(_series_sign, ref_twice, lam.numerator, lam.denominator)
+        self._ratios = {0: Fraction(1)}
+        self._signs = {0: 1}
         self.magnitude: Optional[float] = None  # reference magnitude, set on first use
 
     def ratio(self, n: HalfInt) -> Optional[Fraction]:
-        k = (abs(n.twice) - self._ref_twice) // 2
-        entries = self._entries
-        # the keys are always 0..len-1, since an entry is added only after
-        # its predecessor, so the walk resumes at the last one
-        j = len(entries) - 1
-        if k <= j:
-            return entries[k]
-        value = entries[j]
-        while j < k:
-            step = None if value is None else self._step(j)
-            value = None if step is None else value * step
-            j += 1
-            entries[j] = value
-        return value
+        return _walk(self._ratios, self._step, (abs(n.twice) - self._ref_twice) // 2)
+
+    def sign(self, n: HalfInt) -> Optional[int]:
+        return _walk(self._signs, self._sign_step, (abs(n.twice) - self._ref_twice) // 2)
 
 
 def _table(spec: ModuleSpec) -> _Table:
@@ -224,8 +252,11 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
 
 
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
-    """Exact sign of (v, v) (Sign.POLE at a pole), with no float magnitude."""
-    return Sign.of(_ratio(v, spec))
+    """Exact sign of (v, v) (Sign.POLE at a pole) from the step signs alone."""
+    require_member(v, spec)
+    if spec.reducible:
+        return Sign.POLE
+    return Sign.of(_table(spec).sign(v.index))
 
 
 def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
@@ -237,9 +268,15 @@ def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
                         base.reference_magnitude)
 
 
-def convergence_range(spec: PrincipalSeries) -> List[HalfInt]:
-    """Basis indices with -(lam+1)/2 < n < (lam+1)/2 (strict, exact)."""
-    hi = math.ceil(spec.lam + 1) - 1  # the largest integer < lam + 1
+def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:
+    """Basis indices with -(lam+1)/2 < n < (lam+1)/2 (strict, exact).
+
+    None on a point module, which is supported on a closed orbit and has no
+    strip; on a W1 every index of its lattice lies inside the strip.
+    """
+    if spec.codim:
+        return None
+    hi = math.ceil(spec.base.lam + 1) - 1  # the largest integer < lam + 1
     return [v.index for v in _lattice(spec, -hi, hi)]
 
 
@@ -259,7 +296,7 @@ def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[s
     def pair(gen: Generator, u: BasisVector, w: BasisVector, table) -> Fraction:
         # (gen u, w): gen u is one multiple of a single basis vector
         coefficient, shift = _step(gen, u, spec)
-        return (coefficient if u.index + shift == w.index else 0) * table[w]
+        return coefficient * table[w] if u.index + shift == w.index else 0
 
     laws = (
         (Generator.E_PLUS, Generator.E_MINUS, 1, uratio, "(e+u,w)=(u,e-w)"),

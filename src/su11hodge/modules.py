@@ -44,9 +44,11 @@ every layer read them instead of switching on the type: ``reducible``;
 ``base``, the ambient series of a W1 (any other module is its own);
 ``codim`` of the supporting orbit; ``lattice``, the residue of 2n mod 2
 and the lowest and highest 2n (None: no limit), whose least |2n| is the
-reference index; and ``coefficients``, the formulas above as one
-polynomial of degree <= 2 in the index plus a shift per generator, built
-once per module.  A new family is a class with these facts; only rules
+reference index; and ``coefficients``, the formulas above as one integer
+polynomial of degree <= 2 in t = 2n plus a shift per generator, over one
+integer denominator per module (2q on PS(p/q), 4 on a point module),
+built once per module, so that a coefficient costs integer arithmetic and
+one division.  A new family is a class with these facts; only rules
 where the open orbit and a point differ (Hodge levels, the diagonal step,
 the reference magnitude, the definiteness tail) still test the type.
 """
@@ -108,8 +110,9 @@ class Generator(Enum):
 
 # (2n mod 2, lowest 2n, highest 2n) over the basis indices n; None: no limit
 Lattice = Tuple[int, Optional[int], Optional[int]]
-# gen -> (c0, c1, c2, shift): gen . v_n = (c0 + c1 n + c2 n^2) v_{n + shift}
-Coefficients = Dict[Generator, Tuple[RationalLike, RationalLike, RationalLike, int]]
+# (d, {gen -> (a0, a1, a2, shift)}): gen . v_n = (a0 + a1 t + a2 t^2) / d v_{n + shift}
+# with t = 2n, integers throughout and one denominator d > 0 per module
+Coefficients = Tuple[int, Dict[Generator, Tuple[int, int, int, int]]]
 
 
 def is_reduction_point(lam: RationalLike, parity: Parity) -> bool:
@@ -139,7 +142,7 @@ class PrincipalSeries:
     def mu(self) -> Fraction:
         return (self.lam - 1) / 2
 
-    @property
+    @cached_property
     def reducible(self) -> bool:
         return is_reduction_point(self.lam, self.parity)
 
@@ -153,9 +156,10 @@ class PrincipalSeries:
 
     @cached_property
     def coefficients(self) -> Coefficients:
-        mu = self.mu
-        return {Generator.E_PLUS: (-mu, -1, 0, -1), Generator.H: (0, -2, 0, 0),
-                Generator.E_MINUS: (-mu, 1, 0, 1)}
+        # over 2q, lam = p/q: -mu = (q - p) / 2q, n = q t / 2q
+        p, q = self.lam.numerator, self.lam.denominator
+        return 2 * q, {Generator.E_PLUS: (q - p, -q, 0, -1), Generator.H: (0, -2 * q, 0, 0),
+                       Generator.E_MINUS: (q - p, q, 0, 1)}
 
     def __str__(self) -> str:
         return f"PS(lambda={self.lam}, {self.parity.value})"
@@ -182,12 +186,13 @@ class PointModule:
 
     @cached_property
     def coefficients(self) -> Coefficients:
+        # over 4, k = t / 2: k (k + m) = (t^2 + 2 m t) / 4
         m, E, H, F = self.m, Generator.E_PLUS, Generator.H, Generator.E_MINUS
-        up, down = (-1, 0, 0, 1), (0, m, 1, -1)
+        up, down = (-4, 0, 0, 1), (0, 2 * m, 1, -1)
         if self.orbit is Orbit.AT_ZERO:
-            return {E: up, H: (m + 1, 2, 0, 0), F: down}
+            return 4, {E: up, H: (4 * m + 4, 4, 0, 0), F: down}
         # at infinity: e+ <-> e-, h -> -h
-        return {E: down, H: (-m - 1, -2, 0, 0), F: up}
+        return 4, {E: down, H: (-4 * m - 4, -4, 0, 0), F: up}
 
     def __str__(self) -> str:
         where = "0" if self.orbit is Orbit.AT_ZERO else "inf"
@@ -279,14 +284,18 @@ def _step(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Tuple[RationalLik
     """The single term of gen . v as (coefficient, index shift).
 
     Every generator sends a basis vector to a rational multiple of one
-    basis vector: the coefficient is the module's polynomial of degree <= 2
-    in the index (exact ``int`` arithmetic on integral indices) and the
+    basis vector: the coefficient is the module's integer polynomial of
+    degree <= 2 in t = 2n, divided once by the module's denominator (an
+    ``int`` when that division is exact, else a ``Fraction``), and the
     shift is -1, 0 or +1.  Membership of v is not checked.
     """
-    c0, c1, c2, shift = spec.coefficients[gen]
-    tw = v.index.twice
-    n = Fraction(tw, 2) if tw & 1 else tw >> 1
-    return c0 + n * (c1 + n * c2), shift
+    denominator, polynomials = spec.coefficients
+    a0, a1, a2, shift = polynomials[gen]
+    t = v.index.twice
+    value = a0 + t * (a1 + t * a2)
+    if value % denominator:
+        return Fraction(value, denominator), shift
+    return value // denominator, shift
 
 
 def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, Fraction]:

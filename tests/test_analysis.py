@@ -124,6 +124,14 @@ def test_definiteness_examples():
     assert definiteness(PointModule(3, Orbit.AT_ZERO)) is Definiteness.POS_DEF
 
 
+@pytest.mark.parametrize("spec", [PS(Fraction(1, 2)), PointModule(1, Orbit.AT_ZERO),
+                                  W1Sub(PS(3))], ids=str)
+def test_definiteness_refuses_a_negative_bound(spec):
+    with pytest.raises(ValueError, match="bound must be >= 0"):
+        definiteness(spec, -5)
+    assert definiteness(spec, 0) is definiteness(spec)
+
+
 def test_definiteness_rejects_reducible():
     with pytest.raises(ValueError):
         definiteness(PS(3))

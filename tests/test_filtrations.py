@@ -1,6 +1,8 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from su11hodge.filtrations import (
     FiltrationReport,
@@ -40,6 +42,30 @@ def test_hodge_level_examples():
     assert hodge_level(v(3), PS(3)) == 1
     assert hodge_level(v(-1), PS(Fraction(1, 2))) == 1
     assert hodge_level(v(4), PointModule(2, Orbit.AT_ZERO)) == 5
+
+
+rational_lams = st.sampled_from(list(range(1, 10)) + [1009]).flatmap(
+    lambda q: st.integers(0, 400 * q).map(lambda p: Fraction(p, q)))
+level_specs = st.one_of(
+    st.builds(PrincipalSeries, rational_lams, st.sampled_from(Parity)),
+    st.integers(1, 400).map(lambda k: W1Sub(PS(k, Parity.EVEN if k % 2 else Parity.ODD))),
+    st.builds(PointModule, st.integers(0, 400), st.sampled_from(Orbit)),
+)
+
+
+def rational_level(u, spec) -> int:
+    """The level rule of the filtrations docstring, evaluated in Fraction."""
+    if isinstance(spec, PointModule):
+        return u.index.twice // 2 + 1
+    return max(0, math.ceil(abs(u.index.as_fraction) - (spec.base.lam + 1) / 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(level_specs, st.data())
+def test_hodge_level_matches_the_rational_formula(spec, data):
+    edge = 0 if isinstance(spec, PointModule) else int(spec.base.lam) // 2
+    for u in basis_window(spec, data.draw(st.integers(0, edge + 6))):
+        assert hodge_level(u, spec) == rational_level(u, spec)
 
 
 def test_hodge_level_odd_parity():

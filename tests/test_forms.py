@@ -184,6 +184,15 @@ def test_convergence_range_empty_for_odd_lambda_zero():
     assert [n.as_fraction for n in convergence_range(PS(0, Parity.EVEN))] == [0]
 
 
+def test_convergence_range_on_points_and_w1():
+    assert convergence_range(PointModule(1, Orbit.AT_ZERO)) is None
+    assert convergence_range(PointModule(0, Orbit.AT_INFINITY)) is None
+    for lam0 in range(1, 9):
+        w1 = W1Sub(PS(lam0, Parity.EVEN if lam0 % 2 else Parity.ODD))
+        assert convergence_range(w1) == [v.index for v in basis_window(w1, lam0)]
+        assert set(convergence_range(w1)) <= set(convergence_range(w1.base))
+
+
 @pytest.mark.parametrize("lam,parity", IRREDUCIBLE_GRID, ids=str)
 def test_convergence_range_matches_brute_force(lam, parity):
     ps = PrincipalSeries(lam, parity)

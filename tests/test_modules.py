@@ -293,6 +293,36 @@ def test_window_is_the_members_within_the_bound(spec, bound):
     assert belongs(BasisVector(reference_index(spec)), spec)
 
 
+rational_lams = st.sampled_from(list(range(1, 10)) + [1009]).flatmap(
+    lambda q: st.integers(0, 400 * q).map(lambda p: Fraction(p, q)))
+step_specs = st.one_of(
+    st.builds(PrincipalSeries, rational_lams, st.sampled_from(Parity)),
+    st.integers(1, 400).map(w1_of_dim),
+    st.builds(PointModule, st.integers(0, 400), st.sampled_from(Orbit)),
+)
+
+
+def docstring_step(gen, n: Fraction, spec):
+    """(c0 + c1 n + c2 n^2, shift) by the formulas of the modules docstring, in Fraction."""
+    if isinstance(spec, PointModule):
+        m = spec.m
+        up, down, h = (Fraction(-1), 1), (n * (n + m), -1), 2 * n + m + 1
+        if spec.orbit is Orbit.AT_ZERO:
+            return {E: up, H: (h, 0), F: down}[gen]
+        return {E: down, H: (-h, 0), F: up}[gen]
+    mu = (spec.base.lam - 1) / 2
+    return {E: (-(n + mu), -1), H: (-2 * n, 0), F: (n - mu, 1)}[gen]
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_specs, st.integers(0, 300))
+def test_step_matches_the_docstring_formulas(spec, j):
+    members = basis_window(spec, j + 1)
+    for u in {members[0], members[len(members) // 2], members[-1]}:
+        for gen in Generator:
+            assert modules._step(gen, u, spec) == docstring_step(gen, u.index.as_fraction, spec)
+
+
 @pytest.mark.parametrize("dim", range(1, 13))
 def test_w1_reads_every_fact_but_the_lattice_from_its_base(dim):
     w1 = w1_of_dim(dim)

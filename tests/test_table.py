@@ -7,7 +7,7 @@ from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from su11hodge import forms, modules
-from su11hodge.analysis import jantzen_crossing, verify_conjecture
+from su11hodge.analysis import classify, definiteness, jantzen_crossing, verify_conjecture
 from su11hodge.exact import HalfInt, Sign
 from su11hodge.forms import (
     diagonal_sign,
@@ -25,6 +25,7 @@ from su11hodge.modules import (
     W1Sub,
     basis_window,
     bracket_check,
+    constituents,
     theta_check,
 )
 
@@ -57,7 +58,7 @@ ZERO_ODD = PrincipalSeries(Fraction(0), Parity.ODD)
 
 
 def check_entry(ps, twice: int):
-    """The table entry at twice/2 against the two-sided reference walk.
+    """The table entries, ratio and sign, at twice/2 against the two-sided reference walk.
 
     PS(0, odd) is reducible and has no W1, so no public function reads its
     table; below its reference the walk takes the 0/0 step, which the
@@ -66,8 +67,10 @@ def check_entry(ps, twice: int):
     if ps == ZERO_ODD:
         assert diagonal_sign(BasisVector(HalfInt(twice)), ps) is Sign.POLE
     else:
-        assert table_ratio(ps, twice) == reference_walk(twice, ps.lam,
-                                                        ps.parity.twice_residue)
+        expected = reference_walk(twice, ps.lam, ps.parity.twice_residue)
+        assert table_ratio(ps, twice) == expected
+        # the sign walk, which public functions read only off the poles
+        assert Sign.of(forms._table(ps).sign(HalfInt(twice))) is Sign.of(expected)
 
 
 lams = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -138,12 +141,38 @@ def test_point_table_matches_closed_form(m, orbit, ks):
             point_diagonal_value(m, k)
 
 
-@settings(max_examples=40, deadline=None)
-@given(lams, parities, st.integers(0, 16))
-def test_diagonal_sign_matches_form_values(lam, parity, bound):
-    ps = PrincipalSeries(lam, parity)
-    for v in basis_window(ps, bound):
-        assert diagonal_sign(v, ps) is form_diagonal(v, ps).sign
+denominators = st.sampled_from(list(range(1, 10)) + [1009])
+wide_lams = denominators.flatmap(
+    lambda q: st.integers(0, 400 * q).map(lambda p: Fraction(p, q)))
+
+
+def reducible_parity(lam0: int) -> Parity:
+    return Parity.EVEN if lam0 % 2 else Parity.ODD
+
+
+sign_specs = st.one_of(
+    st.builds(PrincipalSeries, wide_lams, parities),
+    st.integers(0, 400).map(lambda k: PrincipalSeries(Fraction(k), reducible_parity(k))),
+    st.integers(1, 400).map(lambda k: W1Sub(PrincipalSeries(Fraction(k), reducible_parity(k)))),
+    st.builds(PointModule, st.integers(0, 400), st.sampled_from(Orbit)),
+)
+
+
+@st.composite
+def specs_with_bounds(draw):
+    """A module and a window reaching a few steps past its convergence strip."""
+    spec = draw(sign_specs)
+    edge = 0 if isinstance(spec, PointModule) else int(spec.base.lam) // 2
+    return spec, draw(st.integers(0, edge + 4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs_with_bounds())
+def test_diagonal_sign_matches_form_values(spec_bound):
+    spec, bound = spec_bound
+    window = basis_window(spec, bound)
+    signs = [diagonal_sign(v, spec) for v in window]  # the sign walk first
+    assert signs == [form_diagonal(v, spec).sign for v in window]
 
 
 def test_table_leaves_equality_hash_and_repr_alone():
@@ -193,6 +222,20 @@ def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
         assert calls[0] == calls[1] > 0
 
 
+def test_verdicts_walk_no_ratio(monkeypatch):
+    steps = _Counter(forms.continuation_ratio)
+    monkeypatch.setattr(forms, "continuation_ratio", steps)
+    for lam, parity in ((Fraction(1, 2), Parity.EVEN), (Fraction(7, 3), Parity.ODD),
+                        (Fraction(5), Parity.EVEN), (Fraction(1009, 1009 * 3 + 1), Parity.ODD)):
+        ps = PrincipalSeries(lam, parity)
+        for part in constituents(ps):
+            verify_conjecture(part, 40)
+            definiteness(part, 40)
+        classify(lam, parity)
+    jantzen_crossing(Fraction(5), Parity.EVEN, Fraction(1, 3), 40)
+    assert steps.calls == 0
+
+
 def test_verdict_signs_build_no_float():
     # the ratios here exceed the float range; verdicts read exact signs only
     assert verify_conjecture(PrincipalSeries(Fraction(1021), Parity.ODD), 600).verdict
@@ -207,7 +250,14 @@ def test_concurrent_queries_agree_with_reference():
     results = [None] * len(orders)
 
     def worker(i):
-        results[i] = {t: table_ratio(ps, t) for t in orders[i]}
+        # sign and ratio queries interleaved, in an order that differs by worker
+        found = {}
+        for j, t in enumerate(orders[i]):
+            queries = [("sign", lambda: diagonal_sign(BasisVector(HalfInt(t)), ps)),
+                       ("ratio", lambda: table_ratio(ps, t))]
+            for kind, query in (queries if (i + j) % 2 else queries[::-1]):
+                found[kind, t] = query()
+        results[i] = found
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -220,5 +270,7 @@ def test_concurrent_queries_agree_with_reference():
     finally:
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
-    expected = {t: reference_walk(t, ps.lam, 0) for t in indices}
+    ratios = {t: reference_walk(t, ps.lam, 0) for t in indices}
+    expected = {**{("ratio", t): r for t, r in ratios.items()},
+                **{("sign", t): Sign.of(r) for t, r in ratios.items()}}
     assert all(r == expected for r in results)
