@@ -18,9 +18,10 @@ from typing import Optional, Tuple
 
 from .exact import RationalLike, Sign
 from .filtrations import hodge_level, w1_member
-from .forms import diagonal_sign
+from .forms import _table, diagonal_sign
 from .modules import (
     _require_bound,
+    _lattice,
     BasisVector,
     ModuleSpec,
     Parity,
@@ -29,7 +30,6 @@ from .modules import (
     basis_window,
     constituents,
     is_reduction_point,
-    theta_sign,
 )
 
 __all__ = [
@@ -149,12 +149,6 @@ def jantzen_crossing(
     return JantzenReport(lambda0, parity, epsilon, bound, tuple(records))
 
 
-def _g_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
-    # (theta v, v) = theta_sign(v) (v, v); a pole stays a pole
-    sign = diagonal_sign(v, spec)
-    return sign if theta_sign(v, spec) == 1 else -sign
-
-
 def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
     """Exact definiteness of the noncompact-form on the whole basis.
 
@@ -172,11 +166,15 @@ def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
     # past the convergence strip (a W1 window that wide is all of W1)
     tail_start = (2 if isinstance(spec, PointModule)
                   else math.ceil((spec.base.lam + 1) / 2) + 1)
-    scan = basis_window(spec, max(bound or 0, tail_start))
-    signs = {_g_sign(v, spec) for v in scan}
-    if signs == {Sign.POSITIVE}:
+    scan = max(bound or 0, tail_start)
+    # (theta v, v) = (-1)^(n - n0) (v, v), off the sign walk (no pole on an
+    # irreducible module)
+    sign, ref = _table(spec).sign, spec.lattice[0]
+    signs = {(-1 if (tw - ref) // 2 % 2 else 1) * sign(tw)
+             for tw in _lattice(spec, -2 * scan, 2 * scan)}
+    if signs == {1}:
         return Definiteness.POS_DEF
-    if signs == {Sign.NEGATIVE}:
+    if signs == {-1}:
         return Definiteness.NEG_DEF
     return Definiteness.INDEFINITE
 

@@ -23,6 +23,7 @@ from typing import List, Tuple
 
 from .exact import RationalLike
 from .modules import (
+    _lattice,
     BasisVector,
     ModuleSpec,
     Parity,
@@ -71,12 +72,8 @@ def hodge_dim(spec: ModuleSpec, p: int) -> int:
         raise ValueError("p must be >= 0")
     if isinstance(spec, PointModule):
         return p
-    # the lattice indices with |2n| <= hi: v_n has level <= p iff |2n| <= lam + 1 + 2p
-    residue, _, highest = spec.lattice
-    hi = math.floor(spec.base.lam + 1 + 2 * p)
-    hi = hi if highest is None else min(hi, highest)
-    hi -= (hi - residue) % 2
-    return max(hi + 1, 0)
+    hi = math.floor(spec.base.lam + 1 + 2 * p)  # level <= p iff |2n| <= lam + 1 + 2p
+    return len(_lattice(spec, -hi, hi))
 
 
 @dataclass(frozen=True)

@@ -38,9 +38,10 @@ bound B therefore costs about B steps instead of the O(B^2) of walking
 from the reference for every vector, and the reference Beta value is
 computed once per module.
 
-The table walks the same steps twice.  Form values and invariance on its
-fixed sample read the exact ``Fraction`` products.  Verdicts (the sign
-law, Jantzen, definiteness) read only the product of the step signs,
+The table walks the same steps twice.  Form values read the exact
+``Fraction`` products; invariance on its fixed sample compares their
+numerators and denominators as cross-multiplied integers.  Verdicts (the
+sign law, Jantzen, definiteness) read only the product of the step signs,
 decided by integer comparisons: at lam = p/q the step at n >= 0 has the
 positive numerator q(2n + 1) + p, so its sign is that of p - q(2n + 1)
 (a pole where that is zero); every point-module step is negative.
@@ -52,16 +53,16 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
     _decide,
     _lattice,
     _step,
+    _step_memo,
     BasisVector,
     CheckResult,
-    Generator,
     ModuleSpec,
     PointModule,
     PrincipalSeries,
@@ -109,11 +110,6 @@ class FormValue:
     ratio_to_reference: Optional[Fraction]
     magnitude: Optional[float]
     reference_magnitude: Optional[float]
-
-    @classmethod
-    def of(cls, ratio: Optional[Fraction], ref_mag: Optional[float]) -> "FormValue":
-        magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
-        return cls(Sign.of(ratio), ratio, magnitude, ref_mag)
 
 
 def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
@@ -198,11 +194,11 @@ class _Table:
         self._signs = {0: 1}
         self.magnitude: Optional[float] = None  # reference magnitude, set on first use
 
-    def ratio(self, n: HalfInt) -> Optional[Fraction]:
-        return _walk(self._ratios, self._step, (abs(n.twice) - self._ref_twice) // 2)
+    def ratio(self, twice: int) -> Optional[Fraction]:
+        return _walk(self._ratios, self._step, (abs(twice) - self._ref_twice) // 2)
 
-    def sign(self, n: HalfInt) -> Optional[int]:
-        return _walk(self._signs, self._sign_step, (abs(n.twice) - self._ref_twice) // 2)
+    def sign(self, twice: int) -> Optional[int]:
+        return _walk(self._signs, self._sign_step, (abs(twice) - self._ref_twice) // 2)
 
 
 def _table(spec: ModuleSpec) -> _Table:
@@ -223,7 +219,7 @@ def _ratio(v: BasisVector, spec: ModuleSpec) -> Optional[Fraction]:
     require_member(v, spec)
     if spec.reducible:
         return None
-    return _table(spec).ratio(v.index)
+    return _table(spec).ratio(v.index.twice)
 
 
 def _magnitude(spec: ModuleSpec) -> Optional[float]:
@@ -248,7 +244,9 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     defined only on the constituents, so every ambient value reports a
     pole; evaluate on W1Sub or the point modules instead.
     """
-    return FormValue.of(_ratio(v, spec), _magnitude(spec))
+    ratio, ref_mag = _ratio(v, spec), _magnitude(spec)
+    magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
+    return FormValue(Sign.of(ratio), ratio, magnitude, ref_mag)
 
 
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
@@ -256,16 +254,17 @@ def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
     require_member(v, spec)
     if spec.reducible:
         return Sign.POLE
-    return Sign.of(_table(spec).sign(v.index))
+    return Sign.of(_table(spec).sign(v.index.twice))
 
 
 def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     """Noncompact-form-invariant diagonal value (theta v, v), exact."""
     base = form_diagonal(v, spec)
-    if base.ratio_to_reference is None:
+    if base.ratio_to_reference is None or theta_sign(v, spec) == 1:
         return base
-    return FormValue.of(theta_sign(v, spec) * base.ratio_to_reference,
-                        base.reference_magnitude)
+    # |float(-r)| = |float(r)|, so the magnitude is the compact one
+    return FormValue(-base.sign, -base.ratio_to_reference, base.magnitude,
+                     base.reference_magnitude)
 
 
 def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:
@@ -277,7 +276,7 @@ def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:
     if spec.codim:
         return None
     hi = math.ceil(spec.base.lam + 1) - 1  # the largest integer < lam + 1
-    return [v.index for v in _lattice(spec, -hi, hi)]
+    return [HalfInt(tw) for tw in _lattice(spec, -hi, hi)]
 
 
 def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
@@ -289,29 +288,35 @@ def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
 
 def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    members = set(vectors)
-    uratio = {v: _u_ratio(v, spec) for v in vectors}
-    gratio = {v: theta_sign(v, spec) * uratio[v] for v in vectors}
+    E, H, F = _step_memo(spec, _step)
+    ratios = [_u_ratio(v, spec) for v in vectors]  # a pole raises at the first one
+    uratio = {v.index.twice: (r.numerator, r.denominator) for v, r in zip(vectors, ratios)}
+    gratio = {v.index.twice: (theta_sign(v, spec) * r.numerator, r.denominator)
+              for v, r in zip(vectors, ratios)}
 
-    def pair(gen: Generator, u: BasisVector, w: BasisVector, table) -> Fraction:
-        # (gen u, w): gen u is one multiple of a single basis vector
-        coefficient, shift = _step(gen, u, spec)
-        return coefficient * table[w] if u.index + shift == w.index else 0
+    def pair(step, u: int, w: int, table) -> Tuple[int, int]:
+        # (gen u, w) as (numerator, denominator); gen u is a multiple of one basis vector
+        n, d, shift = step[u]
+        if u + 2 * shift != w:
+            return 0, 1
+        wn, wd = table[w]
+        return n * wn, d * wd
 
     laws = (
-        (Generator.E_PLUS, Generator.E_MINUS, 1, uratio, "(e+u,w)=(u,e-w)"),
-        (Generator.H, Generator.H, 1, uratio, "(hu,w)=(u,hw)"),
-        (Generator.E_PLUS, Generator.E_MINUS, -1, gratio, "(e+u,w)=-(u,e-w)"),
+        (E, F, 1, uratio, "(e+u,w)=(u,e-w)"),
+        (H, H, 1, uratio, "(hu,w)=(u,hw)"),
+        (E, F, -1, gratio, "(e+u,w)=-(u,e-w)"),
     )
-    for u in vectors:
-        neighbors = [w for w in (BasisVector(u.index - 1), u, BasisVector(u.index + 1))
-                     if w in members]
+    for v in vectors:
+        u = v.index.twice
+        neighbors = [w for w in (u - 2, u, u + 2) if w in uratio]
         for gen_l, gen_r, flip, table, law in laws:
             for w in neighbors:
-                lhs = pair(gen_l, u, w, table)
-                rhs = flip * pair(gen_r, w, u, table)
-                if lhs != rhs:
-                    failures.append(f"{law} fails at u={u}, w={w}: {lhs} != {rhs}")
+                ln, ld = pair(gen_l, u, w, table)
+                rn, rd = pair(gen_r, w, u, table)
+                if ln * rd != flip * rn * ld:
+                    failures.append(f"{law} fails at u={v}, w={BasisVector(HalfInt(w))}: "
+                                    f"{Fraction(ln, ld)} != {Fraction(flip * rn, rd)}")
     return failures
 
 
@@ -323,13 +328,10 @@ def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
 
     A generator moves an index by at most one step and all pairings reduce
     to the diagonal, so a pair (u, w) can only violate a law when w is u
-    or a neighbor of u; each such pair is an exact identity between
-    rational ratio products.  The only non-trivial one, at (u, u - 1), is
+    or a neighbor of u.  The only non-trivial one, at (u, u - 1), is
     c(u) V(u-1) = c'(u-1) V(u): cross-multiplied by the table step it is a
     polynomial identity in the index on either side of the fold
-    V(-n) = V(n), decided on a fixed sample (see ``modules._sample``).  The
-    window of ``bound`` is swept only to list the failing pairs when a law
-    fails, or on W1; on a reducible series it raises ValueError at the
-    first pole.
+    V(-n) = V(n), decided as in ``modules._decide``.  On a reducible
+    series it raises ValueError at the first pole.
     """
     return _decide(spec, bound, _invariance_failures)

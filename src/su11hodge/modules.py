@@ -51,6 +51,8 @@ built once per module, so that a coefficient costs integer arithmetic and
 one division.  A new family is a class with these facts; only rules
 where the open orbit and a point differ (Hodge levels, the diagonal step,
 the reference magnitude, the definiteness tail) still test the type.
+The bracket and theta checks read each coefficient once, as an integer
+numerator and denominator, and compare their laws cross-multiplied.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .exact import HalfInt, RationalLike
@@ -315,8 +317,7 @@ def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, F
 def theta_sign(v: BasisVector, spec: ModuleSpec) -> int:
     """Diagonal Cartan-involution eigenvalue (-1)^(n - n0) on v."""
     require_member(v, spec)
-    steps = (v.index.twice - reference_index(spec).twice) // 2
-    return -1 if steps % 2 else 1
+    return -1 if (v.index.twice - spec.lattice[0]) // 2 % 2 else 1
 
 
 def constituents(spec: ModuleSpec) -> List[ModuleSpec]:
@@ -344,19 +345,18 @@ def _require_bound(bound: int) -> None:
         raise ValueError("bound must be >= 0")
 
 
-def _lattice(spec: ModuleSpec, lo: int, hi: int) -> List[BasisVector]:
-    """The basis vectors with lo <= 2n <= hi, in increasing order."""
+def _lattice(spec: ModuleSpec, lo: int, hi: int) -> range:
+    """The doubled indices 2n of the basis with lo <= 2n <= hi, increasing."""
     residue, lowest, highest = spec.lattice
     lo = lo if lowest is None else max(lo, lowest)
     hi = hi if highest is None else min(hi, highest)
-    lo += (lo - residue) % 2
-    return [BasisVector(HalfInt(tw)) for tw in range(lo, hi + 1, 2)]
+    return range(lo + (lo - residue) % 2, hi + 1, 2)
 
 
 def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
     """All basis vectors with |n| <= bound (k <= bound on point modules)."""
     _require_bound(bound)
-    return _lattice(spec, -2 * bound, 2 * bound)
+    return [BasisVector(HalfInt(tw)) for tw in _lattice(spec, -2 * bound, 2 * bound)]
 
 
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
@@ -373,8 +373,9 @@ class CheckResult:
     failures: Tuple[str, ...] = field(default_factory=tuple)
 
 
-def _sample(spec: ModuleSpec) -> Optional[List[BasisVector]]:
-    """Basis vectors on which every algebraic law of the module is decided.
+def _decide(spec: ModuleSpec, bound: int,
+            failures: Callable[[ModuleSpec, List[BasisVector]], List[str]]) -> CheckResult:
+    """Decide the laws behind ``failures`` on every index, listing window failures.
 
     Each ``_step`` coefficient is a polynomial of degree <= 2 in the index
     and each shift is constant, so each bracket and theta law at v is a
@@ -383,54 +384,64 @@ def _sample(spec: ModuleSpec) -> Optional[List[BasisVector]]:
     the table step, a ratio of polynomials of degree <= 2.  Such an identity
     holds on the whole lattice when it holds at five consecutive indices
     (on each side of the fold).  The sample has them: the lattice indices
-    within six steps of the reference (k = 0..6 on a point module).  A W1
-    submodule is finite and a reducible series has poles; they have no
-    sample (None).
-    """
-    if spec.reducible or spec.lattice[2] is not None:  # poles, or finite (W1)
-        return None
-    ref = reference_index(spec).twice
-    return _lattice(spec, ref - 12, ref + 12)
-
-
-def _decide(spec: ModuleSpec, bound: int,
-            failures: Callable[[ModuleSpec, List[BasisVector]], List[str]]) -> CheckResult:
-    """Decide the laws behind ``failures`` on every index, listing window failures.
-
-    When every law holds on the sample it holds on the whole lattice, and
-    the result is ok without a window sweep.  Otherwise (or with no sample)
-    the window of ``bound`` is swept and its failures are listed.
+    within six steps of the reference (k = 0..6 on a point module).  When
+    every law holds there the result is ok; otherwise, or with no sample
+    (W1 is finite, a reducible series has poles), the window of ``bound``
+    is swept and its failures listed.  ``failures`` compares cross-multiplied
+    integers and builds a ``Fraction`` only to print a value.
     """
     _require_bound(bound)
-    sample = _sample(spec)
-    if sample is not None and not failures(spec, sample):
-        return CheckResult(True)
+    ref, _, highest = spec.lattice
+    if not spec.reducible and highest is None:
+        sample = [BasisVector(HalfInt(tw)) for tw in _lattice(spec, ref - 12, ref + 12)]
+        if not failures(spec, sample):
+            return CheckResult(True)
     found = failures(spec, basis_window(spec, bound))
     return CheckResult(not found, tuple(found))
 
 
-def _compose(a: Generator, b: Generator, v: BasisVector, spec: ModuleSpec) -> RationalLike:
-    """Coefficient of a . (b . v) at its single target index."""
-    c, shift = _step(b, v, spec)
-    if not c:  # b . v is zero; its index may lie off the basis
-        return 0
-    return c * _step(a, BasisVector(v.index + shift), spec)[0]
+class _Memo(dict):
+    """A dict that fills a missing key k with ``compute(k)``, once."""
+
+    def __init__(self, compute: Callable):
+        self.compute = compute
+
+    def __missing__(self, key):
+        value = self[key] = self.compute(key)
+        return value
+
+
+def _step_memo(spec: ModuleSpec, step: Callable) -> Tuple[_Memo, ...]:
+    """``step`` (a ``_step``) for e+, h, e-: 2n -> (numerator, denominator, shift), once each."""
+    def parts(gen: Generator, twice: int) -> Tuple[int, int, int]:
+        coefficient, shift = step(gen, BasisVector(HalfInt(twice)), spec)
+        return coefficient.numerator, coefficient.denominator, shift
+    return tuple(_Memo(partial(parts, gen)) for gen in Generator)
 
 
 def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    E, H, F = Generator.E_PLUS, Generator.H, Generator.E_MINUS
+    E, H, F = _step_memo(spec, _step)
 
-    def bracket(a: Generator, b: Generator, v: BasisVector) -> RationalLike:
-        return _compose(a, b, v, spec) - _compose(b, a, v, spec)
+    def compose(a: _Memo, b: _Memo, tw: int) -> Tuple[int, int]:
+        # a . (b . v) at its single target index, as (numerator, denominator)
+        n, d, shift = b[tw]
+        if not n:  # b . v is zero; its index may lie off the basis
+            return 0, 1
+        n2, d2, _ = a[tw + 2 * shift]
+        return n * n2, d * d2
 
+    # [a, b] v = k g v, with both sides on the same basis vector
+    laws = ((H, E, 2, E, "[h,e+] != 2 e+"), (H, F, -2, F, "[h,e-] != -2 e-"),
+            (E, F, 1, H, "[e+,e-] != h"))
     for v in vectors:
-        if bracket(H, E, v) != 2 * _step(E, v, spec)[0]:
-            failures.append(f"[h,e+] != 2 e+ at {v}")
-        if bracket(H, F, v) != -2 * _step(F, v, spec)[0]:
-            failures.append(f"[h,e-] != -2 e- at {v}")
-        if bracket(E, F, v) != _step(H, v, spec)[0]:
-            failures.append(f"[e+,e-] != h at {v}")
+        tw = v.index.twice
+        for a, b, k, g, law in laws:
+            n1, d1 = compose(a, b, tw)
+            n2, d2 = compose(b, a, tw)
+            n3, d3, _ = g[tw]
+            if (n1 * d2 - n2 * d1) * d3 != k * n3 * d1 * d2:
+                failures.append(f"{law} at {v}")
     return failures
 
 
@@ -438,43 +449,35 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
     """Decide [h,e+] = 2e+, [h,e-] = -2e-, [e+,e-] = h on every index, exactly.
 
     Both sides of each relation are multiples of the same basis vector
-    (shifts add), so each relation is one identity between coefficients,
-    a polynomial identity in the index decided on a fixed sample (see
-    ``_sample``).  The window of ``bound`` is swept only to list the
-    failing lines when a relation fails, or on W1 and a reducible series.
+    (shifts add), so each relation is one polynomial identity in the index
+    between coefficients, decided as in ``_decide``.
     """
     return _decide(spec, bound, _bracket_failures)
 
 
 def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-
-    def conjugate(gen: Generator, v: BasisVector) -> RationalLike:
-        c, shift = _step(gen, v, spec)
-        if not c:  # gen . v is zero; its index may lie off the basis
-            return 0
-        return theta_sign(v, spec) * c * theta_sign(BasisVector(v.index + shift), spec)
-
+    E, H, F = _step_memo(spec, _step)
+    theta = _Memo(lambda tw: theta_sign(BasisVector(HalfInt(tw)), spec))
+    laws = ((E, -1, "theta e+ theta != -e+"), (F, -1, "theta e- theta != -e-"),
+            (H, 1, "theta h theta != h"))
     for v in vectors:
-        if theta_sign(v, spec) ** 2 != 1:
+        tw = v.index.twice
+        sign = theta[tw]
+        if sign * sign != 1:
             failures.append(f"theta^2 != 1 at {v}")
-        if conjugate(Generator.E_PLUS, v) != -_step(Generator.E_PLUS, v, spec)[0]:
-            failures.append(f"theta e+ theta != -e+ at {v}")
-        if conjugate(Generator.E_MINUS, v) != -_step(Generator.E_MINUS, v, spec)[0]:
-            failures.append(f"theta e- theta != -e- at {v}")
-        if conjugate(Generator.H, v) != _step(Generator.H, v, spec)[0]:
-            failures.append(f"theta h theta != h at {v}")
+        for step, k, law in laws:  # a zero gen . v may point off the basis
+            n, _, shift = step[tw]
+            if n and sign * theta[tw + 2 * shift] != k:
+                failures.append(f"{law} at {v}")
     return failures
 
 
 def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
     """Decide theta^2 = 1 and the intertwining signs on every index, exactly.
 
-    theta gen theta sends v to a multiple of the same basis vector as
-    gen does, so each intertwining law is one identity between coefficients;
-    theta_sign(v) theta_sign(v +- 1) = -1 does not depend on v.  The laws
-    are decided on a fixed sample (see ``_sample``), and the window of
-    ``bound`` is swept only to list the failing lines when one fails, or
-    on W1 and a reducible series.
+    theta gen theta sends v to theta(v) theta(v + shift) times gen . v, so
+    each intertwining law is a sign identity where gen . v is non-zero,
+    decided as in ``_decide``.
     """
     return _decide(spec, bound, _theta_failures)

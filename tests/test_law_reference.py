@@ -1,0 +1,271 @@
+"""The integer law checks against the laws written out in ``Fraction`` arithmetic.
+
+``bracket_check``, ``theta_check`` and ``invariance_check`` compare their
+laws as cross-multiplied integer numerators, and ``definiteness`` reads the
+table's sign walk.  The reference functions here evaluate the same laws
+the plain way, as products and differences of ``Fraction`` coefficients
+and form ratios, one ``_step``, ``theta_sign`` or ``_u_ratio`` call per
+use, and must give the same failure lines in the same order, the same
+``CheckResult`` and the same errors.  A counter test pins that each check
+reads every coefficient and every theta sign once.
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from su11hodge import forms, modules
+from su11hodge.analysis import Definiteness, definiteness
+from su11hodge.exact import Sign
+from su11hodge.forms import (
+    FormValue,
+    diagonal_sign,
+    form_diagonal,
+    gR_form_diagonal,
+    invariance_check,
+)
+from su11hodge.modules import (
+    BasisVector,
+    CheckResult,
+    Generator,
+    Orbit,
+    Parity,
+    PointModule,
+    PrincipalSeries,
+    W1Sub,
+    basis_window,
+    bracket_check,
+    theta_check,
+)
+
+E, H, F = Generator.E_PLUS, Generator.H, Generator.E_MINUS
+
+
+# ---------------------------------------------------------------------------
+# the three laws in Fraction arithmetic, read through the patchable sources
+
+def step(gen, v, spec):
+    return modules._step(gen, v, spec)
+
+
+def compose(a, b, v, spec):
+    """Coefficient of a . (b . v) at its single target index."""
+    c, shift = step(b, v, spec)
+    if not c:  # b . v is zero; its index may lie off the basis
+        return 0
+    return Fraction(c) * step(a, BasisVector(v.index + shift), spec)[0]
+
+
+def reference_bracket_failures(spec, vectors):
+    failures = []
+
+    def bracket(a, b, v):
+        return compose(a, b, v, spec) - compose(b, a, v, spec)
+
+    for v in vectors:
+        if bracket(H, E, v) != 2 * Fraction(step(E, v, spec)[0]):
+            failures.append(f"[h,e+] != 2 e+ at {v}")
+        if bracket(H, F, v) != -2 * Fraction(step(F, v, spec)[0]):
+            failures.append(f"[h,e-] != -2 e- at {v}")
+        if bracket(E, F, v) != Fraction(step(H, v, spec)[0]):
+            failures.append(f"[e+,e-] != h at {v}")
+    return failures
+
+
+def reference_theta_failures(spec, vectors):
+    failures = []
+
+    def theta(v):
+        return modules.theta_sign(v, spec)
+
+    def conjugate(gen, v):
+        c, shift = step(gen, v, spec)
+        if not c:
+            return 0
+        return theta(v) * Fraction(c) * theta(BasisVector(v.index + shift))
+
+    for v in vectors:
+        if theta(v) ** 2 != 1:
+            failures.append(f"theta^2 != 1 at {v}")
+        if conjugate(E, v) != -Fraction(step(E, v, spec)[0]):
+            failures.append(f"theta e+ theta != -e+ at {v}")
+        if conjugate(F, v) != -Fraction(step(F, v, spec)[0]):
+            failures.append(f"theta e- theta != -e- at {v}")
+        if conjugate(H, v) != Fraction(step(H, v, spec)[0]):
+            failures.append(f"theta h theta != h at {v}")
+    return failures
+
+
+def reference_invariance_failures(spec, vectors):
+    failures = []
+    members = set(vectors)
+    uratio = {v: forms._u_ratio(v, spec) for v in vectors}
+    gratio = {v: forms.theta_sign(v, spec) * uratio[v] for v in vectors}
+
+    def pair(gen, u, w, table):
+        coefficient, shift = forms._step(gen, u, spec)
+        return Fraction(coefficient) * table[w] if u.index + shift == w.index else Fraction(0)
+
+    laws = ((E, F, 1, uratio, "(e+u,w)=(u,e-w)"), (H, H, 1, uratio, "(hu,w)=(u,hw)"),
+            (E, F, -1, gratio, "(e+u,w)=-(u,e-w)"))
+    for u in vectors:
+        neighbors = [w for w in (BasisVector(u.index - 1), u, BasisVector(u.index + 1))
+                     if w in members]
+        for gen_l, gen_r, flip, table, law in laws:
+            for w in neighbors:
+                lhs = pair(gen_l, u, w, table)
+                rhs = flip * pair(gen_r, w, u, table)
+                if lhs != rhs:
+                    failures.append(f"{law} fails at u={u}, w={w}: {lhs} != {rhs}")
+    return failures
+
+
+CHECKS = [
+    (bracket_check, modules._bracket_failures, reference_bracket_failures),
+    (theta_check, modules._theta_failures, reference_theta_failures),
+    (invariance_check, forms._invariance_failures, reference_invariance_failures),
+]
+
+
+def outcome(fn, *args):
+    """The result of fn, or the ValueError it raised (a pole, a non-member)."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def w1(lam0: int) -> W1Sub:
+    return W1Sub(PrincipalSeries(Fraction(lam0), Parity.EVEN if lam0 % 2 else Parity.ODD))
+
+
+rational_lams = st.sampled_from(list(range(1, 10)) + [1009]).flatmap(
+    lambda q: st.integers(0, 400 * q).map(lambda p: Fraction(p, q)))
+specs = st.one_of(
+    st.builds(PrincipalSeries, rational_lams, st.sampled_from(Parity)),
+    st.builds(PointModule, st.integers(0, 400), st.sampled_from(Orbit)),
+    st.integers(1, 400).map(w1),
+)
+bounds = st.integers(0, 40)
+
+
+def perturbed_step(gen, poly):
+    """``_step`` with the polynomial ``poly`` in the index added to gen's coefficient."""
+    exact = modules._step
+
+    def perturbed(g, v, spec):
+        coefficient, shift = exact(g, v, spec)
+        if g is gen:
+            n = v.index.as_fraction
+            coefficient = coefficient + poly[0] + poly[1] * n + poly[2] * n * n
+        return coefficient, shift
+
+    return perturbed
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+perturbations = st.none() | st.tuples(st.sampled_from(Generator),
+                                      st.tuples(small, small, small))
+
+
+def assert_same_as_reference(spec, bound):
+    window = basis_window(spec, bound)
+    for check, failures, reference in CHECKS:
+        expected = outcome(modules._decide, spec, bound, reference)
+        assert outcome(check, spec, bound) == expected
+        assert outcome(failures, spec, window) == outcome(reference, spec, window)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs, bounds, perturbations)
+def test_checks_match_the_fraction_reference(spec, bound, perturbation):
+    if perturbation is None:
+        assert_same_as_reference(spec, bound)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        perturbed = perturbed_step(*perturbation)
+        mp.setattr(modules, "_step", perturbed)
+        mp.setattr(forms, "_step", perturbed)
+        assert_same_as_reference(spec, bound)
+
+
+def test_reference_sees_a_perturbation():
+    # the reference is not vacuous: a perturbed e- coefficient fails both paths
+    spec = PrincipalSeries(Fraction(7, 1009), Parity.ODD)
+    with pytest.MonkeyPatch.context() as mp:
+        perturbed = perturbed_step(F, (0, 0, Fraction(1, 3)))
+        mp.setattr(modules, "_step", perturbed)
+        mp.setattr(forms, "_step", perturbed)
+        for check, _, reference in CHECKS[::2]:  # theta signs do not see sizes
+            report = check(spec, 3)
+            assert not report.ok
+            assert report == modules._decide(spec, 3, reference)
+
+
+# ---------------------------------------------------------------------------
+# definiteness against the per-vector noncompact signs
+
+@settings(max_examples=200, deadline=None)
+@given(specs.filter(lambda spec: not spec.reducible), st.none() | bounds)
+def test_definiteness_matches_per_vector_signs(spec, bound):
+    tail = 2 if spec.codim else -(-(spec.base.lam + 1) // 2) + 1
+    window = basis_window(spec, max(bound or 0, int(tail)))
+    signs = {diagonal_sign(v, spec) if modules.theta_sign(v, spec) == 1
+             else -diagonal_sign(v, spec) for v in window}
+    expected = {frozenset({Sign.POSITIVE}): Definiteness.POS_DEF,
+                frozenset({Sign.NEGATIVE}): Definiteness.NEG_DEF}.get(
+                    frozenset(signs), Definiteness.INDEFINITE)
+    assert definiteness(spec, bound) is expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(specs, st.integers(0, 12))
+def test_noncompact_value_is_the_twisted_compact_value(spec, bound):
+    # (theta v, v) = theta(v) (v, v), the magnitude from the twisted ratio
+    for v in basis_window(spec, bound):
+        ratio = form_diagonal(v, spec).ratio_to_reference
+        ref_mag = form_diagonal(v, spec).reference_magnitude
+        if ratio is not None:
+            ratio *= modules.theta_sign(v, spec)
+        magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
+        assert gR_form_diagonal(v, spec) == FormValue(Sign.of(ratio), ratio, magnitude, ref_mag)
+
+
+# ---------------------------------------------------------------------------
+# one _step per (generator, index) and one theta_sign per index
+
+MEMO_SPECS = [PrincipalSeries(Fraction(1, 3), Parity.EVEN),
+              PrincipalSeries(Fraction(7, 1009), Parity.ODD),
+              PointModule(3, Orbit.AT_INFINITY)]
+
+
+def counting(calls, fn, key):
+    def counted(*args):
+        calls[key(*args)] += 1
+        return fn(*args)
+    return counted
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)
+@pytest.mark.parametrize("run", [
+    lambda check, failures, spec: check(spec, 7),
+    lambda check, failures, spec: failures(spec, basis_window(spec, 7)),
+], ids=["check", "window"])
+def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
+    for check, failures, _ in CHECKS:
+        steps, signs = Counter(), Counter()
+        step = counting(steps, modules._step, lambda gen, v, spec: (gen, v.index.twice))
+        monkeypatch.setattr(modules, "_step", step)
+        monkeypatch.setattr(forms, "_step", step)
+        theta = counting(signs, modules.theta_sign, lambda v, spec: v.index.twice)
+        monkeypatch.setattr(modules, "theta_sign", theta)
+        monkeypatch.setattr(forms, "theta_sign", theta)
+        result = run(check, failures, spec)
+        assert result in (CheckResult(True), [])
+        assert steps and max(steps.values()) == 1, check.__name__
+        assert not signs or max(signs.values()) == 1, check.__name__
+        assert bool(signs) == (check is not bracket_check)
+        monkeypatch.undo()
+

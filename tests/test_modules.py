@@ -334,4 +334,4 @@ def test_w1_reads_every_fact_but_the_lattice_from_its_base(dim):
             assert modules._step(gen, u, w1) == modules._step(gen, u, w1.base)
         assert hodge_level(u, w1) == hodge_level(u, w1.base)
         # the ambient value is a pole at a reduction point; the table entry is not
-        assert diagonal_sign(u, w1) is Sign.of(forms._table(w1.base).ratio(u.index))
+        assert diagonal_sign(u, w1) is Sign.of(forms._table(w1.base).ratio(u.index.twice))

@@ -51,7 +51,7 @@ def reference_walk(twice: int, lam: Fraction, ref_twice: int):
 
 
 def table_ratio(spec, twice: int):
-    return forms._table(spec).ratio(HalfInt(twice))
+    return forms._table(spec).ratio(twice)
 
 
 ZERO_ODD = PrincipalSeries(Fraction(0), Parity.ODD)
@@ -70,7 +70,7 @@ def check_entry(ps, twice: int):
         expected = reference_walk(twice, ps.lam, ps.parity.twice_residue)
         assert table_ratio(ps, twice) == expected
         # the sign walk, which public functions read only off the poles
-        assert Sign.of(forms._table(ps).sign(HalfInt(twice))) is Sign.of(expected)
+        assert Sign.of(forms._table(ps).sign(twice)) is Sign.of(expected)
 
 
 lams = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
