@@ -3,7 +3,7 @@
 Twisting parameters are accepted only as exact rational strings ("3",
 "-1/2"); float syntax is refused so that no sign decision ever passes
 through floating point.  Exit status: 0 all checks pass, 1 a verified
-property fails, 2 usage or I/O error.
+property fails, 2 usage or I/O error (or, for ``oracle``, no scipy).
 
 Each subcommand declares its table once: a list of columns and a list of
 row tuples.  A column is ``(name, kind)`` or ``(name, kind, text header)``;
@@ -447,7 +447,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except (UsageError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, ImportError) as exc:
+        # ImportError: quadrature (oracle) needs scipy, which may be absent
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OverflowError as exc:

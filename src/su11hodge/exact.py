@@ -5,12 +5,23 @@ point enters only as a magnitude backend (log-Gamma) and as an independent
 numerical check (adaptive quadrature of the defining integral).  Both
 backends return ``None`` exactly when that integral has no finite value,
 decided on exact rationals: divergence is data, not an error.
+
+The quadrature is scipy's QUADPACK routine ``_qagse``, the one
+``scipy.integrate.quad`` calls on a finite interval.  Its compiled
+extension is loaded on its own, on first use: the ``scipy.integrate``
+package would also import scipy.optimize, scipy.sparse, scipy.special and
+scipy.linalg, several times the cost of the quadrature it serves.  Where
+the extension cannot be found, or QUADPACK reports trouble, ``quad``
+itself is called, so its values and its ``IntegrationWarning`` hold.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -128,21 +139,51 @@ def beta_value(a: RationalLike, b: RationalLike) -> Optional[float]:
     return math.exp(math.lgamma(af) + math.lgamma(bf) - math.lgamma(af + bf))
 
 
+_QUADPACK = "scipy.integrate._quadpack"
+
+
+@functools.cache
+def _qagse():
+    """QUADPACK's ``_qagse`` from scipy's compiled extension, or None if absent.
+
+    The extension is found in scipy's ``integrate`` directory and registered
+    under its own name, so a later ``import scipy.integrate`` reuses it.
+    """
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    module = sys.modules.get(_QUADPACK)
+    if module is None:
+        found = importlib.machinery.PathFinder.find_spec(
+            "_quadpack", [os.path.join(path, "integrate") for path in scipy.__path__])
+        if found is None:
+            return None
+        spec = importlib.util.spec_from_file_location(_QUADPACK, found.origin)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[_QUADPACK] = module  # a multi-phase extension does not register itself
+    return getattr(module, "_qagse", None)
+
+
 def _half_integral(a: float, t: float) -> float:
     # int_0^1 u^(a-1) (1+u)^(-t) du; the u^(a-1) endpoint singularity is
     # integrable for a > 0 and is resolved by the adaptive subdivision.
-    # scipy is imported here, not at module top: only the quadrature
-    # cross-checks need it, and it is most of the package's import time.
+    # The call is the one quad(f, 0, 1, epsabs=0, epsrel=1e-12, limit=400)
+    # makes, so the value is bit for bit quad's; quad itself runs only when
+    # the extension is missing or QUADPACK's status ier is not 0.
+    def f(u: float) -> float:
+        return u ** (a - 1.0) * (1.0 + u) ** (-t)
+
+    qagse = _qagse()
+    if qagse is not None:
+        value, _, ier = qagse(f, 0.0, 1.0, (), 0, 0.0, 1e-12, 400)
+        if ier == 0:
+            return value
     from scipy.integrate import quad
 
-    value, _ = quad(
-        lambda u: u ** (a - 1.0) * (1.0 + u) ** (-t),
-        0.0,
-        1.0,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=400,
-    )
+    value, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
     return value
 
 

@@ -91,10 +91,12 @@ def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Option
     reduction points.  The one 0/0 configuration, n = -1/2 at lam = 0,
     lies on the reducible PS(0, odd), whose ambient values are all poles.
     """
-    n = HalfInt.of(n)
+    # at lam = p/q, with t1 = 2n + 1, the ratio is (q t1 + p) / (p - q t1)
+    t1 = HalfInt.of(n).twice + 1
     lam = Fraction(lam)
-    denominator = lam - 1 - n.twice
-    return (n.twice + lam + 1) / denominator if denominator else None
+    p, q = lam.numerator, lam.denominator
+    denominator = p - q * t1
+    return Fraction(q * t1 + p, denominator) if denominator else None
 
 
 @dataclass(frozen=True)

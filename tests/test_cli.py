@@ -2,11 +2,12 @@ import contextlib
 import csv
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su11hodge import cli
+from su11hodge import cli, exact
 from su11hodge.modules import CheckResult
 
 
@@ -101,6 +102,17 @@ def test_oracle_json(capsys):
     assert data["pass"] is True
     assert data["max_rel_err"] <= 1e-8
     assert len(data["grid"]) == 25
+
+
+def test_oracle_without_scipy_is_an_error(monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    exact._qagse.cache_clear()
+    try:
+        code, out, err = run(capsys, "oracle")
+    finally:
+        exact._qagse.cache_clear()
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_out_file(tmp_path, capsys):

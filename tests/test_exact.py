@@ -1,13 +1,18 @@
+import importlib.machinery
+import json
 import math
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import su11hodge
+from su11hodge import exact
+from su11hodge.cli import ORACLE_GRID
 from su11hodge.exact import (
     HalfInt,
     Sign,
@@ -78,6 +83,75 @@ def test_backends_share_the_divergence_contract(s, t):
     assert (beta_value(s, t - s) is None) is divergent
     if divergent:
         assert quadrature_integral(s, t) is None
+
+
+def _quad_halves(s, t):
+    # the same two halves through scipy's public quad, with the warnings it raised
+    from scipy.integrate import quad
+
+    total = 0.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for a in (float(s), float(t - s)):
+            total += quad(lambda u: u ** (a - 1.0) * (1.0 + u) ** (-float(t)), 0.0, 1.0,
+                          epsabs=0.0, epsrel=1e-12, limit=400)[0]
+    return total, [w.category for w in caught]
+
+
+def _recorded(s, t):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = quadrature_integral(s, t)
+    return value, [w.category for w in caught]
+
+
+def _with_oracle_grid(test):
+    for s, t in ORACLE_GRID:
+        test = example(s + 1, t - s)(example(s, t - s)(test))
+    return test
+
+
+@_with_oracle_grid
+@settings(deadline=None)  # the first example imports scipy.integrate for quad
+@given(st.fractions(0, 8, max_denominator=64).filter(bool),
+       st.fractions(0, 40, max_denominator=64).filter(bool))
+def test_quadrature_is_bit_identical_to_quad(s, d):
+    # QUADPACK is called directly with quad's own arguments: the same float,
+    # and quad's IntegrationWarning wherever quad raises one
+    assert _recorded(s, s + d) == _quad_halves(s, s + d)
+
+
+@pytest.fixture
+def fresh_loader():
+    exact._qagse.cache_clear()
+    yield
+    exact._qagse.cache_clear()
+
+
+def test_quadrature_falls_back_to_quad_when_quadpack_reports_trouble(monkeypatch, fresh_loader):
+    from scipy.integrate import IntegrationWarning
+
+    quadpack = sys.modules["scipy.integrate._quadpack"]
+    real = quadpack._qagse
+
+    def troubled(*args):
+        value, error, _ = real(*args)
+        return value, error, 2  # QUADPACK's "roundoff error detected"
+
+    monkeypatch.setattr(quadpack, "_qagse", troubled)
+    with pytest.warns(IntegrationWarning):
+        value = quadrature_integral(Fraction(3, 2), 3)
+    assert (value, [IntegrationWarning] * 2) == _quad_halves(Fraction(3, 2), 3)
+
+
+def test_quadrature_falls_back_to_quad_without_the_extension(monkeypatch, fresh_loader):
+    import scipy.integrate  # noqa: F401  (quad's own copy of the extension stays loaded)
+
+    monkeypatch.delitem(sys.modules, "scipy.integrate._quadpack")
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec",
+                        classmethod(lambda cls, *args, **kwargs: None))
+    assert exact._qagse() is None
+    assert _recorded(Fraction(3, 2), 3) == _quad_halves(Fraction(3, 2), 3)
 
 
 GRID = [
@@ -206,13 +280,27 @@ def test_sign_negation():
     assert -Sign.POLE is Sign.POLE
 
 
+_FRESH_ORACLE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import su11hodge, su11hodge.cli
+imported = "scipy" in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    code = su11hodge.cli.main(["oracle"])
+heavy = ["scipy.integrate", "scipy.optimize", "scipy.sparse", "scipy.special", "scipy.linalg"]
+loaded = [name for name in heavy if name in sys.modules]
+registered = "scipy.integrate._quadpack" in sys.modules
+from scipy.integrate import quad  # reuses the extension the oracle loaded
+shared = quad.__globals__["_quadpack"]._qagse is su11hodge.exact._qagse()
+print(json.dumps([imported, code, loaded, registered, shared]))
+"""
+
+
 def test_import_does_not_load_scipy():
-    # scipy is needed only by the quadrature cross-checks, which import it
-    # on first use; a fresh interpreter shows what a CLI call pays for
+    # scipy is needed only by the quadrature cross-checks, which load its
+    # QUADPACK extension alone on first use; a fresh interpreter shows what
+    # a CLI call pays for, and that quad later calls the same extension
     src = str(Path(su11hodge.__file__).resolve().parents[1])
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import su11hodge, su11hodge.cli; "
-            "print('scipy.integrate' in sys.modules)")
-    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+    out = subprocess.run([sys.executable, "-c", _FRESH_ORACLE, src], capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout) == [False, 0, [], True, True]
