@@ -10,7 +10,6 @@ Cartan involution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -21,11 +20,9 @@ from .filtrations import hodge_level, w1_member
 from .forms import _table, diagonal_sign
 from .modules import (
     _require_bound,
-    _lattice,
     BasisVector,
     ModuleSpec,
     Parity,
-    PointModule,
     PrincipalSeries,
     basis_window,
     constituents,
@@ -150,32 +147,24 @@ def jantzen_crossing(
 
 
 def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
-    """Exact definiteness of the noncompact-form on the whole basis.
+    """Exact definiteness of the noncompact-form on the whole basis, in O(1).
 
-    Point modules have constant positive signs.  On a principal series the
-    Hodge level grows by exactly one per step outside the convergence
-    strip while the involution sign alternates, so the sign sequence is
-    constant on both tails; scanning past the last level jump therefore
-    decides the infinite basis exactly.  ``bound`` (>= 0) may widen the
-    scanned window but cannot change the verdict.
+    k steps out on the side 2n >= 0, (theta v, v) has the sign
+    (-1)^k (-1)^max(0, k - j0) (see ``forms``), on the side 2n < 0 that
+    times (-1)^(2 n0).  So it is positive definite (a point module always)
+    if j0 = 0 or the lattice ends at k = 0, and no index is negative and
+    odd; else indefinite.  ``bound`` (>= 0) cannot change the verdict.
     """
     if bound is not None:
         _require_bound(bound)
     if spec.reducible:
         raise ValueError(f"{spec} is reducible; classify its constituents instead")
-    # past the convergence strip (a W1 window that wide is all of W1)
-    tail_start = (2 if isinstance(spec, PointModule)
-                  else math.ceil((spec.base.lam + 1) / 2) + 1)
-    scan = max(bound or 0, tail_start)
-    # (theta v, v) = (-1)^(n - n0) (v, v), off the sign walk (no pole on an
-    # irreducible module)
-    sign, ref = _table(spec).sign, spec.lattice[0]
-    signs = {(-1 if (tw - ref) // 2 % 2 else 1) * sign(tw)
-             for tw in _lattice(spec, -2 * scan, 2 * scan)}
-    if signs == {1}:
+    r, lowest, highest = spec.lattice
+    reach = _table(spec).turn[0]
+    if highest is not None:
+        reach = min(reach, (highest - r) // 2)
+    if reach == 0 and not (r and (lowest is None or lowest < 0)):
         return Definiteness.POS_DEF
-    if signs == {-1}:
-        return Definiteness.NEG_DEF
     return Definiteness.INDEFINITE
 
 

@@ -167,6 +167,14 @@ def _qagse():
     return getattr(module, "_qagse", None)
 
 
+def _attach() -> None:
+    # ``import scipy.integrate`` after the loader reuses the extension but
+    # sets no attribute for it: bind it, never importing the package
+    package, module = sys.modules.get("scipy.integrate"), sys.modules.get(_QUADPACK)
+    if package is not None and module is not None:
+        vars(package).setdefault("_quadpack", module)
+
+
 def _half_integral(a: float, t: float) -> float:
     # int_0^1 u^(a-1) (1+u)^(-t) du; the u^(a-1) endpoint singularity is
     # integrable for a > 0 and is resolved by the adaptive subdivision.
@@ -177,12 +185,14 @@ def _half_integral(a: float, t: float) -> float:
         return u ** (a - 1.0) * (1.0 + u) ** (-t)
 
     qagse = _qagse()
+    _attach()
     if qagse is not None:
         value, _, ier = qagse(f, 0.0, 1.0, (), 0, 0.0, 1e-12, 400)
         if ier == 0:
             return value
     from scipy.integrate import quad
 
+    _attach()
     value, _ = quad(f, 0.0, 1.0, epsabs=0.0, epsrel=1e-12, limit=400)
     return value
 

@@ -11,40 +11,33 @@ parts continues it beyond the strip through the exact one-step ratio
 
     V(n+1) / V(n) = (2n + lam + 1) / (lam - 1 - 2n),
 
-whose denominator vanishes exactly at the reduction points.  All signs and
-ratios are products of these rational steps anchored at the reference
-vector (n = 0 even, 1/2 odd); the float magnitude is |ratio| times the
-reference Beta value and never participates in a sign decision.
-
-A pole of the continuation and a divergent integral are the same fact,
-no finite value: every ratio and magnitude here is then ``None``, and its
-sign ``Sign.POLE``.
+whose denominator vanishes exactly at the reduction points.  Ratios are
+products of these rational steps anchored at the reference vector (n = 0
+even, 1/2 odd); the float magnitude is |ratio| times the reference Beta
+value and never decides a sign.  A pole of the continuation and a
+divergent integral are the same fact: the ratio and magnitude are then
+``None``, the sign ``Sign.POLE``.
 
 On point modules the diagonal values are the closed form
 
     P(k) = (-1)^k k! (m+1)(m+2)...(m+k)    (exact integers),
 
-anchored at P(0) = 1, and continued by the integer step
-P(k+1) = -(k+1)(m+k+1) P(k).  The noncompact-form-invariant values are
-obtained by twisting with the diagonal Cartan involution signs.
+with P(k+1) = -(k+1)(m+k+1) P(k).  The noncompact-form-invariant values
+twist these by the diagonal Cartan involution signs.
 
-Each module keeps one exact table of these products on the module object
-itself (a W1 submodule shares its ambient series' table).  The values are
-even in n, V(-n) = V(n), since the Beta integral is symmetric in its two
-arguments (and point modules have no negative indices), so the table is
-one-sided: it grows outward from the reference index to |n|, one step per
-new |n|, whatever order the indices are asked for in.  A window sweep of
-bound B therefore costs about B steps instead of the O(B^2) of walking
-from the reference for every vector, and the reference Beta value is
-computed once per module.
+Each module keeps one exact table of the products on the module object
+(a W1 shares its series' table).  V(-n) = V(n), as the Beta integral is
+symmetric, so the table grows outward to |n|, one step per new |n|: a
+window of bound B costs about B steps and one reference Beta value.
 
-The table walks the same steps twice.  Form values read the exact
-``Fraction`` products; invariance on its fixed sample compares their
-numerators and denominators as cross-multiplied integers.  Verdicts (the
-sign law, Jantzen, definiteness) read only the product of the step signs,
-decided by integer comparisons: at lam = p/q the step at n >= 0 has the
-positive numerator q(2n + 1) + p, so its sign is that of p - q(2n + 1)
-(a pole where that is zero); every point-module step is negative.
+Signs need no walk.  At lam = p/q the step at n >= 0 has the numerator
+q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1): positive for the
+first j0 = max(0, ceil((p - q(1 + r)) / 2q)) steps out (r = 2 n0),
+negative after.  So k steps out (v, v) has the sign (-1)^max(0, k - j0),
+a pole past a zero step q(r + 2 j0 + 1) = p (only on a reducible
+series); on a point module j0 = 0.  Verdicts (the sign law, Jantzen,
+definiteness) read this closed form, form values the table, and
+invariance the integer steps (q t1 + p, p - q t1).
 """
 
 from __future__ import annotations
@@ -135,72 +128,54 @@ def _series_step(ref_twice: int, lam: Fraction, k: int) -> Optional[Fraction]:
     return continuation_ratio(HalfInt(ref_twice + 2 * k), lam)
 
 
-def _series_sign(ref_twice: int, p: int, q: int, k: int) -> Optional[int]:
-    """Sign of V(n0+k+1) / V(n0+k) on PS(p/q), +1 or -1 (None at a pole)."""
-    denominator = p - q - q * (ref_twice + 2 * k)
-    if not denominator:
-        return None
-    return 1 if denominator > 0 else -1
-
-
 def _point_step(m: int, k: int) -> int:
     """P(k+1) / P(k) = -(k+1)(m+k+1) on a point module."""
     return -(k + 1) * (m + k + 1)
 
 
-def _point_sign(k: int) -> int:
-    """Sign of P(k+1) / P(k): every point-module step is negative."""
-    return -1
-
-
-def _walk(entries: dict, step, k: int):
-    """Entry k of a product walk, each entry its predecessor times ``step(j)``."""
-    # the keys are always 0..len-1, since an entry is added only after its
-    # predecessor, so the walk resumes at the last one
-    j = len(entries) - 1
-    if k <= j:
-        return entries[k]
-    value = entries[j]
-    while j < k:
-        factor = None if value is None else step(j)
-        value = None if factor is None else value * factor
-        j += 1
-        entries[j] = value
-    return value
-
-
 class _Table:
     """Exact diagonal values of one module relative to its reference vector.
 
-    The values are even in n, V(-n) = V(n) (point modules have no negative
-    indices), so the table is one-sided: ``_ratios[k]`` is the value at
-    |n| = n0 + k, k steps out from the reference index n0, and
-    ``_signs[k]`` its sign, +1 or -1; both are None at a pole and at every
-    index past one.  Each walk takes a step chosen at construction (a
-    partial of a module function, so a used spec still pickles); entries
-    are only ever added, each from its predecessor, so concurrent callers
-    can at worst compute the same entry twice.
+    ``_ratios[k]`` is the value at |n| = n0 + k, None at and past a pole,
+    added once from its predecessor (concurrent callers at worst compute
+    one twice) by a module function's partial, so a used spec pickles.
+    ``sign`` reads only ``turn``: j0 and whether step j0 is a pole.
     """
 
-    __slots__ = ("_ref_twice", "_step", "_sign_step", "_ratios", "_signs", "magnitude")
+    __slots__ = ("_ref_twice", "_step", "_ratios", "turn", "magnitude")
 
     def __init__(self, spec: "PrincipalSeries | PointModule"):
-        ref_twice = self._ref_twice = reference_index(spec).twice
+        r = self._ref_twice = reference_index(spec).twice
         if isinstance(spec, PointModule):
-            self._step, self._sign_step = partial(_point_step, spec.m), _point_sign
+            self._step, self.turn = partial(_point_step, spec.m), (0, False)
         else:
             lam = spec.lam
-            self._step = partial(_series_step, ref_twice, lam)
-            self._sign_step = partial(_series_sign, ref_twice, lam.numerator, lam.denominator)
+            self._step = partial(_series_step, r, lam)
+            p, q = lam.numerator, lam.denominator
+            j0 = max(0, -((q * (1 + r) - p) // (2 * q)))
+            self.turn = j0, q * (r + 2 * j0 + 1) == p
         self._ratios = {0: Fraction(1)}
-        self._signs = {0: 1}
         self.magnitude: Optional[float] = None  # reference magnitude, set on first use
 
     def ratio(self, twice: int) -> Optional[Fraction]:
-        return _walk(self._ratios, self._step, (abs(twice) - self._ref_twice) // 2)
+        ratios, k = self._ratios, (abs(twice) - self._ref_twice) // 2
+        # the keys are 0..len-1, so the walk resumes at the last
+        j = len(ratios) - 1
+        value = ratios[min(j, k)]
+        while j < k:
+            factor = None if value is None else self._step(j)
+            value = None if factor is None else value * factor
+            j += 1
+            ratios[j] = value
+        return value
 
     def sign(self, twice: int) -> Optional[int]:
-        return _walk(self._signs, self._sign_step, (abs(twice) - self._ref_twice) // 2)
+        """(-1)^max(0, k - j0) k steps out, None past a pole."""
+        j0, pole = self.turn
+        k = (abs(twice) - self._ref_twice) // 2
+        if k <= j0:
+            return 1
+        return None if pole else -1 if (k - j0) % 2 else 1
 
 
 def _table(spec: ModuleSpec) -> _Table:
@@ -252,7 +227,7 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
 
 
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
-    """Exact sign of (v, v) (Sign.POLE at a pole) from the step signs alone."""
+    """Exact sign of (v, v) (Sign.POLE at a pole), from the closed form."""
     require_member(v, spec)
     if spec.reducible:
         return Sign.POLE
@@ -288,37 +263,43 @@ def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
     return value
 
 
+def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:
+    """V(u) / V(u - 1) at 2u = twice as integers: the step between |u - 1|
+    and |u| upward from the smaller, inverted when that is |u|, 1 if equal."""
+    a, b = abs(twice), abs(twice - 2)
+    if a == b:
+        return 1, 1
+    low = min(a, b)
+    if spec.codim:
+        up = _point_step(spec.m, low // 2), 1
+    else:
+        p, q = spec.base.lam.numerator, spec.base.lam.denominator
+        up = q * (low + 1) + p, p - q * (low + 1)  # as in ``continuation_ratio``
+    return up if a > b else up[::-1]
+
+
 def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
+    if spec.reducible and vectors:
+        _u_ratio(vectors[0], spec)  # raises: every ambient value is a pole
     failures = []
-    E, H, F = _step_memo(spec, _step)
-    ratios = [_u_ratio(v, spec) for v in vectors]  # a pole raises at the first one
-    uratio = {v.index.twice: (r.numerator, r.denominator) for v, r in zip(vectors, ratios)}
-    gratio = {v.index.twice: (theta_sign(v, spec) * r.numerator, r.denominator)
-              for v, r in zip(vectors, ratios)}
-
-    def pair(step, u: int, w: int, table) -> Tuple[int, int]:
-        # (gen u, w) as (numerator, denominator); gen u is a multiple of one basis vector
-        n, d, shift = step[u]
-        if u + 2 * shift != w:
-            return 0, 1
-        wn, wd = table[w]
-        return n * wn, d * wd
-
-    laws = (
-        (E, F, 1, uratio, "(e+u,w)=(u,e-w)"),
-        (H, H, 1, uratio, "(hu,w)=(u,hw)"),
-        (E, F, -1, gratio, "(e+u,w)=-(u,e-w)"),
-    )
+    E, _, F = _step_memo(spec, _step)
+    theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
     for v in vectors:
         u = v.index.twice
-        neighbors = [w for w in (u - 2, u, u + 2) if w in uratio]
-        for gen_l, gen_r, flip, table, law in laws:
-            for w in neighbors:
-                ln, ld = pair(gen_l, u, w, table)
-                rn, rd = pair(gen_r, w, u, table)
-                if ln * rd != flip * rn * ld:
-                    failures.append(f"{law} fails at u={v}, w={BasisVector(HalfInt(w))}: "
-                                    f"{Fraction(ln, ld)} != {Fraction(flip * rn, rd)}")
+        en, ed, shift = E[u]
+        w = u + 2 * shift  # e+ u lies on v[w], e- v[w] on u
+        if w not in theta:
+            continue
+        fn, fd, _ = F[w]
+        sn, sd = _u_step(spec, u) if w < u else _u_step(spec, w)[::-1]  # V(u) / V(w)
+        for flip, tu, tw, law in ((1, 1, 1, "(e+u,w)=(u,e-w)"),
+                                  (-1, theta[u], theta[w], "(e+u,w)=-(u,e-w)")):
+            # c(u) t(w) V(w) = flip c'(w) t(u) V(u), divided by V(w) != 0
+            if en * tw * fd * sd != flip * tu * fn * ed * sn:
+                wv = BasisVector(HalfInt(w))
+                failures.append(f"{law} fails at u={v}, w={wv}: "
+                                f"{Fraction(en, ed) * tw * _u_ratio(wv, spec)} != "
+                                f"{Fraction(flip * fn, fd) * tu * _u_ratio(v, spec)}")
     return failures
 
 
@@ -330,10 +311,10 @@ def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
 
     A generator moves an index by at most one step and all pairings reduce
     to the diagonal, so a pair (u, w) can only violate a law when w is u
-    or a neighbor of u.  The only non-trivial one, at (u, u - 1), is
-    c(u) V(u-1) = c'(u-1) V(u): cross-multiplied by the table step it is a
-    polynomial identity in the index on either side of the fold
-    V(-n) = V(n), decided as in ``modules._decide``.  On a reducible
-    series it raises ValueError at the first pole.
+    or a neighbor of u.  h is diagonal, so its law holds termwise; the
+    others only bind where e+ u lands on w, say c(u) V(u-1) = c'(u-1) V(u).
+    Over V(u-1), cross-multiplied by the integer step, that is a polynomial
+    identity in the index on either side of the fold V(-n) = V(n), decided
+    as in ``modules._decide``.  On a reducible series it raises ValueError.
     """
     return _decide(spec, bound, _invariance_failures)

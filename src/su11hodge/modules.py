@@ -47,16 +47,16 @@ and the lowest and highest 2n (None: no limit), whose least |2n| is the
 reference index; and ``coefficients``, the formulas above as one integer
 polynomial of degree <= 2 in t = 2n plus a shift per generator, over one
 integer denominator per module (2q on PS(p/q), 4 on a point module),
-built once per module, so that a coefficient costs integer arithmetic and
-one division.  A new family is a class with these facts; only rules
-where the open orbit and a point differ (Hodge levels, the diagonal step,
-the reference magnitude, the definiteness tail) still test the type.
-The bracket and theta checks read each coefficient once, as an integer
-numerator and denominator, and compare their laws cross-multiplied.
+built once per module.  A new family is a class with these facts; only
+rules where the open orbit and a point differ (Hodge levels, the
+diagonal step, the reference magnitude) still test the type.  The three
+checks on one module read each coefficient once, as an integer numerator
+and denominator, and compare their laws cross-multiplied.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -380,8 +380,8 @@ def _decide(spec: ModuleSpec, bound: int,
     Each ``_step`` coefficient is a polynomial of degree <= 2 in the index
     and each shift is constant, so each bracket and theta law at v is a
     polynomial identity of degree <= 4 in the index.  So is each invariance
-    law on either side of the fold V(-n) = V(n), once cross-multiplied by
-    the table step, a ratio of polynomials of degree <= 2.  Such an identity
+    law on either side of the fold V(-n) = V(n), cross-multiplied by the
+    integer continuation step, a ratio of degree <= 2.  Such an identity
     holds on the whole lattice when it holds at five consecutive indices
     (on each side of the fold).  The sample has them: the lattice indices
     within six steps of the reference (k = 0..6 on a point module).  When
@@ -411,12 +411,29 @@ class _Memo(dict):
         return value
 
 
+class _Held(tuple):
+    """(step, e+, h and e- memos) on a spec, pickled as ``()``."""
+
+    def __reduce__(self):
+        return tuple, ()
+
+
 def _step_memo(spec: ModuleSpec, step: Callable) -> Tuple[_Memo, ...]:
-    """``step`` (a ``_step``) for e+, h, e-: 2n -> (numerator, denominator, shift), once each."""
-    def parts(gen: Generator, twice: int) -> Tuple[int, int, int]:
-        coefficient, shift = step(gen, BasisVector(HalfInt(twice)), spec)
-        return coefficient.numerator, coefficient.denominator, shift
-    return tuple(_Memo(partial(parts, gen)) for gen in Generator)
+    """``step`` (a ``_step``) for e+, h, e-: 2n -> (numerator, denominator, shift), once each.
+
+    Kept on the spec for that step, so the checks on one module share them;
+    they reach the spec by a weak reference, so no cycle keeps it alive.
+    """
+    held = vars(spec).get("_step_memo")
+    if not held or held[0] is not step:
+        ref = weakref.ref(spec)
+
+        def parts(gen: Generator, twice: int) -> Tuple[int, int, int]:
+            coefficient, shift = step(gen, BasisVector(HalfInt(twice)), ref())
+            return coefficient.numerator, coefficient.denominator, shift
+        held = vars(spec)["_step_memo"] = _Held(
+            (step, *(_Memo(partial(parts, gen)) for gen in Generator)))
+    return held[1:]
 
 
 def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:

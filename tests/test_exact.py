@@ -304,3 +304,24 @@ def test_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", _FRESH_ORACLE, src], capture_output=True,
                          text=True, check=True, timeout=60)
     assert json.loads(out.stdout) == [False, 0, [], True, True]
+
+
+_FRESH_ATTRIBUTE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from su11hodge.exact import quadrature_integral
+first = quadrature_integral(1, 2)  # loads the extension alone
+import scipy.integrate
+registered = sys.modules["scipy.integrate._quadpack"]
+again = quadrature_integral(1, 2)  # a later quadrature binds the package attribute
+print(json.dumps([first == again, scipy.integrate._quadpack is registered]))
+"""
+
+
+def test_later_quadrature_binds_the_quadpack_attribute():
+    # the extension is loaded before scipy.integrate, which then reuses it
+    # without setting scipy.integrate._quadpack; the next quadrature sets it
+    src = str(Path(su11hodge.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", _FRESH_ATTRIBUTE, src], capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert json.loads(out.stdout) == [True, True]

@@ -2,14 +2,20 @@
 
 ``bracket_check``, ``theta_check`` and ``invariance_check`` compare their
 laws as cross-multiplied integer numerators, and ``definiteness`` reads the
-table's sign walk.  The reference functions here evaluate the same laws
+closed-form signs.  The reference functions here evaluate the same laws
 the plain way, as products and differences of ``Fraction`` coefficients
 and form ratios, one ``_step``, ``theta_sign`` or ``_u_ratio`` call per
 use, and must give the same failure lines in the same order, the same
-``CheckResult`` and the same errors.  A counter test pins that each check
-reads every coefficient and every theta sign once.
+``CheckResult`` and the same errors.  Counter tests pin that each check
+reads every theta sign once, and that the three checks on one module
+together read every coefficient once.
 """
 
+import gc
+import pickle
+import sys
+import threading
+import weakref
 from collections import Counter
 from fractions import Fraction
 
@@ -269,3 +275,57 @@ def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
         assert bool(signs) == (check is not bracket_check)
         monkeypatch.undo()
 
+
+
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)
+@pytest.mark.parametrize("run", [
+    lambda check, failures, spec: check(spec, 7),
+    lambda check, failures, spec: failures(spec, basis_window(spec, 7)),
+], ids=["check", "window"])
+def test_the_checks_on_one_module_share_their_coefficients(monkeypatch, spec, run):
+    steps = Counter()
+    step = counting(steps, modules._step, lambda gen, v, spec: (gen, v.index.twice))
+    monkeypatch.setattr(modules, "_step", step)
+    monkeypatch.setattr(forms, "_step", step)
+    for check, failures, _ in CHECKS:
+        assert run(check, failures, spec) in (CheckResult(True), [])
+    assert steps and max(steps.values()) == 1
+
+
+def test_a_checked_spec_is_freed_without_the_collector_and_pickles():
+    spec = PrincipalSeries(Fraction(7, 1009), Parity.ODD)
+    results = [check(spec, 7) for check, _, _ in CHECKS]
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and [check(copy, 7) for check, _, _ in CHECKS] == results
+    gc.disable()
+    try:
+        alive = weakref.ref(spec)
+        del spec
+        assert alive() is None  # no reference cycle runs through the spec
+    finally:
+        gc.enable()
+
+
+def test_threads_sharing_a_spec_agree():
+    # concurrent checks may build a memo twice or fill one entry twice; every
+    # result must still be the single-threaded one
+    expected = {check: check(PointModule(2, Orbit.AT_ZERO), 9) for check, _, _ in CHECKS}
+    spec, results = PointModule(2, Orbit.AT_ZERO), []
+
+    def worker(i):
+        for j in range(20):
+            check = CHECKS[(i + j) % 3][0]
+            results.append(check(spec, 9) == expected[check])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 160 and all(results)

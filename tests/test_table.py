@@ -69,7 +69,7 @@ def check_entry(ps, twice: int):
     else:
         expected = reference_walk(twice, ps.lam, ps.parity.twice_residue)
         assert table_ratio(ps, twice) == expected
-        # the sign walk, which public functions read only off the poles
+        # the closed-form sign, which public functions read only off the poles
         assert Sign.of(forms._table(ps).sign(twice)) is Sign.of(expected)
 
 
@@ -171,7 +171,7 @@ def specs_with_bounds(draw):
 def test_diagonal_sign_matches_form_values(spec_bound):
     spec, bound = spec_bound
     window = basis_window(spec, bound)
-    signs = [diagonal_sign(v, spec) for v in window]  # the sign walk first
+    signs = [diagonal_sign(v, spec) for v in window]  # the closed-form signs first
     assert signs == [form_diagonal(v, spec).sign for v in window]
 
 
