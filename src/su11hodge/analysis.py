@@ -46,7 +46,6 @@ __all__ = [
 
 class Definiteness(Enum):
     POS_DEF = "PosDef"
-    NEG_DEF = "NegDef"
     INDEFINITE = "Indefinite"
 
 
@@ -192,7 +191,8 @@ def classify(lam: RationalLike, parity: Parity) -> ClassificationReport:
     Every constituent here is hermitian for structural reasons: the Cartan
     involution is inner and fixes all three orbits and their local
     systems, so both invariant forms exist.  Unitary means the noncompact
-    form is definite of either sign.
+    form is definite; it is positive at the reference vector, so positive
+    definite.
     """
     lam = Fraction(lam)
     ps = PrincipalSeries(lam, parity)

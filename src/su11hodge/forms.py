@@ -52,8 +52,7 @@ from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
     _decide,
     _lattice,
-    _step,
-    _step_memo,
+    _steps,
     BasisVector,
     CheckResult,
     ModuleSpec,
@@ -282,7 +281,7 @@ def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[s
     if spec.reducible and vectors:
         _u_ratio(vectors[0], spec)  # raises: every ambient value is a pole
     failures = []
-    E, _, F = _step_memo(spec, _step)
+    E, _, F = _steps(spec)
     theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
     for v in vectors:
         u = v.index.twice

@@ -49,14 +49,13 @@ polynomial of degree <= 2 in t = 2n plus a shift per generator, over one
 integer denominator per module (2q on PS(p/q), 4 on a point module),
 built once per module.  A new family is a class with these facts; only
 rules where the open orbit and a point differ (Hodge levels, the
-diagonal step, the reference magnitude) still test the type.  The three
-checks on one module read each coefficient once, as an integer numerator
-and denominator, and compare their laws cross-multiplied.
+diagonal step, the reference magnitude) still test the type.  Each check
+reads each coefficient once, as an integer numerator and denominator, and
+compares its laws cross-multiplied.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -179,7 +178,7 @@ class PointModule:
     lattice = (0, 0, None)  # k = n >= 0
 
     def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 0:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValueError(f"point module twist must be an integer >= 0, got {self.m}")
 
     @property
@@ -282,22 +281,19 @@ def reference_index(spec: ModuleSpec) -> HalfInt:
     return HalfInt(spec.lattice[0])
 
 
-def _step(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Tuple[RationalLike, int]:
-    """The single term of gen . v as (coefficient, index shift).
+def _step(spec: ModuleSpec, gen: Generator, twice: int) -> Tuple[int, int, int]:
+    """The single term of gen . v_n as (numerator, denominator, shift), twice = 2n.
 
     Every generator sends a basis vector to a rational multiple of one
-    basis vector: the coefficient is the module's integer polynomial of
-    degree <= 2 in t = 2n, divided once by the module's denominator (an
-    ``int`` when that division is exact, else a ``Fraction``), and the
-    shift is -1, 0 or +1.  Membership of v is not checked.
+    basis vector: numerator / denominator times v_{n + shift}.  The
+    numerator is the module's integer polynomial of degree <= 2 in t and
+    the denominator the module's own (> 0), not reduced, so callers
+    compare cross-multiplied or build a ``Fraction``; the shift is -1, 0
+    or +1.  Membership of v_n is not checked.
     """
     denominator, polynomials = spec.coefficients
     a0, a1, a2, shift = polynomials[gen]
-    t = v.index.twice
-    value = a0 + t * (a1 + t * a2)
-    if value % denominator:
-        return Fraction(value, denominator), shift
-    return value // denominator, shift
+    return a0 + twice * (a1 + twice * a2), denominator, shift
 
 
 def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, Fraction]:
@@ -310,8 +306,8 @@ def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, F
     submodule is action-stable).
     """
     require_member(v, spec)
-    coefficient, shift = _step(gen, v, spec)
-    return {BasisVector(v.index + shift): Fraction(coefficient)} if coefficient else {}
+    n, d, shift = _step(spec, gen, v.index.twice)
+    return {BasisVector(v.index + shift): Fraction(n, d)} if n else {}
 
 
 def theta_sign(v: BasisVector, spec: ModuleSpec) -> int:
@@ -362,7 +358,8 @@ def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
     """Exact h-eigenvalue of a basis vector (always an integer)."""
     require_member(v, spec)
-    return int(_step(Generator.H, v, spec)[0])
+    n, d, _ = _step(spec, Generator.H, v.index.twice)
+    return n // d
 
 
 @dataclass(frozen=True)
@@ -377,18 +374,20 @@ def _decide(spec: ModuleSpec, bound: int,
             failures: Callable[[ModuleSpec, List[BasisVector]], List[str]]) -> CheckResult:
     """Decide the laws behind ``failures`` on every index, listing window failures.
 
-    Each ``_step`` coefficient is a polynomial of degree <= 2 in the index
-    and each shift is constant, so each bracket and theta law at v is a
-    polynomial identity of degree <= 4 in the index.  So is each invariance
-    law on either side of the fold V(-n) = V(n), cross-multiplied by the
-    integer continuation step, a ratio of degree <= 2.  Such an identity
+    Each ``_step`` numerator is a polynomial of degree <= 2 in the index
+    over a constant denominator and each shift is constant, so each bracket
+    and theta law at v is a polynomial identity of degree <= 4 in the
+    index.  So is each invariance law on either side of the fold
+    V(-n) = V(n), cross-multiplied by the integer continuation step, a
+    ratio of degree <= 2.  Such an identity
     holds on the whole lattice when it holds at five consecutive indices
     (on each side of the fold).  The sample has them: the lattice indices
     within six steps of the reference (k = 0..6 on a point module).  When
     every law holds there the result is ok; otherwise, or with no sample
     (W1 is finite, a reducible series has poles), the window of ``bound``
     is swept and its failures listed.  ``failures`` compares cross-multiplied
-    integers and builds a ``Fraction`` only to print a value.
+    integers, so an unreduced denominator gives the same verdict, and builds
+    a ``Fraction`` only to print a value.
     """
     _require_bound(bound)
     ref, _, highest = spec.lattice
@@ -411,34 +410,14 @@ class _Memo(dict):
         return value
 
 
-class _Held(tuple):
-    """(step, e+, h and e- memos) on a spec, pickled as ``()``."""
-
-    def __reduce__(self):
-        return tuple, ()
-
-
-def _step_memo(spec: ModuleSpec, step: Callable) -> Tuple[_Memo, ...]:
-    """``step`` (a ``_step``) for e+, h, e-: 2n -> (numerator, denominator, shift), once each.
-
-    Kept on the spec for that step, so the checks on one module share them;
-    they reach the spec by a weak reference, so no cycle keeps it alive.
-    """
-    held = vars(spec).get("_step_memo")
-    if not held or held[0] is not step:
-        ref = weakref.ref(spec)
-
-        def parts(gen: Generator, twice: int) -> Tuple[int, int, int]:
-            coefficient, shift = step(gen, BasisVector(HalfInt(twice)), ref())
-            return coefficient.numerator, coefficient.denominator, shift
-        held = vars(spec)["_step_memo"] = _Held(
-            (step, *(_Memo(partial(parts, gen)) for gen in Generator)))
-    return held[1:]
+def _steps(spec: ModuleSpec) -> List[_Memo]:
+    """``_step`` for e+, h, e-: 2n -> (numerator, denominator, shift), once each per call."""
+    return [_Memo(partial(_step, spec, gen)) for gen in Generator]
 
 
 def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    E, H, F = _step_memo(spec, _step)
+    E, H, F = _steps(spec)
 
     def compose(a: _Memo, b: _Memo, tw: int) -> Tuple[int, int]:
         # a . (b . v) at its single target index, as (numerator, denominator)
@@ -474,7 +453,7 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
 
 def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    E, H, F = _step_memo(spec, _step)
+    E, H, F = _steps(spec)
     theta = _Memo(lambda tw: theta_sign(BasisVector(HalfInt(tw)), spec))
     laws = ((E, -1, "theta e+ theta != -e+"), (F, -1, "theta e- theta != -e-"),
             (H, 1, "theta h theta != h"))

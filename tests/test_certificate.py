@@ -74,12 +74,13 @@ def perturbed_step(gen, poly):
     """``_step`` with the polynomial ``poly`` in the index added to gen's coefficient."""
     exact = modules._step
 
-    def step(g, v, spec):
-        coefficient, shift = exact(g, v, spec)
+    def step(spec, g, twice):
+        num, den, shift = exact(spec, g, twice)
         if g is gen:
-            n = v.index.as_fraction
-            coefficient = coefficient + poly[0] + poly[1] * n + poly[2] * n * n
-        return coefficient, shift
+            n = Fraction(twice, 2)
+            coefficient = Fraction(num, den) + poly[0] + poly[1] * n + poly[2] * n * n
+            num, den = coefficient.numerator, coefficient.denominator
+        return num, den, shift
 
     return step
 
@@ -93,7 +94,6 @@ def test_perturbed_coefficient_fails_the_same_way_on_both_paths(spec, bound, gen
     with pytest.MonkeyPatch.context() as mp:
         step = perturbed_step(gen, poly)
         mp.setattr(modules, "_step", step)
-        mp.setattr(forms, "_step", step)
         for check, failures in CHECKS.values():
             assert outcome(check, spec, bound) == outcome(sweep, failures, spec, bound)
 
@@ -117,7 +117,6 @@ def test_perturbation_is_listed_on_the_window(monkeypatch, name, gen, poly, spec
     # reference, so a sample of three indices there would miss it
     step = perturbed_step(gen, poly(spec))
     monkeypatch.setattr(modules, "_step", step)
-    monkeypatch.setattr(forms, "_step", step)
     check, failures = CHECKS[name]
     report = check(spec, 7)
     assert report == sweep(failures, spec, 7)
@@ -155,9 +154,9 @@ def lattice(spec, count):
 @pytest.mark.parametrize("spec", FAMILIES, ids=str)
 def test_step_coefficients_have_degree_at_most_two(spec):
     for gen in Generator:
-        terms = [modules._step(gen, v, spec) for v in lattice(spec, 30)]
-        assert len({shift for _, shift in terms}) == 1
-        assert not any(differences([Fraction(c) for c, _ in terms], 3))
+        terms = [modules._step(spec, gen, v.index.twice) for v in lattice(spec, 30)]
+        assert len({shift for _, _, shift in terms}) == 1
+        assert not any(differences([Fraction(n, d) for n, d, _ in terms], 3))
 
 
 def rank(rows) -> int:

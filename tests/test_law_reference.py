@@ -7,8 +7,8 @@ the plain way, as products and differences of ``Fraction`` coefficients
 and form ratios, one ``_step``, ``theta_sign`` or ``_u_ratio`` call per
 use, and must give the same failure lines in the same order, the same
 ``CheckResult`` and the same errors.  Counter tests pin that each check
-reads every theta sign once, and that the three checks on one module
-together read every coefficient once.
+reads every coefficient and every theta sign once, and that the checks
+leave no state on the module beyond its cached facts.
 """
 
 import gc
@@ -17,7 +17,9 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,7 +55,9 @@ E, H, F = Generator.E_PLUS, Generator.H, Generator.E_MINUS
 # the three laws in Fraction arithmetic, read through the patchable sources
 
 def step(gen, v, spec):
-    return modules._step(gen, v, spec)
+    """(coefficient, shift) of gen . v, the coefficient as a ``Fraction``."""
+    n, d, shift = modules._step(spec, gen, v.index.twice)
+    return Fraction(n, d), shift
 
 
 def compose(a, b, v, spec):
@@ -111,7 +115,7 @@ def reference_invariance_failures(spec, vectors):
     gratio = {v: forms.theta_sign(v, spec) * uratio[v] for v in vectors}
 
     def pair(gen, u, w, table):
-        coefficient, shift = forms._step(gen, u, spec)
+        coefficient, shift = step(gen, u, spec)
         return Fraction(coefficient) * table[w] if u.index + shift == w.index else Fraction(0)
 
     laws = ((E, F, 1, uratio, "(e+u,w)=(u,e-w)"), (H, H, 1, uratio, "(hu,w)=(u,hw)"),
@@ -161,12 +165,13 @@ def perturbed_step(gen, poly):
     """``_step`` with the polynomial ``poly`` in the index added to gen's coefficient."""
     exact = modules._step
 
-    def perturbed(g, v, spec):
-        coefficient, shift = exact(g, v, spec)
+    def perturbed(spec, g, twice):
+        num, den, shift = exact(spec, g, twice)
         if g is gen:
-            n = v.index.as_fraction
-            coefficient = coefficient + poly[0] + poly[1] * n + poly[2] * n * n
-        return coefficient, shift
+            n = Fraction(twice, 2)
+            coefficient = Fraction(num, den) + poly[0] + poly[1] * n + poly[2] * n * n
+            num, den = coefficient.numerator, coefficient.denominator
+        return num, den, shift
 
     return perturbed
 
@@ -193,7 +198,6 @@ def test_checks_match_the_fraction_reference(spec, bound, perturbation):
     with pytest.MonkeyPatch.context() as mp:
         perturbed = perturbed_step(*perturbation)
         mp.setattr(modules, "_step", perturbed)
-        mp.setattr(forms, "_step", perturbed)
         assert_same_as_reference(spec, bound)
 
 
@@ -203,7 +207,6 @@ def test_reference_sees_a_perturbation():
     with pytest.MonkeyPatch.context() as mp:
         perturbed = perturbed_step(F, (0, 0, Fraction(1, 3)))
         mp.setattr(modules, "_step", perturbed)
-        mp.setattr(forms, "_step", perturbed)
         for check, _, reference in CHECKS[::2]:  # theta signs do not see sizes
             report = check(spec, 3)
             assert not report.ok
@@ -220,9 +223,8 @@ def test_definiteness_matches_per_vector_signs(spec, bound):
     window = basis_window(spec, max(bound or 0, int(tail)))
     signs = {diagonal_sign(v, spec) if modules.theta_sign(v, spec) == 1
              else -diagonal_sign(v, spec) for v in window}
-    expected = {frozenset({Sign.POSITIVE}): Definiteness.POS_DEF,
-                frozenset({Sign.NEGATIVE}): Definiteness.NEG_DEF}.get(
-                    frozenset(signs), Definiteness.INDEFINITE)
+    assert signs != {Sign.NEGATIVE}  # the reference vector's value is positive
+    expected = Definiteness.POS_DEF if signs == {Sign.POSITIVE} else Definiteness.INDEFINITE
     assert definiteness(spec, bound) is expected
 
 
@@ -262,9 +264,8 @@ def counting(calls, fn, key):
 def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
     for check, failures, _ in CHECKS:
         steps, signs = Counter(), Counter()
-        step = counting(steps, modules._step, lambda gen, v, spec: (gen, v.index.twice))
+        step = counting(steps, modules._step, lambda spec, gen, twice: (gen, twice))
         monkeypatch.setattr(modules, "_step", step)
-        monkeypatch.setattr(forms, "_step", step)
         theta = counting(signs, modules.theta_sign, lambda v, spec: v.index.twice)
         monkeypatch.setattr(modules, "theta_sign", theta)
         monkeypatch.setattr(forms, "theta_sign", theta)
@@ -282,14 +283,12 @@ def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
     lambda check, failures, spec: check(spec, 7),
     lambda check, failures, spec: failures(spec, basis_window(spec, 7)),
 ], ids=["check", "window"])
-def test_the_checks_on_one_module_share_their_coefficients(monkeypatch, spec, run):
-    steps = Counter()
-    step = counting(steps, modules._step, lambda gen, v, spec: (gen, v.index.twice))
-    monkeypatch.setattr(modules, "_step", step)
-    monkeypatch.setattr(forms, "_step", step)
+def test_the_checks_leave_only_the_cached_facts_on_a_module(spec, run):
     for check, failures, _ in CHECKS:
         assert run(check, failures, spec) in (CheckResult(True), [])
-    assert steps and max(steps.values()) == 1
+    cached = {name for name in ("reducible", "lattice", "coefficients")
+              if isinstance(vars(type(spec)).get(name), cached_property)}
+    assert set(vars(spec)) == {f.name for f in fields(spec)} | cached
 
 
 def test_a_checked_spec_is_freed_without_the_collector_and_pickles():
@@ -307,8 +306,8 @@ def test_a_checked_spec_is_freed_without_the_collector_and_pickles():
 
 
 def test_threads_sharing_a_spec_agree():
-    # concurrent checks may build a memo twice or fill one entry twice; every
-    # result must still be the single-threaded one
+    # concurrent checks may compute a cached fact twice; every result must
+    # still be the single-threaded one
     expected = {check: check(PointModule(2, Orbit.AT_ZERO), 9) for check, _, _ in CHECKS}
     spec, results = PointModule(2, Orbit.AT_ZERO), []
 

@@ -81,6 +81,13 @@ def test_point_module_validation():
     assert PointModule(0, Orbit.AT_INFINITY).codim == 1
 
 
+@pytest.mark.parametrize("m", [True, False, 1.0, Fraction(1)], ids=repr)
+def test_point_module_twist_must_be_an_int(m):
+    # True == 1, but a bool twist would print and serialise as a bool
+    with pytest.raises(ValueError, match=f"integer >= 0, got {m}"):
+        PointModule(m, Orbit.AT_ZERO)
+
+
 def test_w1sub_validation():
     with pytest.raises(ValueError):
         W1Sub(PS(2, Parity.EVEN))  # irreducible
@@ -245,9 +252,9 @@ def test_bracket_check_reports_failures(monkeypatch):
     # shifts kept, breaks [h,e+] and [e+,e-] on a point module
     exact = modules._step
 
-    def squared(gen, u, spec):
-        k = u.index.twice // 2
-        return exact(gen, BasisVector(HalfInt(2 * k * k)), spec)[0], exact(gen, u, spec)[1]
+    def squared(spec, gen, twice):
+        k = twice // 2
+        return (*exact(spec, gen, 2 * k * k)[:2], exact(spec, gen, twice)[2])
 
     monkeypatch.setattr(modules, "_step", squared)
     report = bracket_check(PointModule(1, Orbit.AT_ZERO), 3)
@@ -320,7 +327,9 @@ def test_step_matches_the_docstring_formulas(spec, j):
     members = basis_window(spec, j + 1)
     for u in {members[0], members[len(members) // 2], members[-1]}:
         for gen in Generator:
-            assert modules._step(gen, u, spec) == docstring_step(gen, u.index.as_fraction, spec)
+            n, d, shift = modules._step(spec, gen, u.index.twice)
+            assert all(type(x) is int for x in (n, d, shift)) and d > 0
+            assert (Fraction(n, d), shift) == docstring_step(gen, u.index.as_fraction, spec)
 
 
 @pytest.mark.parametrize("dim", range(1, 13))
@@ -331,7 +340,8 @@ def test_w1_reads_every_fact_but_the_lattice_from_its_base(dim):
     assert len(members) == dim
     for u in members:
         for gen in Generator:
-            assert modules._step(gen, u, w1) == modules._step(gen, u, w1.base)
+            assert modules._step(w1, gen, u.index.twice) == modules._step(w1.base, gen,
+                                                                           u.index.twice)
         assert hodge_level(u, w1) == hodge_level(u, w1.base)
         # the ambient value is a pole at a reduction point; the table entry is not
         assert diagonal_sign(u, w1) is Sign.of(forms._table(w1.base).ratio(u.index.twice))

@@ -212,7 +212,6 @@ def test_window_sweeps_cost_one_step_per_index(monkeypatch):
 def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
     steps = _Counter(modules._step)
     monkeypatch.setattr(modules, "_step", steps)
-    monkeypatch.setattr(forms, "_step", steps)
     for check in (bracket_check, theta_check, invariance_check):
         calls = []
         for bound in (10, 10_000):
