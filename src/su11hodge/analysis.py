@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exact import RationalLike, Sign
-from .filtrations import hodge_level, w1_member
+from .filtrations import hodge_level
 from .forms import _table, diagonal_sign
 from .modules import (
     _require_bound,
@@ -24,7 +24,9 @@ from .modules import (
     ModuleSpec,
     Parity,
     PrincipalSeries,
+    W1Sub,
     basis_window,
+    belongs,
     constituents,
     is_reduction_point,
 )
@@ -81,10 +83,13 @@ def verify_conjecture(spec: ModuleSpec, bound: int) -> ConjectureReport:
     """
     records = []
     a = spec.codim
+    # the closed form ``diagonal_sign`` reads; the window vectors are members
+    table = None if spec.reducible else _table(spec)
     for v in basis_window(spec, bound):
         p = hodge_level(v, spec)
         expected = Sign.POSITIVE if (p - a) % 2 == 0 else Sign.NEGATIVE
-        records.append(ConjectureRecord(v, p, a, diagonal_sign(v, spec), expected))
+        sign = Sign.POLE if table is None else Sign.of(table.sign(v.index.twice))
+        records.append(ConjectureRecord(v, p, a, sign, expected))
     return ConjectureReport(spec, bound, tuple(records))
 
 
@@ -132,6 +137,7 @@ def jantzen_crossing(
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     below = PrincipalSeries(lambda0 - epsilon, parity)
     above = PrincipalSeries(lambda0 + epsilon, parity)
+    w1 = W1Sub(PrincipalSeries(lambda0, parity))
     records = []
     for v in basis_window(below, bound):
         records.append(
@@ -139,7 +145,7 @@ def jantzen_crossing(
                 v,
                 diagonal_sign(v, below),
                 diagonal_sign(v, above),
-                w1_member(v, lambda0, parity),
+                belongs(v, w1),
             )
         )
     return JantzenReport(lambda0, parity, epsilon, bound, tuple(records))

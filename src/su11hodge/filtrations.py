@@ -29,7 +29,9 @@ from .modules import (
     Parity,
     PointModule,
     PrincipalSeries,
+    W1Sub,
     basis_window,
+    belongs,
     h_weight,
     is_reduction_point,
     require_member,
@@ -92,8 +94,9 @@ def filtration_table(spec: ModuleSpec, bound: int) -> List[FiltrationReport]:
     vector reports w1_member = True; likewise on point modules.
     """
     rows = []
+    w1 = W1Sub(spec) if spec.reducible and spec.lam else None  # PS(0, odd) has no W1
     for v in basis_window(spec, bound):
-        in_w1 = w1_member(v, spec.lam, spec.parity) if spec.reducible else True
+        in_w1 = belongs(v, w1) if w1 else not spec.reducible
         rows.append(FiltrationReport(v, hodge_level(v, spec), in_w1))
     return rows
 

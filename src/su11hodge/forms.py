@@ -28,7 +28,10 @@ twist these by the diagonal Cartan involution signs.
 Each module keeps one exact table of the products on the module object
 (a W1 shares its series' table).  V(-n) = V(n), as the Beta integral is
 symmetric, so the table grows outward to |n|, one step per new |n|: a
-window of bound B costs about B steps and one reference Beta value.
+window of bound B costs about B steps and one reference Beta value.  It
+also keeps each FormValue, built once per |n| (at worst twice by
+concurrent callers, equal), except on a reducible series: its values are
+poles, and its W1 shares the table.
 
 Signs need no walk.  At lam = p/q the step at n >= 0 has the numerator
 q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1): positive for the
@@ -46,7 +49,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
@@ -136,12 +139,15 @@ class _Table:
     """Exact diagonal values of one module relative to its reference vector.
 
     ``_ratios[k]`` is the value at |n| = n0 + k, None at and past a pole,
-    added once from its predecessor (concurrent callers at worst compute
-    one twice) by a module function's partial, so a used spec pickles.
-    ``sign`` reads only ``turn``: j0 and whether step j0 is a pole.
+    added once from its predecessor by a module function's partial, so a
+    used spec pickles.  ``values[|2n|]`` is the ``FormValue`` that
+    ``form_diagonal`` built there, never a pole: a reducible series, whose
+    table its W1 shares, skips it.  Concurrent callers at worst compute an
+    entry of either twice, with equal results.  ``sign`` reads only
+    ``turn``: j0 and whether step j0 is a pole.
     """
 
-    __slots__ = ("_ref_twice", "_step", "_ratios", "turn", "magnitude")
+    __slots__ = ("_ref_twice", "_step", "_ratios", "turn", "magnitude", "values")
 
     def __init__(self, spec: "PrincipalSeries | PointModule"):
         r = self._ref_twice = reference_index(spec).twice
@@ -154,6 +160,7 @@ class _Table:
             j0 = max(0, -((q * (1 + r) - p) // (2 * q)))
             self.turn = j0, q * (r + 2 * j0 + 1) == p
         self._ratios = {0: Fraction(1)}
+        self.values: Dict[int, FormValue] = {}
         self.magnitude: Optional[float] = None  # reference magnitude, set on first use
 
     def ratio(self, twice: int) -> Optional[Fraction]:
@@ -190,14 +197,6 @@ def _table(spec: ModuleSpec) -> _Table:
     return table
 
 
-def _ratio(v: BasisVector, spec: ModuleSpec) -> Optional[Fraction]:
-    """Exact (v, v) relative to the reference value, None at a pole."""
-    require_member(v, spec)
-    if spec.reducible:
-        return None
-    return _table(spec).ratio(v.index.twice)
-
-
 def _magnitude(spec: ModuleSpec) -> Optional[float]:
     table = _table(spec)
     if table.magnitude is None:
@@ -218,11 +217,19 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
 
     On a reducible principal series the module-level pairing is well
     defined only on the constituents, so every ambient value reports a
-    pole; evaluate on W1Sub or the point modules instead.
+    pole; evaluate on W1Sub or the point modules instead.  Built once per |n|.
     """
-    ratio, ref_mag = _ratio(v, spec), _magnitude(spec)
-    magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
-    return FormValue(Sign.of(ratio), ratio, magnitude, ref_mag)
+    require_member(v, spec)
+    if spec.reducible:
+        return FormValue(Sign.POLE, None, None, _magnitude(spec))
+    table, twice = _table(spec), abs(v.index.twice)
+    value = table.values.get(twice)
+    if value is None:
+        ratio, ref_mag = table.ratio(twice), _magnitude(spec)
+        magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
+        value = FormValue(Sign.of(ratio), ratio, magnitude, ref_mag)
+        value = table.values.setdefault(twice, value)
+    return value
 
 
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
@@ -256,7 +263,9 @@ def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:
 
 
 def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
-    value = _ratio(v, spec)
+    """Exact (v, v) relative to the reference value; ValueError at a pole."""
+    require_member(v, spec)
+    value = None if spec.reducible else _table(spec).ratio(v.index.twice)
     if value is None:
         raise ValueError(f"form has a pole at {v} on {spec}")
     return value

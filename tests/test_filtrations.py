@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from su11hodge.analysis import jantzen_crossing
 from su11hodge.filtrations import (
     FiltrationReport,
     filtration_table,
@@ -190,6 +191,21 @@ def test_filtration_table_reducible_marks_w1():
 def test_filtration_table_irreducible_collapses():
     assert all(r.w1_member for r in filtration_table(PS(2), 4))
     assert all(r.w1_member for r in filtration_table(PointModule(1, Orbit.AT_ZERO), 4))
+
+
+@pytest.mark.parametrize("lam0", [0, 1, 2, 3, 4, 7, 10, 13])
+@pytest.mark.parametrize("bound", [0, 1, 6, 20])
+def test_window_w1_membership_matches_w1_member(lam0, bound):
+    # lam0 of either parity of the integer, each at its reducible parity;
+    # PS(0, odd) has an empty W1
+    parity = Parity.EVEN if lam0 % 2 else Parity.ODD
+    rows = filtration_table(PS(lam0, parity), bound)
+    assert [r.w1_member for r in rows] == [w1_member(r.vector, lam0, parity) for r in rows]
+    if lam0:
+        for epsilon in (Fraction(1, 4), Fraction(2, 5)):
+            records = jantzen_crossing(lam0, parity, epsilon, bound).records
+            assert [r.w1 for r in records] == [w1_member(r.vector, lam0, parity)
+                                               for r in records]
 
 
 # ---------------------------------------------------------------------------

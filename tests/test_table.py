@@ -1,5 +1,6 @@
 """The per-module diagonal table against an independent step-by-step product."""
 
+import pickle
 import sys
 import threading
 from fractions import Fraction
@@ -27,6 +28,7 @@ from su11hodge.modules import (
     bracket_check,
     constituents,
     theta_check,
+    theta_sign,
 )
 
 
@@ -195,18 +197,68 @@ class _Counter:
 def test_window_sweeps_cost_one_step_per_index(monkeypatch):
     steps = _Counter(forms.continuation_ratio)
     magnitudes = _Counter(forms.reference_magnitude)
+    built = _Counter(forms.FormValue)
     monkeypatch.setattr(forms, "continuation_ratio", steps)
     monkeypatch.setattr(forms, "reference_magnitude", magnitudes)
+    monkeypatch.setattr(forms, "FormValue", built)
     ps = PrincipalSeries(Fraction(1, 2), Parity.EVEN)
     bound = 60
     window = basis_window(ps, bound)
     verify_conjecture(ps, bound)
     invariance_check(ps, bound)
+    compact = {}
     for v in window:
-        form_diagonal(v, ps)
-        gR_form_diagonal(v, ps)
+        compact.setdefault(abs(v.index.twice), []).append(form_diagonal(v, ps))
+        noncompact = gR_form_diagonal(v, ps)
+        if theta_sign(v, ps) == 1:
+            assert noncompact is compact[abs(v.index.twice)][0]
     assert steps.calls == bound  # one step per |n| past the reference
     assert magnitudes.calls == 1
+    # one value per |n|, read back for -n and by gR_form_diagonal, which
+    # builds only its negation where theta is -1
+    negations = sum(theta_sign(v, ps) == -1 for v in window)
+    assert built.calls == bound + 1 + negations
+    assert all(value is values[0] for values in compact.values() for value in values)
+    verify_conjecture(ps, bound)
+    assert built.calls == bound + 1 + negations  # verdicts build no value
+
+
+def test_value_memo_holds_no_pole():
+    # a W1 shares its reducible base's table: in either query order the base
+    # reports poles uncached and the W1 its own values
+    for lam0 in (1, 2, 5, 8):
+        parity = reducible_parity(lam0)
+        for base_first in (True, False):
+            ps = PrincipalSeries(Fraction(lam0), parity)
+            w1 = W1Sub(ps)
+            for spec in ((ps, w1) if base_first else (w1, ps)):
+                for v in basis_window(spec, lam0 + 3):
+                    form_diagonal(v, spec)
+                    gR_form_diagonal(v, spec)
+            fresh = W1Sub(PrincipalSeries(Fraction(lam0), parity))
+            for v in basis_window(w1, lam0):
+                assert form_diagonal(v, w1) == form_diagonal(v, fresh)
+                assert gR_form_diagonal(v, w1) == gR_form_diagonal(v, fresh)
+                assert form_diagonal(v, w1).ratio_to_reference == reference_walk(
+                    v.index.twice, ps.lam, parity.twice_residue)
+            assert all(form_diagonal(v, ps).sign is Sign.POLE
+                       for v in basis_window(ps, lam0 + 3))
+            values = forms._table(ps).values
+            assert sorted(values) == [abs(v.index.twice) for v in basis_window(w1, lam0)
+                                      if v.index.twice >= 0]
+            assert all(value.sign is not Sign.POLE for value in values.values())
+
+
+def test_a_used_spec_pickles_with_equal_values():
+    for spec in (PrincipalSeries(Fraction(9, 5), Parity.ODD), PointModule(3, Orbit.AT_ZERO),
+                 W1Sub(PrincipalSeries(Fraction(6), Parity.ODD))):
+        window = basis_window(spec, 20)
+        compact = [form_diagonal(v, spec) for v in window]
+        noncompact = [gR_form_diagonal(v, spec) for v in window]
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec
+        assert [form_diagonal(v, copy) for v in window] == compact
+        assert [gR_form_diagonal(v, copy) for v in window] == noncompact
 
 
 def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
@@ -273,3 +325,38 @@ def test_concurrent_queries_agree_with_reference():
     expected = {**{("ratio", t): r for t, r in ratios.items()},
                 **{("sign", t): Sign.of(r) for t, r in ratios.items()}}
     assert all(r == expected for r in results)
+
+
+def test_threads_sharing_a_spec_read_one_value_per_index():
+    # concurrent form queries may build a value twice; every caller must
+    # still read the single-threaded value, and the one the table keeps
+    def sweep(spec, order, kind):
+        query = form_diagonal if kind else gR_form_diagonal
+        return {t: query(BasisVector(HalfInt(t)), spec) for t in order}
+
+    indices = [2 * n + 1 for n in range(-60, 60)]
+    expected = [sweep(PrincipalSeries(Fraction(17, 7), Parity.ODD), indices, kind)
+                for kind in (0, 1)]
+    ps = PrincipalSeries(Fraction(17, 7), Parity.ODD)
+    orders = [indices, indices[::-1], sorted(indices, key=abs), indices[1::2] + indices[::2]]
+    results = [None] * 8
+
+    def worker(i):
+        results[i] = sweep(ps, orders[i % 4], i % 2)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert all(results[i] == expected[i % 2] for i in range(8))
+    kept = forms._table(ps).values
+    assert sorted(kept) == sorted({abs(t) for t in indices})
+    for found in results[1::2]:  # the form_diagonal sweeps
+        assert all(value is kept[abs(t)] for t, value in found.items())
