@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .exact import RationalLike, Sign
-from .filtrations import hodge_level
+from .filtrations import _levels
 from .forms import _table, diagonal_sign
 from .modules import (
     _require_bound,
@@ -85,8 +85,9 @@ def verify_conjecture(spec: ModuleSpec, bound: int) -> ConjectureReport:
     a = spec.codim
     # the closed form ``diagonal_sign`` reads; the window vectors are members
     table = None if spec.reducible else _table(spec)
+    level = _levels(spec)
     for v in basis_window(spec, bound):
-        p = hodge_level(v, spec)
+        p = level(v.index.twice)
         expected = Sign.POSITIVE if (p - a) % 2 == 0 else Sign.NEGATIVE
         sign = Sign.POLE if table is None else Sign.of(table.sign(v.index.twice))
         records.append(ConjectureRecord(v, p, a, sign, expected))

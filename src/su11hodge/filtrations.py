@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .exact import RationalLike
 from .modules import (
@@ -49,15 +49,20 @@ __all__ = [
 ]
 
 
-def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
-    """Smallest p with v in F_p, by the pole-order / derivative-order rule."""
-    require_member(v, spec)
-    if isinstance(spec, PointModule):
-        return v.index.twice // 2 + 1
+def _levels(spec: ModuleSpec) -> Callable[[int], int]:
+    """The Hodge level of v_n on ``spec`` as a function of 2n, membership unchecked."""
+    if spec.codim:
+        return lambda twice: twice // 2 + 1
     lam = spec.base.lam
     p, q = lam.numerator, lam.denominator
     # ceil(a / b) = -(-a // b) with a = q|2n| - p - q and b = 2q > 0
-    return max(0, -((p + q - q * abs(v.index.twice)) // (2 * q)))
+    return lambda twice: max(0, -((p + q - q * abs(twice)) // (2 * q)))
+
+
+def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
+    """Smallest p with v in F_p, by the pole-order / derivative-order rule."""
+    require_member(v, spec)
+    return _levels(spec)(v.index.twice)
 
 
 def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:
@@ -72,7 +77,7 @@ def hodge_dim(spec: ModuleSpec, p: int) -> int:
     """Number of basis vectors with hodge_level <= p (finite for every p)."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    if isinstance(spec, PointModule):
+    if spec.codim:
         return p
     hi = math.floor(spec.base.lam + 1 + 2 * p)  # level <= p iff |2n| <= lam + 1 + 2p
     return len(_lattice(spec, -hi, hi))
@@ -95,9 +100,10 @@ def filtration_table(spec: ModuleSpec, bound: int) -> List[FiltrationReport]:
     """
     rows = []
     w1 = W1Sub(spec) if spec.reducible and spec.lam else None  # PS(0, odd) has no W1
+    level = _levels(spec)  # the window vectors are members
     for v in basis_window(spec, bound):
         in_w1 = belongs(v, w1) if w1 else not spec.reducible
-        rows.append(FiltrationReport(v, hodge_level(v, spec), in_w1))
+        rows.append(FiltrationReport(v, level(v.index.twice), in_w1))
     return rows
 
 

@@ -25,13 +25,17 @@ On point modules the diagonal values are the closed form
 with P(k+1) = -(k+1)(m+k+1) P(k).  The noncompact-form-invariant values
 twist these by the diagonal Cartan involution signs.
 
-Each module keeps one exact table of the products on the module object
-(a W1 shares its series' table).  V(-n) = V(n), as the Beta integral is
-symmetric, so the table grows outward to |n|, one step per new |n|: a
-window of bound B costs about B steps and one reference Beta value.  It
-also keeps each FormValue, built once per |n| (at worst twice by
-concurrent callers, equal), except on a reducible series: its values are
-poles, and its W1 shares the table.
+Each module value has one exact table of the products: every live spec
+equal to it (and a W1 of it) keeps the same table on the module object,
+found through a weak registry keyed by the integers the table is made of,
+(p, q, 2 n0) at lam = p/q and m on a point module, whose orbit does not
+enter P(k).  The table lives as long as some such spec does.  V(-n) =
+V(n), as the Beta integral is symmetric, so the table grows outward to
+|n|, one step per new |n|: a window of bound B costs about B steps and
+one reference Beta value, shared by fresh equal specs.  It also keeps
+each FormValue and, where theta is -1, its negation, built once per |n|
+(at worst twice by concurrent callers, equal), except on a reducible
+series: its values are poles, and its W1 shares the table.
 
 Signs need no walk.  At lam = p/q the step at n >= 0 has the numerator
 q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1): positive for the
@@ -46,6 +50,7 @@ invariance the integer steps (q t1 + p, p - q t1).
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -136,18 +141,21 @@ def _point_step(m: int, k: int) -> int:
 
 
 class _Table:
-    """Exact diagonal values of one module relative to its reference vector.
+    """Exact diagonal values of one module value relative to its reference vector.
 
-    ``_ratios[k]`` is the value at |n| = n0 + k, None at and past a pole,
-    added once from its predecessor by a module function's partial, so a
-    used spec pickles.  ``values[|2n|]`` is the ``FormValue`` that
-    ``form_diagonal`` built there, never a pole: a reducible series, whose
-    table its W1 shares, skips it.  Concurrent callers at worst compute an
-    entry of either twice, with equal results.  ``sign`` reads only
-    ``turn``: j0 and whether step j0 is a pole.
+    Shared by every live equal spec and its W1 (see ``_table``), and freed
+    with the last of them.  ``_ratios[k]`` is the value at |n| = n0 + k,
+    None at and past a pole, added once from its predecessor by a module
+    function's partial, so a used spec pickles.  ``values[|2n|]`` is the
+    ``FormValue`` that ``form_diagonal`` built there and ``negated[|2n|]``
+    its negation, which ``gR_form_diagonal`` reads where theta is -1; never
+    a pole: a reducible series, whose table its W1 shares, skips both.
+    Concurrent callers at worst compute an entry twice, with equal results.
+    ``sign`` reads only ``turn``: j0 and whether step j0 is a pole.
     """
 
-    __slots__ = ("_ref_twice", "_step", "_ratios", "turn", "magnitude", "values")
+    __slots__ = ("_ref_twice", "_step", "_ratios", "turn", "magnitude", "values",
+                 "negated", "__weakref__")
 
     def __init__(self, spec: "PrincipalSeries | PointModule"):
         r = self._ref_twice = reference_index(spec).twice
@@ -161,6 +169,7 @@ class _Table:
             self.turn = j0, q * (r + 2 * j0 + 1) == p
         self._ratios = {0: Fraction(1)}
         self.values: Dict[int, FormValue] = {}
+        self.negated: Dict[int, FormValue] = {}
         self.magnitude: Optional[float] = None  # reference magnitude, set on first use
 
     def ratio(self, twice: int) -> Optional[Fraction]:
@@ -184,16 +193,30 @@ class _Table:
         return None if pole else -1 if (k - j0) % 2 else 1
 
 
+# module value -> its table, held only by the specs that keep it
+_TABLES: "weakref.WeakValueDictionary[object, _Table]" = weakref.WeakValueDictionary()
+
+
 def _table(spec: ModuleSpec) -> _Table:
-    """The module's diagonal table, created on first use and kept on the spec.
+    """The module's diagonal table, found or created on first use and kept on the spec.
 
     It lives in the instance dictionary, outside the dataclass fields, so
     equality, hashing and repr are untouched; W1 shares its base's table.
+    Equal specs share it through ``_TABLES``, keyed by its integers: m on a
+    point module, (p, q, 2 n0) at lam = p/q.
     """
     owner = spec.base
     table = vars(owner).get("_diagonal_table")
     if table is None:
-        table = vars(owner).setdefault("_diagonal_table", _Table(owner))
+        if owner.codim:
+            key = owner.m
+        else:
+            lam = owner.lam
+            key = lam.numerator, lam.denominator, owner.lattice[0]
+        table = _TABLES.get(key)
+        if table is None:
+            table = _TABLES.setdefault(key, _Table(owner))
+        table = vars(owner).setdefault("_diagonal_table", table)
     return table
 
 
@@ -241,13 +264,21 @@ def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
 
 
 def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
-    """Noncompact-form-invariant diagonal value (theta v, v), exact."""
-    base = form_diagonal(v, spec)
-    if base.ratio_to_reference is None or theta_sign(v, spec) == 1:
-        return base
-    # |float(-r)| = |float(r)|, so the magnitude is the compact one
-    return FormValue(-base.sign, -base.ratio_to_reference, base.magnitude,
-                     base.reference_magnitude)
+    """Noncompact-form-invariant diagonal value (theta v, v), exact.
+
+    The compact value negated where theta is -1, built once per |n|.
+    """
+    base = form_diagonal(v, spec)  # checks membership
+    twice = v.index.twice
+    if base.ratio_to_reference is None or not (twice - spec.lattice[0]) // 2 % 2:
+        return base  # a pole, or theta is 1 (as in ``theta_sign``)
+    negated = _table(spec).negated
+    value = negated.get(abs(twice))
+    if value is None:
+        # |float(-r)| = |float(r)|, so the magnitude is the compact one
+        value = negated.setdefault(abs(twice), FormValue(
+            -base.sign, -base.ratio_to_reference, base.magnitude, base.reference_magnitude))
+    return value
 
 
 def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:

@@ -1,8 +1,11 @@
 """The per-module diagonal table against an independent step-by-step product."""
 
+import dataclasses
+import gc
 import pickle
 import sys
 import threading
+import weakref
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
@@ -10,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from su11hodge import forms, modules
 from su11hodge.analysis import classify, definiteness, jantzen_crossing, verify_conjecture
 from su11hodge.exact import HalfInt, Sign
+from su11hodge.filtrations import hodge_level
 from su11hodge.forms import (
     diagonal_sign,
     form_diagonal,
@@ -194,44 +198,134 @@ class _Counter:
         return self.fn(*args)
 
 
+def fresh_table(spec):
+    """The spec's table, asserted unused: only the reference ratio and no values.
+
+    Equal specs share one table, so a count is only true on a module value
+    that no other live spec has used.
+    """
+    table = forms._table(spec)
+    assert table._ratios == {0: 1} and table.magnitude is None
+    assert not table.values and not table.negated
+    return table
+
+
+def count_forms(monkeypatch):
+    """Counters on the continuation steps, reference magnitudes and built values."""
+    counters = []
+    for name in ("continuation_ratio", "reference_magnitude", "FormValue"):
+        counters.append(_Counter(getattr(forms, name)))
+        monkeypatch.setattr(forms, name, counters[-1])
+    return counters
+
+
 def test_window_sweeps_cost_one_step_per_index(monkeypatch):
-    steps = _Counter(forms.continuation_ratio)
-    magnitudes = _Counter(forms.reference_magnitude)
-    built = _Counter(forms.FormValue)
-    monkeypatch.setattr(forms, "continuation_ratio", steps)
-    monkeypatch.setattr(forms, "reference_magnitude", magnitudes)
-    monkeypatch.setattr(forms, "FormValue", built)
-    ps = PrincipalSeries(Fraction(1, 2), Parity.EVEN)
+    steps, magnitudes, built = count_forms(monkeypatch)
+    ps = PrincipalSeries(Fraction(5, 11), Parity.EVEN)  # kept alive by no other test
+    fresh_table(ps)
     bound = 60
     window = basis_window(ps, bound)
     verify_conjecture(ps, bound)
     invariance_check(ps, bound)
-    compact = {}
+    compact, noncompact = {}, {}
     for v in window:
         compact.setdefault(abs(v.index.twice), []).append(form_diagonal(v, ps))
-        noncompact = gR_form_diagonal(v, ps)
+        noncompact.setdefault(abs(v.index.twice), []).append(gR_form_diagonal(v, ps))
         if theta_sign(v, ps) == 1:
-            assert noncompact is compact[abs(v.index.twice)][0]
+            assert noncompact[abs(v.index.twice)][-1] is compact[abs(v.index.twice)][0]
     assert steps.calls == bound  # one step per |n| past the reference
     assert magnitudes.calls == 1
     # one value per |n|, read back for -n and by gR_form_diagonal, which
-    # builds only its negation where theta is -1
-    negations = sum(theta_sign(v, ps) == -1 for v in window)
+    # builds its negation once per |n| where theta is -1
+    negations = len({abs(v.index.twice) for v in window if theta_sign(v, ps) == -1})
     assert built.calls == bound + 1 + negations
-    assert all(value is values[0] for values in compact.values() for value in values)
+    for values in (*compact.values(), *noncompact.values()):
+        assert all(value is values[0] for value in values)
     verify_conjecture(ps, bound)
-    assert built.calls == bound + 1 + negations  # verdicts build no value
+    for v in window:
+        gR_form_diagonal(v, ps)
+    assert built.calls == bound + 1 + negations  # verdicts and rereads build no value
+
+
+def test_a_ladder_of_fresh_equal_specs_walks_once(monkeypatch):
+    # as in a window scan: a fresh equal spec per rung, all alive together
+    steps, magnitudes, _ = count_forms(monkeypatch)
+    specs = []
+    for bound in (25, 50, 100, 200):
+        ps = PrincipalSeries(Fraction(7, 13), Parity.EVEN)  # kept alive by no other test
+        if not specs:
+            fresh_table(ps)
+        specs.append(ps)
+        verify_conjecture(ps, bound)
+        for check in (bracket_check, theta_check, invariance_check):
+            assert check(ps, bound).ok
+        for v in basis_window(ps, bound):
+            assert form_diagonal(v, ps).ratio_to_reference == table_ratio(specs[0], v.index.twice)
+            gR_form_diagonal(v, ps)
+            hodge_level(v, ps)
+    assert steps.calls == 200  # the largest bound, not 25 + 50 + 100 + 200
+    assert magnitudes.calls == 1
+    assert all(forms._table(ps) is forms._table(specs[0]) for ps in specs)
+
+
+def test_equal_point_modules_share_a_table():
+    # P(k) does not depend on the orbit, so both orbits share it too
+    for m in (0, 3, 250):
+        modules_ = [PointModule(m, orbit) for orbit in (*Orbit, *Orbit)]
+        tables = {id(forms._table(pm)) for pm in modules_}
+        assert len(tables) == 1
+        assert forms._table(PointModule(m + 1, Orbit.AT_ZERO)) is not forms._table(modules_[0])
+        for pm in modules_:
+            assert [form_diagonal(BasisVector.at(k), pm).ratio_to_reference
+                    for k in range(12)] == [point_diagonal_value(m, k) for k in range(12)]
+        # theta is (-1)^k at either orbit, so the noncompact values agree too
+        assert all(gR_form_diagonal(BasisVector.at(k), modules_[0])
+                   == gR_form_diagonal(BasisVector.at(k), modules_[1]) for k in range(12))
+
+
+def test_distinct_module_values_keep_distinct_tables():
+    specs = [PrincipalSeries(Fraction(2), Parity.EVEN), PrincipalSeries(Fraction(2), Parity.ODD),
+             PrincipalSeries(Fraction(2, 3), Parity.EVEN), PrincipalSeries(Fraction(3, 2), Parity.EVEN),
+             PointModule(2, Orbit.AT_ZERO), PointModule(3, Orbit.AT_ZERO)]
+    assert len({id(forms._table(spec)) for spec in specs}) == len(specs)
+    # Fraction(4, 6) is Fraction(2, 3): an equal spec, so the same table
+    assert forms._table(PrincipalSeries(Fraction(4, 6), Parity.EVEN)) is forms._table(specs[2])
+
+
+def test_a_table_dies_with_its_last_spec():
+    for make, key in ((lambda: PrincipalSeries(Fraction(19, 17), Parity.ODD), (19, 17, 1)),
+                      (lambda: PointModule(1_000_003, Orbit.AT_INFINITY), 1_000_003)):
+        first, second = make(), make()
+        assert key not in forms._TABLES  # no other test keeps this value alive
+        for v in basis_window(first, 8):
+            form_diagonal(v, first)
+            gR_form_diagonal(v, second)
+        assert forms._TABLES[key] is forms._table(first) is forms._table(second)
+        table = weakref.ref(forms._TABLES[key])
+        spec_ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert spec_ref() is None
+        assert key in forms._TABLES  # the second spec still keeps it
+        spec_ref = weakref.ref(second)
+        del second
+        gc.collect()
+        assert spec_ref() is None and table() is None
+        assert key not in forms._TABLES
 
 
 def test_value_memo_holds_no_pole():
-    # a W1 shares its reducible base's table: in either query order the base
-    # reports poles uncached and the W1 its own values
+    # a W1 shares its reducible base's table, and so does a fresh equal
+    # base: in either query order the base reports poles uncached and the
+    # W1 its own values
     for lam0 in (1, 2, 5, 8):
         parity = reducible_parity(lam0)
-        for base_first in (True, False):
-            ps = PrincipalSeries(Fraction(lam0), parity)
-            w1 = W1Sub(ps)
-            for spec in ((ps, w1) if base_first else (w1, ps)):
+        for base_first, fresh_base in ((True, False), (False, False), (True, True),
+                                       (False, True)):
+            w1 = W1Sub(PrincipalSeries(Fraction(lam0), parity))
+            ps = PrincipalSeries(Fraction(lam0), parity) if fresh_base else w1.base
+            assert forms._table(ps) is forms._table(w1)
+            for spec in ((ps, w1, ps) if base_first else (w1, ps, w1)):
                 for v in basis_window(spec, lam0 + 3):
                     form_diagonal(v, spec)
                     gR_form_diagonal(v, spec)
@@ -242,11 +336,14 @@ def test_value_memo_holds_no_pole():
                 assert form_diagonal(v, w1).ratio_to_reference == reference_walk(
                     v.index.twice, ps.lam, parity.twice_residue)
             assert all(form_diagonal(v, ps).sign is Sign.POLE
+                       and gR_form_diagonal(v, ps).sign is Sign.POLE
                        for v in basis_window(ps, lam0 + 3))
-            values = forms._table(ps).values
-            assert sorted(values) == [abs(v.index.twice) for v in basis_window(w1, lam0)
-                                      if v.index.twice >= 0]
-            assert all(value.sign is not Sign.POLE for value in values.values())
+            table = forms._table(ps)
+            members = [abs(v.index.twice) for v in basis_window(w1, lam0) if v.index.twice >= 0]
+            assert sorted(table.values) == members
+            assert set(table.negated) <= set(members)
+            for memo in (table.values, table.negated):
+                assert all(value.sign is not Sign.POLE for value in memo.values())
 
 
 def test_a_used_spec_pickles_with_equal_values():
@@ -259,6 +356,13 @@ def test_a_used_spec_pickles_with_equal_values():
         assert copy == spec
         assert [form_diagonal(v, copy) for v in window] == compact
         assert [gR_form_diagonal(v, copy) for v in window] == noncompact
+        # the copy extends its own table, a fresh equal spec the shared one
+        fresh = dataclasses.replace(spec)
+        assert forms._table(fresh) is forms._table(spec)
+        wider = basis_window(spec, 40)
+        assert [form_diagonal(v, copy) for v in wider] == [form_diagonal(v, fresh) for v in wider]
+        assert [gR_form_diagonal(v, copy) for v in wider] == \
+            [gR_form_diagonal(v, fresh) for v in wider]
 
 
 def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
@@ -293,6 +397,26 @@ def test_verdict_signs_build_no_float():
     assert jantzen_crossing(Fraction(1021), Parity.EVEN, Fraction(1, 4), 600).verdict
 
 
+def run_threads(worker, count: int) -> None:
+    """worker(0) .. worker(count - 1) in threads that switch as often as possible."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(count)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+
+
+def sweep(spec, order, kind):
+    query = form_diagonal if kind else gR_form_diagonal
+    return {t: query(BasisVector(HalfInt(t)), spec) for t in order}
+
+
 def test_concurrent_queries_agree_with_reference():
     ps = PrincipalSeries(Fraction(9, 5), Parity.EVEN)
     indices = [2 * n for n in range(-80, 81)]
@@ -310,17 +434,7 @@ def test_concurrent_queries_agree_with_reference():
                 found[kind, t] = query()
         results[i] = found
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(orders))]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    run_threads(worker, len(orders))
     ratios = {t: reference_walk(t, ps.lam, 0) for t in indices}
     expected = {**{("ratio", t): r for t, r in ratios.items()},
                 **{("sign", t): Sign.of(r) for t, r in ratios.items()}}
@@ -330,33 +444,40 @@ def test_concurrent_queries_agree_with_reference():
 def test_threads_sharing_a_spec_read_one_value_per_index():
     # concurrent form queries may build a value twice; every caller must
     # still read the single-threaded value, and the one the table keeps
-    def sweep(spec, order, kind):
-        query = form_diagonal if kind else gR_form_diagonal
-        return {t: query(BasisVector(HalfInt(t)), spec) for t in order}
-
     indices = [2 * n + 1 for n in range(-60, 60)]
     expected = [sweep(PrincipalSeries(Fraction(17, 7), Parity.ODD), indices, kind)
                 for kind in (0, 1)]
     ps = PrincipalSeries(Fraction(17, 7), Parity.ODD)
+    fresh_table(ps)  # the reference sweeps' specs are gone with their table
     orders = [indices, indices[::-1], sorted(indices, key=abs), indices[1::2] + indices[::2]]
     results = [None] * 8
 
     def worker(i):
         results[i] = sweep(ps, orders[i % 4], i % 2)
 
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(t.is_alive() for t in threads)
+    run_threads(worker, 8)
     assert all(results[i] == expected[i % 2] for i in range(8))
     kept = forms._table(ps).values
     assert sorted(kept) == sorted({abs(t) for t in indices})
     for found in results[1::2]:  # the form_diagonal sweeps
         assert all(value is kept[abs(t)] for t, value in found.items())
+
+
+def test_threads_building_equal_specs_read_equal_values():
+    # each thread builds its own equal spec: they find (or race to create)
+    # the shared table, and every value equals a single-threaded one
+    lam, key = Fraction(23, 19), (23, 19, 0)  # kept alive by no other test
+    indices = [2 * n for n in range(-60, 61)]
+    expected = [sweep(PrincipalSeries(lam, Parity.EVEN), indices, kind) for kind in (0, 1)]
+    gc.collect()
+    assert key not in forms._TABLES  # the reference spec is gone with its table
+    orders = [indices, indices[::-1], sorted(indices, key=abs), indices[1::2] + indices[::2]]
+    results, specs = [None] * 8, [None] * 8
+
+    def worker(i):
+        specs[i] = PrincipalSeries(lam, Parity.EVEN)
+        results[i] = sweep(specs[i], orders[i % 4], i % 2)
+
+    run_threads(worker, 8)
+    assert all(results[i] == expected[i % 2] for i in range(8))
+    assert forms._table(PrincipalSeries(lam, Parity.EVEN)) is forms._TABLES[key]
