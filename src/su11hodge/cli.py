@@ -14,6 +14,12 @@ as ``n`` in text, ``{"num", "den"}`` in JSON and ``<name>_twice`` in CSV;
 ``rational`` as ``p/q``, ``{"num", "den"}`` and ``<name>_num``,
 ``<name>_den``.  The CSV header comes from the columns, so an empty window
 still prints it.
+
+``oracle`` runs OpenBLAS single-threaded: it sets ``OPENBLAS_NUM_THREADS``
+to 1 before its first quadrature, unless the variable is already set, in
+which case the user's value wins.  OpenBLAS reads it once, when numpy
+loads; QUADPACK calls no BLAS, so the process otherwise starts a worker
+thread that only spins.  The library itself never writes the environment.
 """
 
 from __future__ import annotations
@@ -22,19 +28,20 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import classify, jantzen_crossing, verify_conjecture
 from .exact import beta_value, parse_rational, quadrature_integral
-from .filtrations import filtration_table, hodge_level
+from .filtrations import _levels, filtration_table
 from .forms import (
+    _magnitude,
     convergence_range,
     form_diagonal,
     gR_form_diagonal,
     invariance_check,
-    reference_magnitude,
 )
 from .modules import (
     ModuleSpec,
@@ -218,13 +225,14 @@ def cmd_form_table(args) -> int:
             "or evaluate the constituents"
         )
     rows = []
+    level = _levels(spec)  # the window vectors are members
     for v in basis_window(spec, args.bound):
         u = form_diagonal(v, spec)
         g = gR_form_diagonal(v, spec)
         # irreducible: the weight filtration collapses, so every vector is in W1
-        rows.append((v.index, hodge_level(v, spec), u.sign, u.ratio_to_reference,
+        rows.append((v.index, level(v.index.twice), u.sign, u.ratio_to_reference,
                      u.magnitude, g.sign, True))
-    ref_mag = reference_magnitude(spec)
+    ref_mag = _magnitude(spec)  # the table's memo, which the rows filled
     payload = {
         "command": "form-table",
         "spec": spec_to_json(spec),
@@ -325,6 +333,8 @@ ORACLE_GRID: List[Tuple[Fraction, Fraction]] = [
 
 
 def cmd_oracle(args) -> int:
+    # before numpy loads: no idle BLAS worker (see the module docstring)
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     rows = []
     for s, t in ORACLE_GRID:
         q = quadrature_integral(s, t)

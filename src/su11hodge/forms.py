@@ -32,7 +32,8 @@ found through a weak registry keyed by the integers the table is made of,
 enter P(k).  The table lives as long as some such spec does.  V(-n) =
 V(n), as the Beta integral is symmetric, so the table grows outward to
 |n|, one step per new |n|: a window of bound B costs about B steps and
-one reference Beta value, shared by fresh equal specs.  It also keeps
+one reference Beta value, shared by fresh equal specs and by unpickled
+copies, since a table pickles as its key.  It also keeps
 each FormValue and, where theta is -1, its negation, built once per |n|
 (at worst twice by concurrent callers, equal), except on a reducible
 series: its values are poles, and its W1 shares the table.
@@ -145,8 +146,9 @@ class _Table:
 
     Shared by every live equal spec and its W1 (see ``_table``), and freed
     with the last of them.  ``_ratios[k]`` is the value at |n| = n0 + k,
-    None at and past a pole, added once from its predecessor by a module
-    function's partial, so a used spec pickles.  ``values[|2n|]`` is the
+    None at and past a pole, added once from its predecessor by ``_step``.
+    A table pickles as its ``key`` (see ``_shared``), so a pickled or
+    copied spec finds the live table again.  ``values[|2n|]`` is the
     ``FormValue`` that ``form_diagonal`` built there and ``negated[|2n|]``
     its negation, which ``gR_form_diagonal`` reads where theta is -1; never
     a pole: a reducible series, whose table its W1 shares, skips both.
@@ -154,17 +156,18 @@ class _Table:
     ``sign`` reads only ``turn``: j0 and whether step j0 is a pole.
     """
 
-    __slots__ = ("_ref_twice", "_step", "_ratios", "turn", "magnitude", "values",
+    __slots__ = ("key", "_ref_twice", "_step", "_ratios", "turn", "magnitude", "values",
                  "negated", "__weakref__")
 
-    def __init__(self, spec: "PrincipalSeries | PointModule"):
-        r = self._ref_twice = reference_index(spec).twice
-        if isinstance(spec, PointModule):
-            self._step, self.turn = partial(_point_step, spec.m), (0, False)
+    def __init__(self, key: "int | Tuple[int, int, int]"):
+        self.key = key
+        if isinstance(key, int):  # a point module's m; its reference is k = 0
+            self._ref_twice = 0
+            self._step, self.turn = partial(_point_step, key), (0, False)
         else:
-            lam = spec.lam
-            self._step = partial(_series_step, r, lam)
-            p, q = lam.numerator, lam.denominator
+            p, q, r = key
+            self._ref_twice = r
+            self._step = partial(_series_step, r, Fraction(p, q))
             j0 = max(0, -((q * (1 + r) - p) // (2 * q)))
             self.turn = j0, q * (r + 2 * j0 + 1) == p
         self._ratios = {0: Fraction(1)}
@@ -192,9 +195,19 @@ class _Table:
             return 1
         return None if pole else -1 if (k - j0) % 2 else 1
 
+    def __reduce__(self):
+        # a copy of a spec (pickled or deep-copied) joins the live table
+        return _shared, (self.key,)
+
 
 # module value -> its table, held only by the specs that keep it
 _TABLES: "weakref.WeakValueDictionary[object, _Table]" = weakref.WeakValueDictionary()
+
+
+def _shared(key: "int | Tuple[int, int, int]") -> _Table:
+    """The live table of the module value ``key``, registered if none is alive."""
+    table = _TABLES.get(key)
+    return _TABLES.setdefault(key, _Table(key)) if table is None else table
 
 
 def _table(spec: ModuleSpec) -> _Table:
@@ -213,10 +226,7 @@ def _table(spec: ModuleSpec) -> _Table:
         else:
             lam = owner.lam
             key = lam.numerator, lam.denominator, owner.lattice[0]
-        table = _TABLES.get(key)
-        if table is None:
-            table = _TABLES.setdefault(key, _Table(owner))
-        table = vars(owner).setdefault("_diagonal_table", table)
+        table = vars(owner).setdefault("_diagonal_table", _shared(key))
     return table
 
 

@@ -1,13 +1,17 @@
 import contextlib
 import csv
+import gc
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su11hodge import cli, exact
+from su11hodge import cli, exact, filtrations, forms, modules
 from su11hodge.modules import CheckResult
 
 
@@ -113,6 +117,90 @@ def test_oracle_without_scipy_is_an_error(monkeypatch, capsys):
         exact._qagse.cache_clear()
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_form_table_checks_each_vector_twice_and_takes_one_beta_value(monkeypatch, capsys):
+    calls = {"require_member": 0, "beta_value": 0}
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (modules, forms, filtrations):
+        counted(module, "require_member")
+    counted(forms, "beta_value")
+    gc.collect()
+    assert (5, 3, 1) not in forms._TABLES  # a fresh table: its magnitude is not yet known
+    code, out, _ = run(capsys, "form-table", "--lambda", "5/3", "--parity", "odd",
+                       "--bound", "12", "--output", "csv")
+    assert code == 0 and len(out.splitlines()) == 1 + 24
+    # form_diagonal and gR_form_diagonal each check once; the level reads no check
+    assert calls == {"require_member": 48, "beta_value": 1}
+
+
+# ---------------------------------------------------------------------------
+# the oracle's BLAS threads, in a fresh interpreter: in this one numpy may be
+# loaded already, and an in-process oracle run may have set the variable
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+
+
+def run_fresh(code, **env):
+    """The JSON that ``code`` prints in a fresh interpreter whose environment
+    has no OPENBLAS_NUM_THREADS unless given in ``env``."""
+    child_env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    child_env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, child_env.get("PYTHONPATH")]))
+    child_env.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+ORACLE_CHILD = """
+import json, os, sys
+from su11hodge import cli
+code = cli.main(["oracle", "--out", os.devnull])
+tasks = len(os.listdir("/proc/self/task")) if sys.platform.startswith("linux") else None
+print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
+"""
+
+
+def test_oracle_runs_blas_single_threaded():
+    code, value, tasks = run_fresh(ORACLE_CHILD)
+    assert code == 0 and value == "1"
+    if tasks is not None:  # Linux: no BLAS worker beside the main thread
+        assert tasks == 1
+
+
+def test_oracle_keeps_a_preset_blas_thread_count():
+    code, value, _ = run_fresh(ORACLE_CHILD, OPENBLAS_NUM_THREADS="2")
+    assert code == 0 and value == "2"
+
+
+def test_the_library_leaves_the_environment_alone():
+    assert run_fresh("""
+import json, os
+before = dict(os.environ)
+import su11hodge
+from su11hodge.exact import quadrature_integral
+quadrature_integral(1, 2)
+print(json.dumps(dict(os.environ) == before))
+""")
+
+
+def test_only_the_oracle_loads_numpy():
+    assert run_fresh("""
+import json, os, sys
+from su11hodge import cli
+spec = ["--lambda", "5/2", "--parity", "odd", "--out", os.devnull]
+codes = [cli.main([command] + spec) for command in ("describe", "form-table", "verify", "classify")]
+codes.append(cli.main(["jantzen", "--lambda", "3", "--parity", "even", "--out", os.devnull]))
+print(json.dumps([codes, "numpy" in sys.modules]))
+""") == [[0] * 5, False]
 
 
 def test_out_file(tmp_path, capsys):

@@ -365,6 +365,36 @@ def test_a_used_spec_pickles_with_equal_values():
             [gR_form_diagonal(v, fresh) for v in wider]
 
 
+def test_an_unpickled_spec_joins_the_shared_table():
+    # values no other test keeps alive; a W1 keeps its base's table
+    for make, key in ((lambda: PrincipalSeries(Fraction(23, 19), Parity.ODD), (23, 19, 1)),
+                      (lambda: PointModule(1_000_033, Orbit.AT_ZERO), 1_000_033),
+                      (lambda: W1Sub(PrincipalSeries(Fraction(43), Parity.EVEN)), (43, 1, 0))):
+        spec = make()
+        assert key not in forms._TABLES
+        window = basis_window(spec, 12)
+        compact = [form_diagonal(v, spec) for v in window]
+        noncompact = [gR_form_diagonal(v, spec) for v in window]
+        # a live table: the copy reads it and adds nothing of its own
+        copy = pickle.loads(pickle.dumps(spec))
+        assert forms._table(copy) is forms._table(spec) is forms._TABLES[key]
+        assert [form_diagonal(v, copy) for v in window] == compact
+        data = pickle.dumps(spec)
+        table = weakref.ref(forms._table(spec))
+        del spec, copy
+        gc.collect()
+        assert table() is None and key not in forms._TABLES
+        # no live table: the copy registers its own, which a fresh equal spec shares
+        copy = pickle.loads(data)
+        assert forms._TABLES[key] is forms._table(copy)
+        assert forms._table(make()) is forms._table(copy)
+        assert [form_diagonal(v, copy) for v in window] == compact
+        assert [gR_form_diagonal(v, copy) for v in window] == noncompact
+        del copy
+        gc.collect()
+        assert key not in forms._TABLES
+
+
 def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
     steps = _Counter(modules._step)
     monkeypatch.setattr(modules, "_step", steps)
