@@ -16,10 +16,12 @@ as ``n`` in text, ``{"num", "den"}`` in JSON and ``<name>_twice`` in CSV;
 still prints it.
 
 ``oracle`` runs OpenBLAS single-threaded: it sets ``OPENBLAS_NUM_THREADS``
-to 1 before its first quadrature, unless the variable is already set, in
+to 1 while it loads the quadrature, unless the variable is already set, in
 which case the user's value wins.  OpenBLAS reads it once, when numpy
 loads; QUADPACK calls no BLAS, so the process otherwise starts a worker
-thread that only spins.  The library itself never writes the environment.
+thread that only spins.  Once numpy is loaded the caller's environment is
+restored, so a program that calls ``main`` keeps its own; the library
+itself never writes the environment.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .analysis import classify, jantzen_crossing, verify_conjecture
-from .exact import beta_value, parse_rational, quadrature_integral
+from .exact import _qagse, beta_value, parse_rational, quadrature_integral
 from .filtrations import _levels, filtration_table
 from .forms import (
     _magnitude,
@@ -334,7 +336,13 @@ ORACLE_GRID: List[Tuple[Fraction, Fraction]] = [
 
 def cmd_oracle(args) -> int:
     # before numpy loads: no idle BLAS worker (see the module docstring)
+    preset = os.environ.get("OPENBLAS_NUM_THREADS")
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    try:
+        _qagse()  # loads numpy, and OpenBLAS reads the variable
+    finally:  # so the caller's environment is its own again
+        if preset is None:
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
     rows = []
     for s, t in ORACLE_GRID:
         q = quadrature_integral(s, t)

@@ -113,11 +113,11 @@ class Sign(Enum):
     def of(cls, x: Optional[RationalLike]) -> "Sign":
         if x is None:
             return cls.POLE
-        if x > 0:
-            return cls.POSITIVE
-        if x < 0:
-            return cls.NEGATIVE
-        return cls.ZERO
+        try:
+            n = x.numerator  # an int's or a Fraction's, without a rational compare
+        except AttributeError:
+            raise TypeError(f"not an exact rational: {x!r}") from None
+        return cls.POSITIVE if n > 0 else cls.NEGATIVE if n < 0 else cls.ZERO
 
     def __neg__(self) -> "Sign":
         if self is Sign.POSITIVE:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, List, Tuple
 
 from .exact import RationalLike
@@ -49,20 +50,30 @@ __all__ = [
 ]
 
 
+def _point_level(twice: int) -> int:
+    return twice // 2 + 1
+
+
+def _series_level(p: int, q: int, twice: int) -> int:
+    # ceil(a / b) = -(-a // b) with a = q|2n| - p - q and b = 2q > 0
+    return max(0, -((p + q - q * abs(twice)) // (2 * q)))
+
+
 def _levels(spec: ModuleSpec) -> Callable[[int], int]:
     """The Hodge level of v_n on ``spec`` as a function of 2n, membership unchecked."""
     if spec.codim:
-        return lambda twice: twice // 2 + 1
+        return _point_level
     lam = spec.base.lam
-    p, q = lam.numerator, lam.denominator
-    # ceil(a / b) = -(-a // b) with a = q|2n| - p - q and b = 2q > 0
-    return lambda twice: max(0, -((p + q - q * abs(twice)) // (2 * q)))
+    return partial(_series_level, lam.numerator, lam.denominator)
 
 
 def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
     """Smallest p with v in F_p, by the pole-order / derivative-order rule."""
     require_member(v, spec)
-    return _levels(spec)(v.index.twice)
+    if spec.codim:  # as in ``_levels``, building no function per call
+        return _point_level(v.index.twice)
+    lam = spec.base.lam
+    return _series_level(lam.numerator, lam.denominator, v.index.twice)
 
 
 def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:

@@ -218,15 +218,17 @@ def _table(spec: ModuleSpec) -> _Table:
     Equal specs share it through ``_TABLES``, keyed by its integers: m on a
     point module, (p, q, 2 n0) at lam = p/q.
     """
-    owner = spec.base
-    table = vars(owner).get("_diagonal_table")
+    table = vars(spec).get("_diagonal_table")  # before ``base``, a property
     if table is None:
-        if owner.codim:
-            key = owner.m
-        else:
-            lam = owner.lam
-            key = lam.numerator, lam.denominator, owner.lattice[0]
-        table = vars(owner).setdefault("_diagonal_table", _shared(key))
+        owner = spec.base
+        table = vars(owner).get("_diagonal_table")
+        if table is None:
+            if owner.codim:
+                key = owner.m
+            else:
+                lam = owner.lam
+                key = lam.numerator, lam.denominator, owner.lattice[0]
+            table = vars(owner).setdefault("_diagonal_table", _shared(key))
     return table
 
 
@@ -245,6 +247,21 @@ def point_diagonal_value(m: int, k: int) -> int:
     return -value if k % 2 else value
 
 
+def _compact(v: BasisVector, spec: ModuleSpec) -> Tuple[_Table, FormValue]:
+    """The module's table and the compact value (v, v), membership checked once."""
+    require_member(v, spec)
+    table, twice = _table(spec), abs(v.index.twice)
+    if spec.reducible:
+        return table, FormValue(Sign.POLE, None, None, _magnitude(spec))
+    value = table.values.get(twice)
+    if value is None:
+        ratio, ref_mag = table.ratio(twice), _magnitude(spec)
+        magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
+        value = FormValue(Sign.of(ratio), ratio, magnitude, ref_mag)
+        value = table.values.setdefault(twice, value)
+    return table, value
+
+
 def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     """Compact-form-invariant diagonal value (v, v), exact sign and ratio.
 
@@ -252,17 +269,7 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     defined only on the constituents, so every ambient value reports a
     pole; evaluate on W1Sub or the point modules instead.  Built once per |n|.
     """
-    require_member(v, spec)
-    if spec.reducible:
-        return FormValue(Sign.POLE, None, None, _magnitude(spec))
-    table, twice = _table(spec), abs(v.index.twice)
-    value = table.values.get(twice)
-    if value is None:
-        ratio, ref_mag = table.ratio(twice), _magnitude(spec)
-        magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
-        value = FormValue(Sign.of(ratio), ratio, magnitude, ref_mag)
-        value = table.values.setdefault(twice, value)
-    return value
+    return _compact(v, spec)[1]
 
 
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
@@ -278,11 +285,11 @@ def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
 
     The compact value negated where theta is -1, built once per |n|.
     """
-    base = form_diagonal(v, spec)  # checks membership
+    table, base = _compact(v, spec)
     twice = v.index.twice
     if base.ratio_to_reference is None or not (twice - spec.lattice[0]) // 2 % 2:
         return base  # a pole, or theta is 1 (as in ``theta_sign``)
-    negated = _table(spec).negated
+    negated = table.negated
     value = negated.get(abs(twice))
     if value is None:
         # |float(-r)| = |float(r)|, so the magnitude is the compact one

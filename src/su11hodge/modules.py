@@ -108,6 +108,8 @@ class Generator(Enum):
     H = "h"
     E_MINUS = "e-"
 
+    __hash__ = object.__hash__  # members are singletons: no Python-level hash per lookup
+
 
 # (2n mod 2, lowest 2n, highest 2n) over the basis indices n; None: no limit
 Lattice = Tuple[int, Optional[int], Optional[int]]

@@ -119,6 +119,17 @@ def test_oracle_without_scipy_is_an_error(monkeypatch, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_a_failed_oracle_restores_the_environment(monkeypatch, capsys):
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    exact._qagse.cache_clear()
+    try:
+        code, _, _ = run(capsys, "oracle")
+    finally:
+        exact._qagse.cache_clear()
+    assert code == 2 and "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 def test_form_table_checks_each_vector_twice_and_takes_one_beta_value(monkeypatch, capsys):
     calls = {"require_member": 0, "beta_value": 0}
 
@@ -144,7 +155,7 @@ def test_form_table_checks_each_vector_twice_and_takes_one_beta_value(monkeypatc
 
 # ---------------------------------------------------------------------------
 # the oracle's BLAS threads, in a fresh interpreter: in this one numpy may be
-# loaded already, and an in-process oracle run may have set the variable
+# loaded already, and the variable may be set
 
 SRC = str(Path(cli.__file__).resolve().parents[1])
 
@@ -171,7 +182,7 @@ print(json.dumps([code, os.environ.get("OPENBLAS_NUM_THREADS"), tasks]))
 
 def test_oracle_runs_blas_single_threaded():
     code, value, tasks = run_fresh(ORACLE_CHILD)
-    assert code == 0 and value == "1"
+    assert code == 0 and value is None  # the caller's environment is restored
     if tasks is not None:  # Linux: no BLAS worker beside the main thread
         assert tasks == 1
 

@@ -273,6 +273,19 @@ def test_sign_of():
     assert Sign.of(None) is Sign.POLE  # no finite value
 
 
+@given(st.one_of(st.fractions(), st.integers(), st.booleans()))
+def test_sign_of_agrees_with_comparison(x):
+    # Sign.of reads the numerator; the sign is the value's own
+    assert Sign.of(x) is (Sign.POSITIVE if x > 0 else Sign.NEGATIVE if x < 0 else Sign.ZERO)
+    assert Sign.of(Fraction(x)) is Sign.of(x)
+
+
+def test_sign_of_refuses_a_float():
+    for x in (0.5, -2.0, 0.0, float("nan")):
+        with pytest.raises(TypeError):
+            Sign.of(x)
+
+
 def test_sign_negation():
     assert -Sign.POSITIVE is Sign.NEGATIVE
     assert -Sign.NEGATIVE is Sign.POSITIVE

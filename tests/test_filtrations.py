@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from su11hodge.analysis import jantzen_crossing
 from su11hodge.filtrations import (
+    _levels,
     FiltrationReport,
     filtration_table,
     grw2_weights,
@@ -89,6 +90,21 @@ def test_hodge_level_odd_parity():
 def test_min_hodge_level_equals_codim(spec, expected_min):
     assert min(hodge_level(u, spec) for u in basis_window(spec, 10)) == expected_min
     assert expected_min == spec.codim
+
+
+@pytest.mark.parametrize("spec", [PS(Fraction(7, 3)), PS(Fraction(5, 2), Parity.ODD),
+                                  PointModule(4, Orbit.AT_INFINITY), W1Sub(PS(5))])
+def test_hodge_level_is_the_sweep_rule(spec):
+    level = _levels(spec)
+    for u in basis_window(spec, 30):
+        assert hodge_level(u, spec) == level(u.index.twice)
+
+
+@pytest.mark.parametrize("spec,u", [(PS(2), v(Fraction(1, 2))), (W1Sub(PS(3)), v(2)),
+                                    (PointModule(1, Orbit.AT_ZERO), v(-1))])
+def test_hodge_level_refuses_a_non_member(spec, u):
+    with pytest.raises(ValueError, match="is not a basis vector"):
+        hodge_level(u, spec)
 
 
 def test_levels_weakly_increase_outward():

@@ -169,6 +169,15 @@ def test_gR_pole_propagates():
     assert gR_form_diagonal(v(0), PS(3)).sign is Sign.POLE
 
 
+@pytest.mark.parametrize("spec,u", [(PS(Fraction(7, 3)), v(Fraction(1, 2))),
+                                    (PS(3), v(Fraction(3, 2))), (W1Sub(PS(3)), v(2)),
+                                    (PointModule(1, Orbit.AT_ZERO), v(-1))])
+def test_form_values_refuse_a_non_member(spec, u):
+    for value in (form_diagonal, gR_form_diagonal):
+        with pytest.raises(ValueError, match="is not a basis vector"):
+            value(u, spec)
+
+
 # ---------------------------------------------------------------------------
 # convergence range
 

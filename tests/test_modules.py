@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -218,6 +219,16 @@ def test_basis_window_examples():
 def test_basis_window_odd_parity():
     got = basis_window(PS(1, Parity.ODD), 2)
     assert got == [v(Fraction(-3, 2)), v(Fraction(-1, 2)), v(Fraction(1, 2)), v(Fraction(3, 2))]
+
+
+def test_generators_are_dict_and_set_keys():
+    names = {gen: gen.value for gen in Generator}
+    assert [names[gen] for gen in (E, H, F)] == ["e+", "h", "e-"]
+    assert {E, H, F, H} == set(Generator) and len({E, E}) == 1
+    for gen in Generator:
+        copy = pickle.loads(pickle.dumps(gen))
+        assert copy is gen and names[copy] == gen.value and copy in set(Generator)
+        assert Generator(gen.value) is gen and hash(Generator[gen.name]) == hash(gen)
 
 
 def test_basis_window_rejects_negative_bound():

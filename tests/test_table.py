@@ -356,7 +356,7 @@ def test_a_used_spec_pickles_with_equal_values():
         assert copy == spec
         assert [form_diagonal(v, copy) for v in window] == compact
         assert [gR_form_diagonal(v, copy) for v in window] == noncompact
-        # the copy extends its own table, a fresh equal spec the shared one
+        # the copy and a fresh equal spec share the live table, so both extend it
         fresh = dataclasses.replace(spec)
         assert forms._table(fresh) is forms._table(spec)
         wider = basis_window(spec, 40)
