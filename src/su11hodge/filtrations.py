@@ -70,10 +70,7 @@ def _levels(spec: ModuleSpec) -> Callable[[int], int]:
 def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
     """Smallest p with v in F_p, by the pole-order / derivative-order rule."""
     require_member(v, spec)
-    if spec.codim:  # as in ``_levels``, building no function per call
-        return _point_level(v.index.twice)
-    lam = spec.base.lam
-    return _series_level(lam.numerator, lam.denominator, v.index.twice)
+    return _levels(spec)(v.index.twice)
 
 
 def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:

@@ -247,12 +247,12 @@ def point_diagonal_value(m: int, k: int) -> int:
     return -value if k % 2 else value
 
 
-def _compact(v: BasisVector, spec: ModuleSpec) -> Tuple[_Table, FormValue]:
-    """The module's table and the compact value (v, v), membership checked once."""
+def _compact(v: BasisVector, spec: ModuleSpec) -> Tuple[Optional[_Table], FormValue]:
+    """The module's table (None at a pole) and the compact (v, v), membership checked once."""
     require_member(v, spec)
-    table, twice = _table(spec), abs(v.index.twice)
     if spec.reducible:
-        return table, FormValue(Sign.POLE, None, None, _magnitude(spec))
+        return None, FormValue(Sign.POLE, None, None, _magnitude(spec))
+    table, twice = _table(spec), abs(v.index.twice)
     value = table.values.get(twice)
     if value is None:
         ratio, ref_mag = table.ratio(twice), _magnitude(spec)

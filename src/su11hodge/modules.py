@@ -59,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .exact import HalfInt, RationalLike
@@ -266,6 +266,10 @@ class BasisVector:
         return f"v[{self.index}]"
 
 
+# v_n by 2n, one shared instance each: sweeps reuse them (windows up to bound 1024)
+_vector = lru_cache(maxsize=4096)(lambda twice: BasisVector(HalfInt(twice)))
+
+
 def belongs(v: BasisVector, spec: ModuleSpec) -> bool:
     """Whether the index lies on the basis lattice of the module."""
     tw = v.index.twice
@@ -354,7 +358,7 @@ def _lattice(spec: ModuleSpec, lo: int, hi: int) -> range:
 def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
     """All basis vectors with |n| <= bound (k <= bound on point modules)."""
     _require_bound(bound)
-    return [BasisVector(HalfInt(tw)) for tw in _lattice(spec, -2 * bound, 2 * bound)]
+    return [_vector(tw) for tw in _lattice(spec, -2 * bound, 2 * bound)]
 
 
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
@@ -394,7 +398,7 @@ def _decide(spec: ModuleSpec, bound: int,
     _require_bound(bound)
     ref, _, highest = spec.lattice
     if not spec.reducible and highest is None:
-        sample = [BasisVector(HalfInt(tw)) for tw in _lattice(spec, ref - 12, ref + 12)]
+        sample = [_vector(tw) for tw in _lattice(spec, ref - 12, ref + 12)]
         if not failures(spec, sample):
             return CheckResult(True)
     found = failures(spec, basis_window(spec, bound))
@@ -456,7 +460,7 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
 def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
     E, H, F = _steps(spec)
-    theta = _Memo(lambda tw: theta_sign(BasisVector(HalfInt(tw)), spec))
+    theta = _Memo(lambda tw: theta_sign(_vector(tw), spec))
     laws = ((E, -1, "theta e+ theta != -e+"), (F, -1, "theta e- theta != -e-"),
             (H, 1, "theta h theta != h"))
     for v in vectors:

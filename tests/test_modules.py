@@ -231,6 +231,16 @@ def test_generators_are_dict_and_set_keys():
         assert Generator(gen.value) is gen and hash(Generator[gen.name]) == hash(gen)
 
 
+def test_windows_share_their_vectors_and_stay_exact_past_the_memo():
+    first, again = basis_window(PS(2), 12), basis_window(PS(Fraction(7, 3)), 12)
+    assert all(u is w for u, w in zip(first, again))
+    assert first == [BasisVector(HalfInt(2 * n)) for n in range(-12, 13)]
+    # 4201 indices: more than the memo holds, so the window evicts its own start
+    wide = basis_window(PS(2), 2100)
+    assert [u.index.twice for u in wide] == list(range(-4200, 4201, 2))
+    assert basis_window(PS(2), 2100) == wide and len(set(wide)) == 4201
+
+
 def test_basis_window_rejects_negative_bound():
     with pytest.raises(ValueError):
         basis_window(PS(2), -1)
