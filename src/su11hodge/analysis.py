@@ -20,15 +20,14 @@ from .filtrations import _levels
 from .forms import _table, diagonal_sign
 from .modules import (
     _require_bound,
+    _w1_at,
     BasisVector,
     ModuleSpec,
     Parity,
     PrincipalSeries,
-    W1Sub,
     basis_window,
     belongs,
     constituents,
-    is_reduction_point,
 )
 
 __all__ = [
@@ -128,28 +127,15 @@ def jantzen_crossing(
     epsilon must satisfy 0 < epsilon < 1/2, which keeps both sample
     parameters strictly between neighboring reduction points.
     """
-    lambda0 = Fraction(lambda0)
-    epsilon = Fraction(epsilon)
-    if not is_reduction_point(lambda0, parity) or lambda0 <= 0:
-        raise ValueError(
-            f"{lambda0} is not a positive reduction point for {parity.value} parity"
-        )
+    lambda0, epsilon = Fraction(lambda0), Fraction(epsilon)
+    w1 = _w1_at(lambda0, parity)
     if not 0 < epsilon < Fraction(1, 2):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     below = PrincipalSeries(lambda0 - epsilon, parity)
     above = PrincipalSeries(lambda0 + epsilon, parity)
-    w1 = W1Sub(PrincipalSeries(lambda0, parity))
-    records = []
-    for v in basis_window(below, bound):
-        records.append(
-            JantzenRecord(
-                v,
-                diagonal_sign(v, below),
-                diagonal_sign(v, above),
-                belongs(v, w1),
-            )
-        )
-    return JantzenReport(lambda0, parity, epsilon, bound, tuple(records))
+    records = tuple(JantzenRecord(v, diagonal_sign(v, below), diagonal_sign(v, above),
+                                  belongs(v, w1)) for v in basis_window(below, bound))
+    return JantzenReport(lambda0, parity, epsilon, bound, records)
 
 
 def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:

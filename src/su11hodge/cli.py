@@ -180,8 +180,7 @@ def _build_spec(args) -> ModuleSpec:
         return PrincipalSeries(args.lam, Parity(args.parity))
     if args.orbit is None:
         raise UsageError("--orbit is required with --point-m")
-    orbit = Orbit.AT_ZERO if args.orbit == "0" else Orbit.AT_INFINITY
-    return PointModule(args.point_m, orbit)
+    return PointModule(args.point_m, Orbit(args.orbit))
 
 
 def _verdict(ok: bool) -> str:
@@ -384,7 +383,7 @@ def _add_spec_flags(sub, point: bool = True):
     if point:
         sub.add_argument("--point-m", dest="point_m", type=_integer, default=None,
                          metavar="M", help="point-module twist (integer >= 0)")
-        sub.add_argument("--orbit", choices=["0", "inf"], default=None)
+        sub.add_argument("--orbit", choices=[orbit.value for orbit in Orbit], default=None)
 
 
 def _integer(text: str) -> int:

@@ -16,7 +16,6 @@ modules; at a reduction point lam0 the W1 layer consists of |2n| <= lam0-1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -25,6 +24,7 @@ from typing import Callable, List, Tuple
 from .exact import RationalLike
 from .modules import (
     _lattice,
+    _w1_at,
     BasisVector,
     ModuleSpec,
     Parity,
@@ -59,6 +59,18 @@ def _series_level(p: int, q: int, twice: int) -> int:
     return max(0, -((p + q - q * abs(twice)) // (2 * q)))
 
 
+def hodge_dim(spec: ModuleSpec, p: int) -> int:
+    """Number of basis vectors with hodge_level <= p (finite for every p)."""
+    if p < 0:
+        raise ValueError("p must be >= 0")
+    if spec.codim:
+        return p
+    # as in ``_series_level`` at lam = a/b: level <= p iff b|2n| <= a + b(1 + 2p)
+    a, b = spec.base.lam.numerator, spec.base.lam.denominator
+    hi = (a + b * (1 + 2 * p)) // b
+    return len(_lattice(spec, -hi, hi))
+
+
 def _levels(spec: ModuleSpec) -> Callable[[int], int]:
     """The Hodge level of v_n on ``spec`` as a function of 2n, membership unchecked."""
     if spec.codim:
@@ -78,17 +90,9 @@ def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:
     lambda0 = Fraction(lambda0)
     if not is_reduction_point(lambda0, parity):
         raise ValueError(f"{lambda0} is not a reduction point for {parity.value} parity")
-    return abs(v.index.twice) <= lambda0 - 1
-
-
-def hodge_dim(spec: ModuleSpec, p: int) -> int:
-    """Number of basis vectors with hodge_level <= p (finite for every p)."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
-    if spec.codim:
-        return p
-    hi = math.floor(spec.base.lam + 1 + 2 * p)  # level <= p iff |2n| <= lam + 1 + 2p
-    return len(_lattice(spec, -hi, hi))
+    if not lambda0:  # PS(0, odd) has no W1
+        return False
+    return abs(v.index.twice) <= W1Sub(PrincipalSeries(lambda0, parity)).max_abs_twice
 
 
 @dataclass(frozen=True)
@@ -136,27 +140,19 @@ def grw2_weights(lambda0: RationalLike, parity: Parity, cutoff: int) -> WeightMa
     point modules with twist lambda0 at 0 and at infinity.  Both sides are
     truncated to |weight| <= cutoff.
     """
-    lambda0 = Fraction(lambda0)
-    if not is_reduction_point(lambda0, parity) or lambda0 <= 0:
-        raise ValueError(
-            f"{lambda0} is not a positive reduction point for {parity.value} parity"
-        )
-    ps = PrincipalSeries(lambda0, parity)
+    w1 = _w1_at(lambda0, parity)
+    ps, m = w1.base, w1.dim
     quotient = sorted(
         h_weight(v, ps)
-        for v in basis_window(ps, cutoff + int(lambda0) + 2)
-        if abs(v.index.twice) > lambda0 - 1 and abs(h_weight(v, ps)) <= cutoff
+        for v in basis_window(ps, cutoff + m + 2)
+        if not belongs(v, w1) and abs(h_weight(v, ps)) <= cutoff
     )
-    m = int(lambda0)
-    points = []
-    for orbit in (Orbit.AT_ZERO, Orbit.AT_INFINITY):
-        pm = PointModule(m, orbit)
-        points.extend(
-            h_weight(v, pm)
-            for v in basis_window(pm, cutoff)
-            if abs(h_weight(v, pm)) <= cutoff
-        )
-    points.sort()
+    points = sorted(
+        h_weight(v, pm)
+        for pm in (PointModule(m, orbit) for orbit in Orbit)
+        for v in basis_window(pm, cutoff)
+        if abs(h_weight(v, pm)) <= cutoff
+    )
     return WeightMatchReport(
-        lambda0, parity, cutoff, tuple(quotient), tuple(points), quotient == points
+        w1.lam0, parity, cutoff, tuple(quotient), tuple(points), quotient == points
     )

@@ -45,7 +45,10 @@ negative after.  So k steps out (v, v) has the sign (-1)^max(0, k - j0),
 a pole past a zero step q(r + 2 j0 + 1) = p (only on a reducible
 series); on a point module j0 = 0.  Verdicts (the sign law, Jantzen,
 definiteness) read this closed form, form values the table, and
-invariance the integer steps (q t1 + p, p - q t1).
+invariance the integer steps.  Every reader of a step (the table walk
+through ``_table_step``, its pole test, invariance, ``continuation_ratio``)
+calls one integer function of (p, q, t1 = 2n + 1), ``_continuation_step``;
+a point module steps by ``_point_step``.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 from .exact import HalfInt, RationalLike, Sign, beta_value
@@ -62,11 +64,11 @@ from .modules import (
     _decide,
     _lattice,
     _steps,
+    _theta_odd,
     BasisVector,
     CheckResult,
     ModuleSpec,
     PointModule,
-    PrincipalSeries,
     reference_index,
     require_member,
     theta_sign,
@@ -85,6 +87,12 @@ __all__ = [
 ]
 
 
+def _continuation_step(p: int, q: int, t1: int) -> Tuple[int, int]:
+    """V(n+1) / V(n) at lam = p/q, t1 = 2n + 1: (numerator, denominator), unreduced;
+    the denominator is 0 exactly at a pole."""
+    return q * t1 + p, p - q * t1
+
+
 def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Optional[Fraction]:
     """Exact one-step ratio V(n+1)/V(n) = (2n+lam+1)/(lam-1-2n).
 
@@ -92,12 +100,10 @@ def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Option
     reduction points.  The one 0/0 configuration, n = -1/2 at lam = 0,
     lies on the reducible PS(0, odd), whose ambient values are all poles.
     """
-    # at lam = p/q, with t1 = 2n + 1, the ratio is (q t1 + p) / (p - q t1)
-    t1 = HalfInt.of(n).twice + 1
     lam = Fraction(lam)
-    p, q = lam.numerator, lam.denominator
-    denominator = p - q * t1
-    return Fraction(q * t1 + p, denominator) if denominator else None
+    numerator, denominator = _continuation_step(lam.numerator, lam.denominator,
+                                                HalfInt.of(n).twice + 1)
+    return Fraction(numerator, denominator) if denominator else None
 
 
 @dataclass(frozen=True)
@@ -131,14 +137,17 @@ def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
     return None if beta is None else 4.0 * math.pi * beta
 
 
-def _series_step(ref_twice: int, lam: Fraction, k: int) -> Optional[Fraction]:
-    """V(n0+k+1) / V(n0+k) on a principal series (None at a pole)."""
-    return continuation_ratio(HalfInt(ref_twice + 2 * k), lam)
+def _point_step(m: int, k: int) -> Tuple[int, int]:
+    """P(k+1) / P(k) = -(k+1)(m+k+1) on a point module, over 1."""
+    return -(k + 1) * (m + k + 1), 1
 
 
-def _point_step(m: int, k: int) -> int:
-    """P(k+1) / P(k) = -(k+1)(m+k+1) on a point module."""
-    return -(k + 1) * (m + k + 1)
+def _table_step(key: "int | Tuple[int, int, int]", k: int) -> Tuple[int, int]:
+    """Step k out from the reference of the table ``key``: V(k+1) / V(k) as integers."""
+    if isinstance(key, int):
+        return _point_step(key, k)
+    p, q, r = key
+    return _continuation_step(p, q, r + 2 * k + 1)
 
 
 class _Table:
@@ -146,7 +155,7 @@ class _Table:
 
     Shared by every live equal spec and its W1 (see ``_table``), and freed
     with the last of them.  ``_ratios[k]`` is the value at |n| = n0 + k,
-    None at and past a pole, added once from its predecessor by ``_step``.
+    None at and past a pole, added once from its predecessor by ``_table_step``.
     A table pickles as its ``key`` (see ``_shared``), so a pickled or
     copied spec finds the live table again.  ``values[|2n|]`` is the
     ``FormValue`` that ``form_diagonal`` built there and ``negated[|2n|]``
@@ -156,20 +165,19 @@ class _Table:
     ``sign`` reads only ``turn``: j0 and whether step j0 is a pole.
     """
 
-    __slots__ = ("key", "_ref_twice", "_step", "_ratios", "turn", "magnitude", "values",
+    __slots__ = ("key", "_ref_twice", "_ratios", "turn", "magnitude", "values",
                  "negated", "__weakref__")
 
     def __init__(self, key: "int | Tuple[int, int, int]"):
         self.key = key
         if isinstance(key, int):  # a point module's m; its reference is k = 0
-            self._ref_twice = 0
-            self._step, self.turn = partial(_point_step, key), (0, False)
+            self._ref_twice, self.turn = 0, (0, False)
         else:
             p, q, r = key
             self._ref_twice = r
-            self._step = partial(_series_step, r, Fraction(p, q))
-            j0 = max(0, -((q * (1 + r) - p) // (2 * q)))
-            self.turn = j0, q * (r + 2 * j0 + 1) == p
+            # j0 steps have a positive denominator; it falls by 2q a step
+            j0 = max(0, -(-_continuation_step(p, q, r + 1)[1] // (2 * q)))
+            self.turn = j0, not _continuation_step(p, q, r + 2 * j0 + 1)[1]
         self._ratios = {0: Fraction(1)}
         self.values: Dict[int, FormValue] = {}
         self.negated: Dict[int, FormValue] = {}
@@ -181,8 +189,9 @@ class _Table:
         j = len(ratios) - 1
         value = ratios[min(j, k)]
         while j < k:
-            factor = None if value is None else self._step(j)
-            value = None if factor is None else value * factor
+            if value is not None:
+                numerator, denominator = _table_step(self.key, j)
+                value = value * Fraction(numerator, denominator) if denominator else None
             j += 1
             ratios[j] = value
         return value
@@ -287,8 +296,8 @@ def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     """
     table, base = _compact(v, spec)
     twice = v.index.twice
-    if base.ratio_to_reference is None or not (twice - spec.lattice[0]) // 2 % 2:
-        return base  # a pole, or theta is 1 (as in ``theta_sign``)
+    if base.ratio_to_reference is None or not _theta_odd(spec, twice):
+        return base  # a pole, or theta is 1
     negated = table.negated
     value = negated.get(abs(twice))
     if value is None:
@@ -326,11 +335,8 @@ def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:
     if a == b:
         return 1, 1
     low = min(a, b)
-    if spec.codim:
-        up = _point_step(spec.m, low // 2), 1
-    else:
-        p, q = spec.base.lam.numerator, spec.base.lam.denominator
-        up = q * (low + 1) + p, p - q * (low + 1)  # as in ``continuation_ratio``
+    up = (_point_step(spec.m, low // 2) if spec.codim else
+          _continuation_step(spec.base.lam.numerator, spec.base.lam.denominator, low + 1))
     return up if a > b else up[::-1]
 
 

@@ -198,8 +198,7 @@ class PointModule:
         return 4, {E: down, H: (-4 * m - 4, -4, 0, 0), F: up}
 
     def __str__(self) -> str:
-        where = "0" if self.orbit is Orbit.AT_ZERO else "inf"
-        return f"Point(m={self.m}, at {where})"
+        return f"Point(m={self.m}, at {self.orbit.value})"
 
 
 @dataclass(frozen=True)
@@ -250,6 +249,14 @@ class W1Sub:
 
 
 ModuleSpec = Union[PrincipalSeries, PointModule, W1Sub]
+
+
+def _w1_at(lambda0: RationalLike, parity: Parity) -> W1Sub:
+    """The W1 submodule at lambda0; ValueError unless lambda0 is a positive reduction point."""
+    lambda0 = Fraction(lambda0)
+    if not is_reduction_point(lambda0, parity) or lambda0 <= 0:
+        raise ValueError(f"{lambda0} is not a positive reduction point for {parity.value} parity")
+    return W1Sub(PrincipalSeries(lambda0, parity))
 
 
 @dataclass(frozen=True, order=True)
@@ -316,10 +323,15 @@ def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, F
     return {BasisVector(v.index + shift): Fraction(n, d)} if n else {}
 
 
+def _theta_odd(spec: ModuleSpec, twice: int) -> int:
+    """n - n0 mod 2 at 2n = twice: 1 where theta is -1, 0 where it is 1."""
+    return (twice - spec.lattice[0]) // 2 % 2
+
+
 def theta_sign(v: BasisVector, spec: ModuleSpec) -> int:
     """Diagonal Cartan-involution eigenvalue (-1)^(n - n0) on v."""
     require_member(v, spec)
-    return -1 if (v.index.twice - spec.lattice[0]) // 2 % 2 else 1
+    return -1 if _theta_odd(spec, v.index.twice) else 1
 
 
 def constituents(spec: ModuleSpec) -> List[ModuleSpec]:
@@ -333,10 +345,7 @@ def constituents(spec: ModuleSpec) -> List[ModuleSpec]:
     if not spec.reducible:
         return [spec]
     m = int(spec.lam)
-    points: List[ModuleSpec] = [
-        PointModule(m, Orbit.AT_ZERO),
-        PointModule(m, Orbit.AT_INFINITY),
-    ]
+    points: List[ModuleSpec] = [PointModule(m, orbit) for orbit in Orbit]
     if m == 0:
         return points
     return [W1Sub(spec)] + points

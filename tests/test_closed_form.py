@@ -101,8 +101,8 @@ def test_classify_is_constant_between_reduction_points(case):
 def test_classify_at_large_lambda_walks_nothing(monkeypatch):
     # the walk it replaced took about 8 s here
     steps, read = [], []
-    step, ratio = forms.continuation_ratio, forms._Table.ratio
-    monkeypatch.setattr(forms, "continuation_ratio", lambda *args: steps.append(args) or
+    step, ratio = forms._table_step, forms._Table.ratio
+    monkeypatch.setattr(forms, "_table_step", lambda *args: steps.append(args) or
                         step(*args))
     monkeypatch.setattr(forms._Table, "ratio", lambda table, twice: read.append(twice) or
                         ratio(table, twice))

@@ -211,9 +211,9 @@ def fresh_table(spec):
 
 
 def count_forms(monkeypatch):
-    """Counters on the continuation steps, reference magnitudes and built values."""
+    """Counters on the table steps, reference magnitudes and built values."""
     counters = []
-    for name in ("continuation_ratio", "reference_magnitude", "FormValue"):
+    for name in ("_table_step", "reference_magnitude", "FormValue"):
         counters.append(_Counter(getattr(forms, name)))
         monkeypatch.setattr(forms, name, counters[-1])
     return counters
@@ -408,8 +408,8 @@ def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
 
 
 def test_verdicts_walk_no_ratio(monkeypatch):
-    steps = _Counter(forms.continuation_ratio)
-    monkeypatch.setattr(forms, "continuation_ratio", steps)
+    steps = _Counter(forms._table_step)
+    monkeypatch.setattr(forms, "_table_step", steps)
     for lam, parity in ((Fraction(1, 2), Parity.EVEN), (Fraction(7, 3), Parity.ODD),
                         (Fraction(5), Parity.EVEN), (Fraction(1009, 1009 * 3 + 1), Parity.ODD)):
         ps = PrincipalSeries(lam, parity)
