@@ -6,66 +6,13 @@ continuation, and unitarity classification, all with rational sign
 tracking (floats carry magnitudes only).
 """
 
-from .exact import (
-    HalfInt,
-    Sign,
-    beta_value,
-    parse_rational,
-    quadrature_integral,
-)
-from .modules import (
-    BasisVector,
-    CheckResult,
-    Generator,
-    ModuleSpec,
-    Orbit,
-    Parity,
-    PointModule,
-    PrincipalSeries,
-    W1Sub,
-    act,
-    basis_window,
-    belongs,
-    bracket_check,
-    constituents,
-    h_weight,
-    is_reduction_point,
-    reference_index,
-    theta_check,
-    theta_sign,
-)
-from .filtrations import (
-    FiltrationReport,
-    WeightMatchReport,
-    filtration_table,
-    grw2_weights,
-    hodge_dim,
-    hodge_level,
-    w1_member,
-)
-from .forms import (
-    FormValue,
-    continuation_ratio,
-    convergence_range,
-    diagonal_sign,
-    form_diagonal,
-    gR_form_diagonal,
-    invariance_check,
-    point_diagonal_value,
-    reference_magnitude,
-)
-from .analysis import (
-    ClassificationEntry,
-    ClassificationReport,
-    ConjectureRecord,
-    ConjectureReport,
-    Definiteness,
-    JantzenRecord,
-    JantzenReport,
-    classify,
-    definiteness,
-    jantzen_crossing,
-    verify_conjecture,
-)
+from .exact import *
+from .modules import *
+from .filtrations import *
+from .forms import *
+from .analysis import *
+
+__all__ = (exact.__all__ + modules.__all__ + filtrations.__all__ + forms.__all__
+           + analysis.__all__)
 
 __version__ = "0.1.0"

@@ -17,14 +17,14 @@ from typing import Optional, Tuple
 
 from .exact import RationalLike, Sign
 from .filtrations import _levels
-from .forms import _table, diagonal_sign
+from .forms import _j0, _signs
 from .modules import (
     _require_bound,
-    _w1_at,
     BasisVector,
     ModuleSpec,
     Parity,
     PrincipalSeries,
+    W1Sub,
     basis_window,
     belongs,
     constituents,
@@ -82,14 +82,11 @@ def verify_conjecture(spec: ModuleSpec, bound: int) -> ConjectureReport:
     """
     records = []
     a = spec.codim
-    # the closed form ``diagonal_sign`` reads; the window vectors are members
-    table = None if spec.reducible else _table(spec)
-    level = _levels(spec)
+    level, sign = _levels(spec), _signs(spec)  # the window vectors are members
     for v in basis_window(spec, bound):
         p = level(v.index.twice)
         expected = Sign.POSITIVE if (p - a) % 2 == 0 else Sign.NEGATIVE
-        sign = Sign.POLE if table is None else Sign.of(table.sign(v.index.twice))
-        records.append(ConjectureRecord(v, p, a, sign, expected))
+        records.append(ConjectureRecord(v, p, a, sign(v.index.twice), expected))
     return ConjectureReport(spec, bound, tuple(records))
 
 
@@ -128,12 +125,13 @@ def jantzen_crossing(
     parameters strictly between neighboring reduction points.
     """
     lambda0, epsilon = Fraction(lambda0), Fraction(epsilon)
-    w1 = _w1_at(lambda0, parity)
+    w1 = W1Sub(PrincipalSeries(lambda0, parity))
     if not 0 < epsilon < Fraction(1, 2):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
     below = PrincipalSeries(lambda0 - epsilon, parity)
-    above = PrincipalSeries(lambda0 + epsilon, parity)
-    records = tuple(JantzenRecord(v, diagonal_sign(v, below), diagonal_sign(v, above),
+    # both series share one lattice, so the window vectors are members of each
+    sign_below, sign_above = _signs(below), _signs(PrincipalSeries(lambda0 + epsilon, parity))
+    records = tuple(JantzenRecord(v, sign_below(v.index.twice), sign_above(v.index.twice),
                                   belongs(v, w1)) for v in basis_window(below, bound))
     return JantzenReport(lambda0, parity, epsilon, bound, records)
 
@@ -152,7 +150,7 @@ def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
     if spec.reducible:
         raise ValueError(f"{spec} is reducible; classify its constituents instead")
     r, lowest, highest = spec.lattice
-    reach = _table(spec).turn[0]
+    reach = _j0(spec)
     if highest is not None:
         reach = min(reach, (highest - r) // 2)
     if reach == 0 and not (r and (lowest is None or lowest < 0)):

@@ -379,7 +379,7 @@ def cmd_oracle(args) -> int:
 def _add_spec_flags(sub, point: bool = True):
     sub.add_argument("--lambda", dest="lam", type=parse_rational, default=None,
                      metavar="P/Q", help="twist parameter, exact rational (no floats)")
-    sub.add_argument("--parity", choices=["even", "odd"], default=None)
+    sub.add_argument("--parity", choices=[parity.value for parity in Parity], default=None)
     if point:
         sub.add_argument("--point-m", dest="point_m", type=_integer, default=None,
                          metavar="M", help="point-module twist (integer >= 0)")

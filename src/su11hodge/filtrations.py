@@ -24,19 +24,16 @@ from typing import Callable, List, Tuple
 from .exact import RationalLike
 from .modules import (
     _lattice,
-    _w1_at,
     BasisVector,
     ModuleSpec,
     Parity,
-    PointModule,
     PrincipalSeries,
     W1Sub,
     basis_window,
     belongs,
+    constituents,
     h_weight,
-    is_reduction_point,
     require_member,
-    Orbit,
 )
 
 __all__ = [
@@ -86,13 +83,13 @@ def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
 
 
 def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:
-    """Weight-one membership at the reduction point lambda0: |2n| <= lambda0 - 1."""
-    lambda0 = Fraction(lambda0)
-    if not is_reduction_point(lambda0, parity):
-        raise ValueError(f"{lambda0} is not a reduction point for {parity.value} parity")
-    if not lambda0:  # PS(0, odd) has no W1
-        return False
-    return abs(v.index.twice) <= W1Sub(PrincipalSeries(lambda0, parity)).max_abs_twice
+    """Weight-one membership at the reduction point lambda0: |2n| <= lambda0 - 1,
+    for a basis vector v of the series (ValueError otherwise, as ``hodge_level``)."""
+    ps = PrincipalSeries(lambda0, parity)
+    if not ps.reducible:
+        raise ValueError(f"{ps.lam} is not a reduction point for {parity.value} parity")
+    require_member(v, ps)
+    return bool(ps.lam) and belongs(v, W1Sub(ps))  # PS(0, odd) has no W1
 
 
 @dataclass(frozen=True)
@@ -140,7 +137,7 @@ def grw2_weights(lambda0: RationalLike, parity: Parity, cutoff: int) -> WeightMa
     point modules with twist lambda0 at 0 and at infinity.  Both sides are
     truncated to |weight| <= cutoff.
     """
-    w1 = _w1_at(lambda0, parity)
+    w1 = W1Sub(PrincipalSeries(lambda0, parity))
     ps, m = w1.base, w1.dim
     quotient = sorted(
         h_weight(v, ps)
@@ -149,7 +146,7 @@ def grw2_weights(lambda0: RationalLike, parity: Parity, cutoff: int) -> WeightMa
     )
     points = sorted(
         h_weight(v, pm)
-        for pm in (PointModule(m, orbit) for orbit in Orbit)
+        for pm in constituents(ps)[1:]  # the point modules beside W1
         for v in basis_window(pm, cutoff)
         if abs(h_weight(v, pm)) <= cutoff
     )

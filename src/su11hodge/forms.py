@@ -38,17 +38,19 @@ each FormValue and, where theta is -1, its negation, built once per |n|
 (at worst twice by concurrent callers, equal), except on a reducible
 series: its values are poles, and its W1 shares the table.
 
-Signs need no walk.  At lam = p/q the step at n >= 0 has the numerator
-q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1): positive for the
-first j0 = max(0, ceil((p - q(1 + r)) / 2q)) steps out (r = 2 n0),
-negative after.  So k steps out (v, v) has the sign (-1)^max(0, k - j0),
-a pole past a zero step q(r + 2 j0 + 1) = p (only on a reducible
-series); on a point module j0 = 0.  Verdicts (the sign law, Jantzen,
-definiteness) read this closed form, form values the table, and
-invariance the integer steps.  Every reader of a step (the table walk
-through ``_table_step``, its pole test, invariance, ``continuation_ratio``)
-calls one integer function of (p, q, t1 = 2n + 1), ``_continuation_step``;
-a point module steps by ``_point_step``.
+Signs need no walk and no table.  At lam = p/q the step at n >= 0 has
+the numerator q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1):
+positive for the first j0 = max(0, ceil((p - q(1 + r)) / 2q)) steps out
+(r = 2 n0), negative after.  So k steps out (v, v) has the sign
+(-1)^max(0, k - j0), and on a point module j0 = 0.  A zero step
+q(r + 2 j0 + 1) = p lies only on a reducible series, whose every ambient
+value is a pole, and a W1 ends before it.  ``_j0`` computes j0 and
+``_signs`` reads the law as a function of 2n; verdicts (the sign law,
+Jantzen, definiteness) read these, form values the table, and invariance
+the integer steps.  Every reader of a step (the table walk through
+``_table_step``, j0, invariance, ``continuation_ratio``) calls one integer
+function of (p, q, t1 = 2n + 1), ``_continuation_step``; a point module
+steps by ``_point_step``.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ import math
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 from .exact import HalfInt, RationalLike, Sign, beta_value
 from .modules import (
@@ -153,6 +156,7 @@ def _table_step(key: "int | Tuple[int, int, int]", k: int) -> Tuple[int, int]:
 class _Table:
     """Exact diagonal values of one module value relative to its reference vector.
 
+    A cache only: signs are read from the closed form (``_signs``).
     Shared by every live equal spec and its W1 (see ``_table``), and freed
     with the last of them.  ``_ratios[k]`` is the value at |n| = n0 + k,
     None at and past a pole, added once from its predecessor by ``_table_step``.
@@ -162,22 +166,14 @@ class _Table:
     its negation, which ``gR_form_diagonal`` reads where theta is -1; never
     a pole: a reducible series, whose table its W1 shares, skips both.
     Concurrent callers at worst compute an entry twice, with equal results.
-    ``sign`` reads only ``turn``: j0 and whether step j0 is a pole.
     """
 
-    __slots__ = ("key", "_ref_twice", "_ratios", "turn", "magnitude", "values",
-                 "negated", "__weakref__")
+    __slots__ = ("key", "_ref_twice", "_ratios", "magnitude", "values", "negated",
+                 "__weakref__")
 
     def __init__(self, key: "int | Tuple[int, int, int]"):
         self.key = key
-        if isinstance(key, int):  # a point module's m; its reference is k = 0
-            self._ref_twice, self.turn = 0, (0, False)
-        else:
-            p, q, r = key
-            self._ref_twice = r
-            # j0 steps have a positive denominator; it falls by 2q a step
-            j0 = max(0, -(-_continuation_step(p, q, r + 1)[1] // (2 * q)))
-            self.turn = j0, not _continuation_step(p, q, r + 2 * j0 + 1)[1]
+        self._ref_twice = 0 if isinstance(key, int) else key[2]  # m (k = 0) or (p, q, 2 n0)
         self._ratios = {0: Fraction(1)}
         self.values: Dict[int, FormValue] = {}
         self.negated: Dict[int, FormValue] = {}
@@ -195,14 +191,6 @@ class _Table:
             j += 1
             ratios[j] = value
         return value
-
-    def sign(self, twice: int) -> Optional[int]:
-        """(-1)^max(0, k - j0) k steps out, None past a pole."""
-        j0, pole = self.turn
-        k = (abs(twice) - self._ref_twice) // 2
-        if k <= j0:
-            return 1
-        return None if pole else -1 if (k - j0) % 2 else 1
 
     def __reduce__(self):
         # a copy of a spec (pickled or deep-copied) joins the live table
@@ -281,12 +269,36 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     return _compact(v, spec)[1]
 
 
+def _j0(spec: ModuleSpec) -> int:
+    """The number j0 of positive steps out from the reference; 0 on a point module."""
+    if spec.codim:
+        return 0
+    lam = spec.base.lam
+    p, q = lam.numerator, lam.denominator
+    # j0 steps have a positive denominator; it falls by 2q a step
+    return max(0, -(-_continuation_step(p, q, spec.lattice[0] + 1)[1] // (2 * q)))
+
+
+def _law_sign(j0: int, ref_twice: int, twice: int) -> Sign:
+    return Sign.NEGATIVE if max(0, (abs(twice) - ref_twice) // 2 - j0) % 2 else Sign.POSITIVE
+
+
+def _pole(twice: int) -> Sign:
+    return Sign.POLE
+
+
+def _signs(spec: ModuleSpec) -> Callable[[int], Sign]:
+    """The sign of (v, v) on ``spec`` as a function of 2n, membership unchecked:
+    (-1)^max(0, k - j0) k steps out, a pole everywhere on a reducible series."""
+    if spec.reducible:
+        return _pole
+    return partial(_law_sign, _j0(spec), spec.lattice[0])
+
+
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:
     """Exact sign of (v, v) (Sign.POLE at a pole), from the closed form."""
     require_member(v, spec)
-    if spec.reducible:
-        return Sign.POLE
-    return Sign.of(_table(spec).sign(v.index.twice))
+    return _signs(spec)(v.index.twice)
 
 
 def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:

@@ -251,14 +251,6 @@ class W1Sub:
 ModuleSpec = Union[PrincipalSeries, PointModule, W1Sub]
 
 
-def _w1_at(lambda0: RationalLike, parity: Parity) -> W1Sub:
-    """The W1 submodule at lambda0; ValueError unless lambda0 is a positive reduction point."""
-    lambda0 = Fraction(lambda0)
-    if not is_reduction_point(lambda0, parity) or lambda0 <= 0:
-        raise ValueError(f"{lambda0} is not a positive reduction point for {parity.value} parity")
-    return W1Sub(PrincipalSeries(lambda0, parity))
-
-
 @dataclass(frozen=True, order=True)
 class BasisVector:
     """A single basis element, identified by its (half-)integer index."""

@@ -17,7 +17,12 @@ from hypothesis import given, settings, strategies as st
 from su11hodge import forms
 from su11hodge.analysis import classify
 from su11hodge.exact import HalfInt, Sign
-from su11hodge.forms import continuation_ratio, diagonal_sign, point_diagonal_value
+from su11hodge.forms import (
+    continuation_ratio,
+    diagonal_sign,
+    form_diagonal,
+    point_diagonal_value,
+)
 from su11hodge.modules import (
     Parity,
     PointModule,
@@ -55,20 +60,27 @@ series = st.builds(PrincipalSeries, lams | integers, st.sampled_from(Parity))
 @settings(max_examples=300, deadline=None)
 @given(series, st.integers(0, 30))
 def test_closed_form_is_the_product_of_step_signs(ps, bound):
-    # the series, its W1 and its point constituents, and the ambient table
-    # of a reducible series with its poles
+    # the series, its W1 and its point constituents; on a reducible series
+    # every public reader gives a pole, and the walk keeps the step signs
     for spec in {ps, *constituents(ps)}:
+        sign = forms._signs(spec)
         for v in basis_window(spec, bound):
             expected = expected_sign(v, spec)
-            assert Sign.of(forms._table(spec).sign(v.index.twice)) is expected
-            assert diagonal_sign(v, spec) is (Sign.POLE if spec.reducible else expected)
+            if spec.reducible:
+                assert sign(v.index.twice) is diagonal_sign(v, spec) is Sign.POLE
+                assert form_diagonal(v, spec).sign is Sign.POLE
+                assert Sign.of(forms._table(spec).ratio(v.index.twice)) is expected
+            else:
+                assert sign(v.index.twice) is diagonal_sign(v, spec) is expected
 
 
 def test_poles_lie_past_a_zero_step():
     # PS(5, even): steps 0 and 1 positive, step 2 (n = 2 -> 3) divides by zero
     ps = PrincipalSeries(Fraction(5), Parity.EVEN)
-    assert forms._table(ps).turn == (2, True)
-    assert [forms._table(ps).sign(2 * n) for n in range(5)] == [1, 1, 1, None, None]
+    assert forms._j0(ps) == 2 and forms._continuation_step(5, 1, 2 * 2 + 1)[1] == 0
+    assert [forms._table(ps).ratio(2 * n) for n in range(5)] == [1, Fraction(3, 2), 6,
+                                                                  None, None]
+    assert all(forms._signs(ps)(2 * n) is Sign.POLE for n in range(-4, 5))
 
 
 def reduction_points(parity: Parity):

@@ -122,6 +122,15 @@ def test_w1_member_examples():
     assert w1_member(v(Fraction(1, 2)), 2, Parity.ODD)
 
 
+def test_w1_member_checks_the_lattice():
+    # v[1/2] lies on no even-parity lattice, as hodge_level says too
+    with pytest.raises(ValueError, match="is not a basis vector"):
+        w1_member(v(Fraction(1, 2)), 3, Parity.EVEN)
+    with pytest.raises(ValueError, match="is not a basis vector"):
+        w1_member(v(1), 2, Parity.ODD)
+    assert not w1_member(v(Fraction(1, 2)), 0, Parity.ODD)  # PS(0, odd) has no W1
+
+
 def test_w1_member_requires_reduction_point():
     with pytest.raises(ValueError):
         w1_member(v(1), 2, Parity.EVEN)

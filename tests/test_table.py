@@ -75,8 +75,10 @@ def check_entry(ps, twice: int):
     else:
         expected = reference_walk(twice, ps.lam, ps.parity.twice_residue)
         assert table_ratio(ps, twice) == expected
-        # the closed-form sign, which public functions read only off the poles
-        assert Sign.of(forms._table(ps).sign(twice)) is Sign.of(expected)
+        # the closed-form sign, a pole everywhere on a reducible series
+        sign = forms._signs(ps)(twice)
+        assert sign is (Sign.POLE if ps.reducible else Sign.of(expected))
+        assert diagonal_sign(BasisVector(HalfInt(twice)), ps) is sign
 
 
 lams = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -183,7 +185,8 @@ def test_diagonal_sign_matches_form_values(spec_bound):
 
 def test_table_leaves_equality_hash_and_repr_alone():
     used = PrincipalSeries(Fraction(5, 3), Parity.ODD)
-    verify_conjecture(used, 10)
+    for v in basis_window(used, 10):
+        form_diagonal(v, used)
     fresh = PrincipalSeries(Fraction(5, 3), Parity.ODD)
     assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
     assert "_diagonal_table" in vars(used) and "_diagonal_table" not in vars(fresh)
@@ -419,6 +422,27 @@ def test_verdicts_walk_no_ratio(monkeypatch):
         classify(lam, parity)
     jantzen_crossing(Fraction(5), Parity.EVEN, Fraction(1, 3), 40)
     assert steps.calls == 0
+
+
+def test_verdicts_build_no_table(monkeypatch):
+    made = _Counter(forms._shared)
+    monkeypatch.setattr(forms, "_shared", made)
+    # module values kept alive by no other test: PS(29/31, odd), the
+    # constituents at 37 (even) and the two Jantzen samples 37 -/+ 1/5
+    keys = [(29, 31, 1), (37, 1, 0), 37, (184, 5, 0), (186, 5, 0)]
+    assert not any(key in forms._TABLES for key in keys)
+    series = PrincipalSeries(Fraction(29, 31), Parity.ODD)
+    # alive to the end, so a table made on them would still be registered
+    kept = [series, classify(series.lam, series.parity), verify_conjecture(series, 30),
+            [diagonal_sign(v, series) for v in basis_window(series, 30)]]
+    definiteness(series, 30)
+    report = classify(Fraction(37), Parity.EVEN)
+    for entry in report.entries:  # W1 and the point modules at 37
+        kept.append(verify_conjecture(entry.constituent, 30))
+        definiteness(entry.constituent, 30)
+    assert jantzen_crossing(Fraction(37), Parity.EVEN, Fraction(1, 5), 30).verdict
+    assert made.calls == 0
+    assert not any(key in forms._TABLES for key in keys)
 
 
 def test_verdict_signs_build_no_float():
