@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .exact import RationalLike, Sign
+from .exact import _rational, RationalLike, Sign
 from .filtrations import _levels
 from .forms import _j0, _signs
 from .modules import (
@@ -124,7 +124,7 @@ def jantzen_crossing(
     epsilon must satisfy 0 < epsilon < 1/2, which keeps both sample
     parameters strictly between neighboring reduction points.
     """
-    lambda0, epsilon = Fraction(lambda0), Fraction(epsilon)
+    lambda0, epsilon = _rational(lambda0), _rational(epsilon)
     w1 = W1Sub(PrincipalSeries(lambda0, parity))
     if not 0 < epsilon < Fraction(1, 2):
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
@@ -185,7 +185,7 @@ def classify(lam: RationalLike, parity: Parity) -> ClassificationReport:
     form is definite; it is positive at the reference vector, so positive
     definite.
     """
-    lam = Fraction(lam)
+    lam = _rational(lam)
     ps = PrincipalSeries(lam, parity)
     entries = tuple(
         ClassificationEntry(part, True, definiteness(part)) for part in constituents(ps)

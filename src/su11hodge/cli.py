@@ -63,10 +63,6 @@ CHECK_FAILED = 1
 ORACLE_TOLERANCE = 1e-8
 
 
-class UsageError(Exception):
-    pass
-
-
 def rational_to_json(q: Fraction) -> Dict[str, int]:
     return {"num": q.numerator, "den": q.denominator}
 
@@ -138,7 +134,8 @@ def _emit(args, preamble: str, payload: Dict[str, Any], rows_key: str,
     """Render the table ``columns`` x ``rows`` in the chosen format and write it.
 
     Text is ``preamble`` plus an aligned table; JSON is ``payload`` with the
-    rows as a list of dicts under ``rows_key``; CSV is the table alone.
+    subcommand under ``"command"`` and the rows as a list of dicts under
+    ``rows_key``; CSV is the table alone.
     """
     kinds = [_KINDS[col[1]] for col in columns]
     if args.output == "json":
@@ -146,7 +143,7 @@ def _emit(args, preamble: str, payload: Dict[str, Any], rows_key: str,
             {col[0]: kind[1](value) for col, kind, value in zip(columns, kinds, row)}
             for row in rows
         ]
-        out = render_json({**payload, rows_key: records})
+        out = render_json({**payload, "command": args.command, rows_key: records})
     elif args.output == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -173,13 +170,13 @@ def _build_spec(args) -> ModuleSpec:
     has_ps = args.lam is not None
     has_point = getattr(args, "point_m", None) is not None
     if has_ps == has_point:
-        raise UsageError("give either --lambda/--parity or --point-m/--orbit")
+        raise ValueError("give either --lambda/--parity or --point-m/--orbit")
     if has_ps:
         if args.parity is None:
-            raise UsageError("--parity is required with --lambda")
+            raise ValueError("--parity is required with --lambda")
         return PrincipalSeries(args.lam, Parity(args.parity))
     if args.orbit is None:
-        raise UsageError("--orbit is required with --point-m")
+        raise ValueError("--orbit is required with --point-m")
     return PointModule(args.point_m, Orbit(args.orbit))
 
 
@@ -198,7 +195,6 @@ def cmd_describe(args) -> int:
     conv = convergence_range(spec)
 
     payload = {
-        "command": "describe",
         "spec": spec_to_json(spec),
         "bound": args.bound,
         "reducible": reducible,
@@ -221,7 +217,7 @@ def cmd_describe(args) -> int:
 def cmd_form_table(args) -> int:
     spec = _build_spec(args)
     if spec.reducible:
-        raise UsageError(
+        raise ValueError(
             f"lambda={spec.lam} is a reduction point; use classify/describe, "
             "or evaluate the constituents"
         )
@@ -234,12 +230,7 @@ def cmd_form_table(args) -> int:
         rows.append((v.index, level(v.index.twice), u.sign, u.ratio_to_reference,
                      u.magnitude, g.sign, True))
     ref_mag = _magnitude(spec)  # the table's memo, which the rows filled
-    payload = {
-        "command": "form-table",
-        "spec": spec_to_json(spec),
-        "bound": args.bound,
-        "reference_magnitude": ref_mag,
-    }
+    payload = {"spec": spec_to_json(spec), "bound": args.bound, "reference_magnitude": ref_mag}
     preamble = f"module: {spec}\nreference magnitude: {_fmt_float(ref_mag)}\n"
     _emit(args, preamble, payload, "rows",
           [("index", "index"), ("hodge_level", "int", "p"), ("u_sign", "sign"),
@@ -252,7 +243,7 @@ def cmd_form_table(args) -> int:
 def cmd_verify(args) -> int:
     spec = _build_spec(args)
     if spec.reducible:
-        raise UsageError(
+        raise ValueError(
             f"lambda={spec.lam} is a reduction point; verify the constituents instead"
         )
     report = verify_conjecture(spec, args.bound)
@@ -262,7 +253,6 @@ def cmd_verify(args) -> int:
     all_ok = report.verdict and brackets.ok and thetas.ok and invariance.ok
 
     payload = {
-        "command": "verify",
         "spec": spec_to_json(spec),
         "bound": args.bound,
         "verdict": "pass" if report.verdict else "fail",
@@ -286,11 +276,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_jantzen(args) -> int:
-    if args.lam is None or args.parity is None:
-        raise UsageError("jantzen requires --lambda and --parity")
     report = jantzen_crossing(args.lam, Parity(args.parity), args.epsilon, args.bound)
     payload = {
-        "command": "jantzen",
         "lambda0": rational_to_json(report.lambda0),
         "parity": report.parity.value,
         "epsilon": rational_to_json(report.epsilon),
@@ -311,14 +298,8 @@ def cmd_jantzen(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.lam is None or args.parity is None:
-        raise UsageError("classify requires --lambda and --parity")
     report = classify(args.lam, Parity(args.parity))
-    payload = {
-        "command": "classify",
-        "lambda": rational_to_json(report.lam),
-        "parity": report.parity.value,
-    }
+    payload = {"lambda": rational_to_json(report.lam), "parity": report.parity.value}
     _emit(args, f"lambda={report.lam}, parity={report.parity.value}\n", payload, "entries",
           [("constituent", "spec"), ("hermitian", "bool"), ("definiteness", "sign"),
            ("unitary", "bool")],
@@ -354,7 +335,6 @@ def cmd_oracle(args) -> int:
     worst_ibp = max(row[5] for row in rows)
     ok = worst <= ORACLE_TOLERANCE and worst_ibp <= ORACLE_TOLERANCE
     payload = {
-        "command": "oracle",
         "tolerance": ORACLE_TOLERANCE,
         "max_rel_err": worst,
         "max_ibp_rel_err": worst_ibp,
@@ -377,9 +357,12 @@ def cmd_oracle(args) -> int:
 # argument parsing
 
 def _add_spec_flags(sub, point: bool = True):
+    # with no point module to take instead, a missing series is refused at parse time
     sub.add_argument("--lambda", dest="lam", type=parse_rational, default=None,
-                     metavar="P/Q", help="twist parameter, exact rational (no floats)")
-    sub.add_argument("--parity", choices=[parity.value for parity in Parity], default=None)
+                     required=not point, metavar="P/Q",
+                     help="twist parameter, exact rational (no floats)")
+    sub.add_argument("--parity", choices=[parity.value for parity in Parity], default=None,
+                     required=not point)
     if point:
         sub.add_argument("--point-m", dest="point_m", type=_integer, default=None,
                          metavar="M", help="point-module twist (integer >= 0)")
@@ -464,7 +447,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.fn(args)
-    except (UsageError, ValueError, OSError, ImportError) as exc:
+    except (ValueError, OSError, ImportError) as exc:
         # ImportError: quadrature (oracle) needs scipy, which may be absent
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

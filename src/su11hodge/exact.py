@@ -39,6 +39,15 @@ __all__ = [
 ]
 
 
+def _rational(x: RationalLike) -> Fraction:
+    """An int or a ``Fraction`` as a ``Fraction``; anything else (a float, a
+    string) is refused with TypeError, as by ``Sign.of``."""
+    try:
+        return Fraction(x.numerator, x.denominator)
+    except AttributeError:
+        raise TypeError(f"not an exact rational: {x!r}") from None
+
+
 _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
@@ -69,7 +78,7 @@ class HalfInt:
     def of(cls, x: "HalfInt | RationalLike") -> "HalfInt":
         if isinstance(x, HalfInt):
             return x
-        q = Fraction(x)
+        q = _rational(x)
         if q.denominator not in (1, 2):
             raise ValueError(f"{x} is not an integer or half integer")
         return cls(int(q * 2))
@@ -209,8 +218,7 @@ def quadrature_integral(s: RationalLike, t: RationalLike) -> Optional[float]:
 
     two proper integrals sharing the same kernel.
     """
-    s = Fraction(s)
-    t = Fraction(t)
+    s, t = _rational(s), _rational(t)
     if s <= 0 or s >= t:
         return None
     tf = float(t)

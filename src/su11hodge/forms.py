@@ -25,18 +25,19 @@ On point modules the diagonal values are the closed form
 with P(k+1) = -(k+1)(m+k+1) P(k).  The noncompact-form-invariant values
 twist these by the diagonal Cartan involution signs.
 
-Each module value has one exact table of the products: every live spec
-equal to it (and a W1 of it) keeps the same table on the module object,
-found through a weak registry keyed by the integers the table is made of,
-(p, q, 2 n0) at lam = p/q and m on a point module, whose orbit does not
-enter P(k).  The table lives as long as some such spec does.  V(-n) =
-V(n), as the Beta integral is symmetric, so the table grows outward to
-|n|, one step per new |n|: a window of bound B costs about B steps and
-one reference Beta value, shared by fresh equal specs and by unpickled
-copies, since a table pickles as its key.  It also keeps
-each FormValue and, where theta is -1, its negation, built once per |n|
-(at worst twice by concurrent callers, equal), except on a reducible
-series: its values are poles, and its W1 shares the table.
+Each module value has one exact table of the products, a cache that only
+form values read (``form_diagonal``, ``gR_form_diagonal`` and the CLI's
+reference magnitude): every live spec equal to it (and a W1 of it) keeps
+the same table on the module object, found through a weak registry keyed
+by the integers the table is made of, (p, q, 2 n0) at lam = p/q and m on
+a point module, whose orbit does not enter P(k).  The table lives as long
+as some such spec does.  V(-n) = V(n), as the Beta integral is symmetric,
+so the table grows outward to |n|, one step per new |n|: a window of
+bound B costs about B steps and one reference Beta value, shared by fresh
+equal specs and by unpickled copies, since a table pickles as its key.
+It also keeps each FormValue and, where theta is -1, its negation, built
+once per |n| (at worst twice by concurrent callers, equal), except on a
+reducible series: its values are poles, and its W1 shares the table.
 
 Signs need no walk and no table.  At lam = p/q the step at n >= 0 has
 the numerator q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1):
@@ -47,10 +48,10 @@ q(r + 2 j0 + 1) = p lies only on a reducible series, whose every ambient
 value is a pole, and a W1 ends before it.  ``_j0`` computes j0 and
 ``_signs`` reads the law as a function of 2n; verdicts (the sign law,
 Jantzen, definiteness) read these, form values the table, and invariance
-the integer steps.  Every reader of a step (the table walk through
-``_table_step``, j0, invariance, ``continuation_ratio``) calls one integer
-function of (p, q, t1 = 2n + 1), ``_continuation_step``; a point module
-steps by ``_point_step``.
+the integer steps, which decide each law and print its failures.  Every
+reader of a step (the table walk through ``_table_step``, j0, invariance,
+``continuation_ratio``) calls one integer function of (p, q, t1 = 2n + 1),
+``_continuation_step``; a point module steps by ``_point_step``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exact import HalfInt, RationalLike, Sign, beta_value
+from .exact import _rational, HalfInt, RationalLike, Sign, beta_value
 from .modules import (
     _decide,
     _lattice,
@@ -103,7 +104,7 @@ def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Option
     reduction points.  The one 0/0 configuration, n = -1/2 at lam = 0,
     lies on the reducible PS(0, odd), whose ambient values are all poles.
     """
-    lam = Fraction(lam)
+    lam = _rational(lam)
     numerator, denominator = _continuation_step(lam.numerator, lam.denominator,
                                                 HalfInt.of(n).twice + 1)
     return Fraction(numerator, denominator) if denominator else None
@@ -156,7 +157,8 @@ def _table_step(key: "int | Tuple[int, int, int]", k: int) -> Tuple[int, int]:
 class _Table:
     """Exact diagonal values of one module value relative to its reference vector.
 
-    A cache only: signs are read from the closed form (``_signs``).
+    A cache that only ``_compact`` reads: signs come from the closed form
+    (``_signs``) and invariance from the integer steps.
     Shared by every live equal spec and its W1 (see ``_table``), and freed
     with the last of them.  ``_ratios[k]`` is the value at |n| = n0 + k,
     None at and past a pole, added once from its predecessor by ``_table_step``.
@@ -331,15 +333,6 @@ def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:
     return [HalfInt(tw) for tw in _lattice(spec, -hi, hi)]
 
 
-def _u_ratio(v: BasisVector, spec: ModuleSpec) -> Fraction:
-    """Exact (v, v) relative to the reference value; ValueError at a pole."""
-    require_member(v, spec)
-    value = None if spec.reducible else _table(spec).ratio(v.index.twice)
-    if value is None:
-        raise ValueError(f"form has a pole at {v} on {spec}")
-    return value
-
-
 def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:
     """V(u) / V(u - 1) at 2u = twice as integers: the step between |u - 1|
     and |u| upward from the smaller, inverted when that is |u|, 1 if equal."""
@@ -353,8 +346,8 @@ def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:
 
 
 def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
-    if spec.reducible and vectors:
-        _u_ratio(vectors[0], spec)  # raises: every ambient value is a pole
+    if spec.reducible:
+        raise ValueError(f"form has a pole at every basis vector of {spec}")
     failures = []
     E, _, F = _steps(spec)
     theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
@@ -368,12 +361,11 @@ def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[s
         sn, sd = _u_step(spec, u) if w < u else _u_step(spec, w)[::-1]  # V(u) / V(w)
         for flip, tu, tw, law in ((1, 1, 1, "(e+u,w)=(u,e-w)"),
                                   (-1, theta[u], theta[w], "(e+u,w)=-(u,e-w)")):
-            # c(u) t(w) V(w) = flip c'(w) t(u) V(u), divided by V(w) != 0
+            # c(u) t(w) V(w) = flip c'(w) t(u) V(u) over V(w) != 0, compared and printed
             if en * tw * fd * sd != flip * tu * fn * ed * sn:
-                wv = BasisVector(HalfInt(w))
-                failures.append(f"{law} fails at u={v}, w={wv}: "
-                                f"{Fraction(en, ed) * tw * _u_ratio(wv, spec)} != "
-                                f"{Fraction(flip * fn, fd) * tu * _u_ratio(v, spec)}")
+                failures.append(f"{law} fails at u={v}, w={BasisVector(HalfInt(w))}: "
+                                f"{Fraction(en * tw, ed)} != "
+                                f"{Fraction(flip * tu * fn * sn, fd * sd)}")
     return failures
 
 
@@ -389,6 +381,8 @@ def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
     others only bind where e+ u lands on w, say c(u) V(u-1) = c'(u-1) V(u).
     Over V(u-1), cross-multiplied by the integer step, that is a polynomial
     identity in the index on either side of the fold V(-n) = V(n), decided
-    as in ``modules._decide``.  On a reducible series it raises ValueError.
+    as in ``modules._decide``.  A failing law is listed with both sides over
+    V(w), from the same integers.  On a reducible series, whose every value
+    is a pole, it raises ValueError.
     """
     return _decide(spec, bound, _invariance_failures)

@@ -62,7 +62,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from .exact import HalfInt, RationalLike
+from .exact import _rational, HalfInt, RationalLike
 
 __all__ = [
     "Parity",
@@ -120,7 +120,7 @@ Coefficients = Tuple[int, Dict[Generator, Tuple[int, int, int, int]]]
 
 def is_reduction_point(lam: RationalLike, parity: Parity) -> bool:
     """Reducibility criterion: odd integer (even parity), even integer (odd)."""
-    lam = Fraction(lam)
+    lam = _rational(lam)
     if lam.denominator != 1:
         return False
     want_odd = parity is Parity.EVEN
@@ -137,7 +137,7 @@ class PrincipalSeries:
     codim = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Fraction(self.lam))
+        object.__setattr__(self, "lam", _rational(self.lam))
         if self.lam < 0:
             raise ValueError(f"dominance requires lam >= 0, got {self.lam}")
 
@@ -389,16 +389,17 @@ def _decide(spec: ModuleSpec, bound: int,
     ratio of degree <= 2.  Such an identity
     holds on the whole lattice when it holds at five consecutive indices
     (on each side of the fold).  The sample has them: the lattice indices
-    within six steps of the reference (k = 0..6 on a point module).  When
-    every law holds there the result is ok; otherwise, or with no sample
-    (W1 is finite, a reducible series has poles), the window of ``bound``
+    within six steps of the reference (k = 0..6 on a point module), on
+    every infinite lattice: a reducible series has the same coefficient
+    polynomials, and invariance refuses it.  When every law holds there
+    the result is ok; otherwise, or on a finite W1, the window of ``bound``
     is swept and its failures listed.  ``failures`` compares cross-multiplied
     integers, so an unreduced denominator gives the same verdict, and builds
     a ``Fraction`` only to print a value.
     """
     _require_bound(bound)
     ref, _, highest = spec.lattice
-    if not spec.reducible and highest is None:
+    if highest is None:
         sample = [_vector(tw) for tw in _lattice(spec, ref - 12, ref + 12)]
         if not failures(spec, sample):
             return CheckResult(True)

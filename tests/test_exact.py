@@ -286,6 +286,27 @@ def test_sign_of_refuses_a_float():
             Sign.of(x)
 
 
+@pytest.mark.parametrize("call,good", [
+    (lambda x: su11hodge.PrincipalSeries(x, su11hodge.Parity.EVEN), Fraction(1, 10)),
+    (lambda x: su11hodge.is_reduction_point(x, su11hodge.Parity.EVEN), Fraction(1, 2)),
+    (lambda x: su11hodge.classify(x, su11hodge.Parity.EVEN), Fraction(1, 2)),
+    (lambda x: su11hodge.jantzen_crossing(x, su11hodge.Parity.EVEN, Fraction(1, 4), 2), 3),
+    (lambda x: su11hodge.jantzen_crossing(3, su11hodge.Parity.EVEN, x, 2), Fraction(1, 4)),
+    (lambda x: su11hodge.continuation_ratio(0, x), Fraction(1, 2)),
+    (HalfInt.of, Fraction(1, 2)),
+    (lambda x: quadrature_integral(x, 3), Fraction(1, 2)),
+    (lambda x: quadrature_integral(Fraction(1, 2), x), 3),
+], ids=["PrincipalSeries", "is_reduction_point", "classify", "jantzen_lambda0",
+        "jantzen_epsilon", "continuation_ratio", "HalfInt.of", "quadrature_s", "quadrature_t"])
+def test_the_library_refuses_floats_and_strings(call, good):
+    # 0.1 would enter as 3602879701896397/36028797018963968; parse_rational
+    # is the one reader of text
+    call(good)
+    for x in (float(good), str(good)):
+        with pytest.raises(TypeError, match="not an exact rational"):
+            call(x)
+
+
 def test_sign_negation():
     assert -Sign.POSITIVE is Sign.NEGATIVE
     assert -Sign.NEGATIVE is Sign.POSITIVE

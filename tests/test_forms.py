@@ -295,33 +295,36 @@ def test_invariance_point_at_infinity():
     assert invariance_check(PointModule(4, Orbit.AT_INFINITY), 8).ok
 
 
+@pytest.mark.parametrize("spec,bound", [(PS(0, Parity.ODD), 0), (PS(0, Parity.ODD), 4),
+                                        (PS(3), 0), (PS(3), 6)], ids=str)
+def test_invariance_refuses_a_reducible_series(spec, bound):
+    # every ambient value is a pole, whatever the window, even an empty one
+    with pytest.raises(ValueError, match="form has a pole at every basis vector"):
+        invariance_check(spec, bound)
+
+
 # ---------------------------------------------------------------------------
 # reference magnitude
 
 def test_invariance_reports_failing_pairs(monkeypatch):
     # double the compact-form value at n = 1: both e+/e- laws then fail on
     # the pairs (1, 0) and (2, 1), the h law and the diagonal pairs hold;
-    # the laws are decided on the integer steps and printed from the values,
-    # so both are patched alike
-    exact = forms._u_ratio
-
-    def doubled(u, spec):
-        return exact(u, spec) * (2 if u.index.twice == 2 else 1)
+    # the laws are decided on the integer steps and printed from them, both
+    # sides over V(w)
+    exact = forms._u_step
 
     def step(spec, twice):  # V(u) / V(u - 1)
-        ratio = doubled(BasisVector.at(Fraction(twice, 2)), spec) / \
-            doubled(BasisVector.at(Fraction(twice - 2, 2)), spec)
+        ratio = Fraction(*exact(spec, twice)) * {2: 2, 4: Fraction(1, 2)}.get(twice, 1)
         return ratio.numerator, ratio.denominator
 
-    monkeypatch.setattr(forms, "_u_ratio", doubled)
     monkeypatch.setattr(forms, "_u_step", step)
     report = invariance_check(PS(Fraction(1, 3)), 2)
     assert not report.ok
     assert report.failures == (
         "(e+u,w)=(u,e-w) fails at u=v[1], w=v[0]: -2/3 != -4/3",
         "(e+u,w)=-(u,e-w) fails at u=v[1], w=v[0]: -2/3 != -4/3",
-        "(e+u,w)=(u,e-w) fails at u=v[2], w=v[1]: 20/3 != 10/3",
-        "(e+u,w)=-(u,e-w) fails at u=v[2], w=v[1]: -20/3 != -10/3",
+        "(e+u,w)=(u,e-w) fails at u=v[2], w=v[1]: -5/3 != -5/6",
+        "(e+u,w)=-(u,e-w) fails at u=v[2], w=v[1]: 5/3 != 5/6",
     )
 
 

@@ -23,6 +23,7 @@ from su11hodge.forms import (
 )
 from su11hodge.modules import (
     BasisVector,
+    Generator,
     Orbit,
     Parity,
     PointModule,
@@ -401,13 +402,19 @@ def test_an_unpickled_spec_joins_the_shared_table():
 def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
     steps = _Counter(modules._step)
     monkeypatch.setattr(modules, "_step", steps)
-    for check in (bracket_check, theta_check, invariance_check):
+    # a reducible series has the same coefficient polynomials, so its
+    # bracket and theta laws are decided on the same sample
+    runs = [(check, PrincipalSeries(Fraction(1, 3), Parity.EVEN))
+            for check in (bracket_check, theta_check, invariance_check)]
+    runs += [(check, PrincipalSeries(lam, parity)) for check in (bracket_check, theta_check)
+             for lam, parity in ((Fraction(3), Parity.EVEN), (Fraction(0), Parity.ODD))]
+    for check, spec in runs:
         calls = []
         for bound in (10, 10_000):
             steps.calls = 0
-            assert check(PrincipalSeries(Fraction(1, 3), Parity.EVEN), bound).ok
+            assert check(spec, bound).ok
             calls.append(steps.calls)
-        assert calls[0] == calls[1] > 0
+        assert calls[0] == calls[1] > 0, (check.__name__, spec)
 
 
 def test_verdicts_walk_no_ratio(monkeypatch):
@@ -443,6 +450,25 @@ def test_verdicts_build_no_table(monkeypatch):
     assert jantzen_crossing(Fraction(37), Parity.EVEN, Fraction(1, 5), 30).verdict
     assert made.calls == 0
     assert not any(key in forms._TABLES for key in keys)
+
+
+def test_a_failing_invariance_check_builds_no_table(monkeypatch):
+    # failures are printed from the integer steps that decide them; the
+    # module value PS(53/59, odd) is kept alive by no other test
+    made = _Counter(forms._shared)
+    monkeypatch.setattr(forms, "_shared", made)
+    exact = modules._step
+
+    def perturbed(spec, gen, twice):  # e+ off by 1 / denominator
+        n, d, shift = exact(spec, gen, twice)
+        return n + (gen is Generator.E_PLUS), d, shift
+
+    monkeypatch.setattr(modules, "_step", perturbed)
+    assert (53, 59, 1) not in forms._TABLES
+    series = PrincipalSeries(Fraction(53, 59), Parity.ODD)
+    report = invariance_check(series, 6)
+    assert not report.ok and len(report.failures) == 2 * 11  # both laws, every neighbor pair
+    assert made.calls == 0 and (53, 59, 1) not in forms._TABLES
 
 
 def test_verdict_signs_build_no_float():
