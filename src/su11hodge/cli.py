@@ -229,7 +229,7 @@ def cmd_form_table(args) -> int:
         # irreducible: the weight filtration collapses, so every vector is in W1
         rows.append((v.index, level(v.index.twice), u.sign, u.ratio_to_reference,
                      u.magnitude, g.sign, True))
-    ref_mag = _magnitude(spec)  # the table's memo, which the rows filled
+    ref_mag = _magnitude(spec)  # read from the reference entry of the table
     payload = {"spec": spec_to_json(spec), "bound": args.bound, "reference_magnitude": ref_mag}
     preamble = f"module: {spec}\nreference magnitude: {_fmt_float(ref_mag)}\n"
     _emit(args, preamble, payload, "rows",

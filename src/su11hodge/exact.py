@@ -139,9 +139,10 @@ class Sign(Enum):
 def beta_value(a: RationalLike, b: RationalLike) -> Optional[float]:
     """Gamma(a)Gamma(b)/Gamma(a+b) = int_0^inf u^(a-1) (1+u)^(-a-b) du, via log-Gamma.
 
-    The integral converges exactly when a > 0 and b > 0 (decided on exact
-    rationals); otherwise None is returned.
+    The integral converges exactly when a > 0 and b > 0, decided on exact
+    rationals (a float or a string raises TypeError); otherwise None.
     """
+    a, b = _rational(a), _rational(b)
     if not (a > 0 and b > 0):
         return None
     af, bf = float(a), float(b)

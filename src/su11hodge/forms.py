@@ -25,19 +25,18 @@ On point modules the diagonal values are the closed form
 with P(k+1) = -(k+1)(m+k+1) P(k).  The noncompact-form-invariant values
 twist these by the diagonal Cartan involution signs.
 
-Each module value has one exact table of the products, a cache that only
-form values read (``form_diagonal``, ``gR_form_diagonal`` and the CLI's
-reference magnitude): every live spec equal to it (and a W1 of it) keeps
-the same table on the module object, found through a weak registry keyed
-by the integers the table is made of, (p, q, 2 n0) at lam = p/q and m on
-a point module, whose orbit does not enter P(k).  The table lives as long
+Each irreducible module value has one exact table of its FormValues, a
+cache that only form values read (``form_diagonal``, ``gR_form_diagonal``
+and the CLI's reference magnitude): every live spec equal to it (and a W1
+of it) keeps the same table, found through a weak registry keyed by the
+integers the values are made of, (p, q, 2 n0) at lam = p/q and m on a
+point module, whose orbit does not enter P(k).  The table lives as long
 as some such spec does.  V(-n) = V(n), as the Beta integral is symmetric,
-so the table grows outward to |n|, one step per new |n|: a window of
-bound B costs about B steps and one reference Beta value, shared by fresh
-equal specs and by unpickled copies, since a table pickles as its key.
-It also keeps each FormValue and, where theta is -1, its negation, built
-once per |n| (at worst twice by concurrent callers, equal), except on a
-reducible series: its values are poles, and its W1 shares the table.
+so the table grows outward to |n|, one step and one FormValue (and its
+negation, where theta is -1) per new |n|: a window of bound B costs about
+B steps and one reference Beta value, shared by fresh equal specs and by
+unpickled copies, since a table pickles as its key.  A reducible series
+builds no table: its values are poles.
 
 Signs need no walk and no table.  At lam = p/q the step at n >= 0 has
 the numerator q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1):
@@ -72,7 +71,6 @@ from .modules import (
     BasisVector,
     CheckResult,
     ModuleSpec,
-    PointModule,
     reference_index,
     require_member,
     theta_sign,
@@ -132,7 +130,7 @@ def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
     reference integral, None where it diverges (only on PS(0, odd)); on
     point modules the anchor is 1.
     """
-    if isinstance(spec, PointModule):
+    if spec.codim:
         return 1.0
     ps = spec.base
     n0 = reference_index(ps).as_fraction
@@ -157,42 +155,21 @@ def _table_step(key: "int | Tuple[int, int, int]", k: int) -> Tuple[int, int]:
 class _Table:
     """Exact diagonal values of one module value relative to its reference vector.
 
-    A cache that only ``_compact`` reads: signs come from the closed form
-    (``_signs``) and invariance from the integer steps.
-    Shared by every live equal spec and its W1 (see ``_table``), and freed
-    with the last of them.  ``_ratios[k]`` is the value at |n| = n0 + k,
-    None at and past a pole, added once from its predecessor by ``_table_step``.
-    A table pickles as its ``key`` (see ``_shared``), so a pickled or
-    copied spec finds the live table again.  ``values[|2n|]`` is the
-    ``FormValue`` that ``form_diagonal`` built there and ``negated[|2n|]``
-    its negation, which ``gR_form_diagonal`` reads where theta is -1; never
-    a pole: a reducible series, whose table its W1 shares, skips both.
-    Concurrent callers at worst compute an entry twice, with equal results.
+    A cache that only form values read, shared by every live equal spec and
+    its W1 (see ``_table``) and freed with the last of them.
+    ``values[|2n|]`` is the ``FormValue`` at |2n|, its keys a contiguous run
+    outward from the reference (see ``_walk``); ``negated[|2n|]`` is its
+    negation, which ``gR_form_diagonal`` reads where theta is -1.  Neither
+    holds a pole.  A table pickles as its ``key`` (see ``_shared``), so a
+    pickled or copied spec finds the live table again.
     """
 
-    __slots__ = ("key", "_ref_twice", "_ratios", "magnitude", "values", "negated",
-                 "__weakref__")
+    __slots__ = ("key", "values", "negated", "__weakref__")
 
     def __init__(self, key: "int | Tuple[int, int, int]"):
         self.key = key
-        self._ref_twice = 0 if isinstance(key, int) else key[2]  # m (k = 0) or (p, q, 2 n0)
-        self._ratios = {0: Fraction(1)}
         self.values: Dict[int, FormValue] = {}
         self.negated: Dict[int, FormValue] = {}
-        self.magnitude: Optional[float] = None  # reference magnitude, set on first use
-
-    def ratio(self, twice: int) -> Optional[Fraction]:
-        ratios, k = self._ratios, (abs(twice) - self._ref_twice) // 2
-        # the keys are 0..len-1, so the walk resumes at the last
-        j = len(ratios) - 1
-        value = ratios[min(j, k)]
-        while j < k:
-            if value is not None:
-                numerator, denominator = _table_step(self.key, j)
-                value = value * Fraction(numerator, denominator) if denominator else None
-            j += 1
-            ratios[j] = value
-        return value
 
     def __reduce__(self):
         # a copy of a spec (pickled or deep-copied) joins the live table
@@ -210,32 +187,48 @@ def _shared(key: "int | Tuple[int, int, int]") -> _Table:
 
 
 def _table(spec: ModuleSpec) -> _Table:
-    """The module's diagonal table, found or created on first use and kept on the spec.
+    """The diagonal table of an irreducible spec or W1, found or created on first use.
 
-    It lives in the instance dictionary, outside the dataclass fields, so
-    equality, hashing and repr are untouched; W1 shares its base's table.
-    Equal specs share it through ``_TABLES``, keyed by its integers: m on a
-    point module, (p, q, 2 n0) at lam = p/q.
+    It is kept on the spec, in the instance dictionary, outside the
+    dataclass fields, so equality, hashing and repr are untouched.  Equal
+    specs, and a W1 and its base, share it through ``_TABLES``, keyed by
+    the base's integers: m on a point module, (p, q, 2 n0) at lam = p/q.
     """
-    table = vars(spec).get("_diagonal_table")  # before ``base``, a property
+    table = vars(spec).get("_diagonal_table")
     if table is None:
-        owner = spec.base
-        table = vars(owner).get("_diagonal_table")
-        if table is None:
-            if owner.codim:
-                key = owner.m
-            else:
-                lam = owner.lam
-                key = lam.numerator, lam.denominator, owner.lattice[0]
-            table = vars(owner).setdefault("_diagonal_table", _shared(key))
+        key = spec.m if spec.codim else (*spec.base.lam.as_integer_ratio(), spec.lattice[0])
+        table = vars(spec).setdefault("_diagonal_table", _shared(key))
     return table
 
 
-def _magnitude(spec: ModuleSpec) -> Optional[float]:
+def _walk(spec: ModuleSpec, twice: int) -> Tuple[_Table, FormValue]:
+    """The table of an irreducible spec or W1 and its compact value at |2n| = twice,
+    walked from the last entry of ``values``, one ``_table_step`` per new |n|;
+    concurrent walkers settle on one object per index."""
     table = _table(spec)
-    if table.magnitude is None:
-        table.magnitude = reference_magnitude(spec)
-    return table.magnitude
+    values = table.values
+    value = values.get(twice)
+    if value is None:
+        ref = spec.lattice[0]
+        if not values:
+            magnitude = reference_magnitude(spec)
+            values.setdefault(ref, FormValue(Sign.POSITIVE, Fraction(1), magnitude, magnitude))
+        # keys run ref, ref + 2, ...: resume at the last, or at twice if a racer added it
+        k = min(len(values) - 1, (twice - ref) // 2)
+        value = values[ref + 2 * k]
+        magnitude = value.reference_magnitude
+        while ref + 2 * k < twice:
+            numerator, denominator = _table_step(table.key, k)
+            ratio = value.ratio_to_reference * Fraction(numerator, denominator)
+            k += 1
+            value = values.setdefault(ref + 2 * k, FormValue(
+                Sign.of(ratio), ratio, abs(float(ratio)) * magnitude, magnitude))
+    return table, value
+
+
+def _magnitude(spec: ModuleSpec) -> float:
+    """The reference magnitude of an irreducible spec or W1, read from its table."""
+    return _walk(spec, spec.lattice[0])[1].reference_magnitude
 
 
 def point_diagonal_value(m: int, k: int) -> int:
@@ -247,18 +240,11 @@ def point_diagonal_value(m: int, k: int) -> int:
 
 
 def _compact(v: BasisVector, spec: ModuleSpec) -> Tuple[Optional[_Table], FormValue]:
-    """The module's table (None at a pole) and the compact (v, v), membership checked once."""
+    """The table (None if reducible) and the compact (v, v), membership checked once."""
     require_member(v, spec)
     if spec.reducible:
-        return None, FormValue(Sign.POLE, None, None, _magnitude(spec))
-    table, twice = _table(spec), abs(v.index.twice)
-    value = table.values.get(twice)
-    if value is None:
-        ratio, ref_mag = table.ratio(twice), _magnitude(spec)
-        magnitude = None if ratio is None or ref_mag is None else abs(float(ratio)) * ref_mag
-        value = FormValue(Sign.of(ratio), ratio, magnitude, ref_mag)
-        value = table.values.setdefault(twice, value)
-    return table, value
+        return None, FormValue(Sign.POLE, None, None, reference_magnitude(spec))
+    return _walk(spec, abs(v.index.twice))
 
 
 def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
@@ -310,13 +296,12 @@ def gR_form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     """
     table, base = _compact(v, spec)
     twice = v.index.twice
-    if base.ratio_to_reference is None or not _theta_odd(spec, twice):
+    if table is None or not _theta_odd(spec, twice):
         return base  # a pole, or theta is 1
-    negated = table.negated
-    value = negated.get(abs(twice))
+    value = table.negated.get(abs(twice))
     if value is None:
         # |float(-r)| = |float(r)|, so the magnitude is the compact one
-        value = negated.setdefault(abs(twice), FormValue(
+        value = table.negated.setdefault(abs(twice), FormValue(
             -base.sign, -base.ratio_to_reference, base.magnitude, base.reference_magnitude))
     return value
 

@@ -27,6 +27,7 @@ from su11hodge.modules import (
     Parity,
     PointModule,
     PrincipalSeries,
+    W1Sub,
     basis_window,
     constituents,
     reference_index,
@@ -61,25 +62,27 @@ series = st.builds(PrincipalSeries, lams | integers, st.sampled_from(Parity))
 @given(series, st.integers(0, 30))
 def test_closed_form_is_the_product_of_step_signs(ps, bound):
     # the series, its W1 and its point constituents; on a reducible series
-    # every public reader gives a pole, and the walk keeps the step signs
+    # every public reader gives a pole, elsewhere the step signs
     for spec in {ps, *constituents(ps)}:
         sign = forms._signs(spec)
         for v in basis_window(spec, bound):
-            expected = expected_sign(v, spec)
             if spec.reducible:
                 assert sign(v.index.twice) is diagonal_sign(v, spec) is Sign.POLE
                 assert form_diagonal(v, spec).sign is Sign.POLE
-                assert Sign.of(forms._table(spec).ratio(v.index.twice)) is expected
             else:
+                expected = expected_sign(v, spec)
                 assert sign(v.index.twice) is diagonal_sign(v, spec) is expected
+                assert form_diagonal(v, spec).sign is expected
 
 
 def test_poles_lie_past_a_zero_step():
-    # PS(5, even): steps 0 and 1 positive, step 2 (n = 2 -> 3) divides by zero
+    # PS(5, even): steps 0 and 1 positive, step 2 (n = 2 -> 3) divides by zero;
+    # its W1 ends at n = 2, before that step
     ps = PrincipalSeries(Fraction(5), Parity.EVEN)
     assert forms._j0(ps) == 2 and forms._continuation_step(5, 1, 2 * 2 + 1)[1] == 0
-    assert [forms._table(ps).ratio(2 * n) for n in range(5)] == [1, Fraction(3, 2), 6,
-                                                                  None, None]
+    w1 = W1Sub(ps)
+    assert [form_diagonal(v, w1).ratio_to_reference for v in basis_window(w1, 4)
+            if v.index.twice >= 0] == [1, Fraction(3, 2), 6]
     assert all(forms._signs(ps)(2 * n) is Sign.POLE for n in range(-4, 5))
 
 
@@ -112,15 +115,14 @@ def test_classify_is_constant_between_reduction_points(case):
 
 def test_classify_at_large_lambda_walks_nothing(monkeypatch):
     # the walk it replaced took about 8 s here
-    steps, read = [], []
-    step, ratio = forms._table_step, forms._Table.ratio
+    steps, made = [], []
+    step, shared = forms._table_step, forms._shared
     monkeypatch.setattr(forms, "_table_step", lambda *args: steps.append(args) or
                         step(*args))
-    monkeypatch.setattr(forms._Table, "ratio", lambda table, twice: read.append(twice) or
-                        ratio(table, twice))
+    monkeypatch.setattr(forms, "_shared", lambda key: made.append(key) or shared(key))
     start = time.process_time()
     (entry,) = classify(Fraction(20000001, 2), Parity.EVEN).entries
     elapsed = time.process_time() - start
     assert not entry.unitary
-    assert not steps and not read
+    assert not steps and not made
     assert elapsed < 0.1

@@ -296,8 +296,11 @@ def test_sign_of_refuses_a_float():
     (HalfInt.of, Fraction(1, 2)),
     (lambda x: quadrature_integral(x, 3), Fraction(1, 2)),
     (lambda x: quadrature_integral(Fraction(1, 2), x), 3),
+    (lambda x: beta_value(x, 1), Fraction(1, 2)),
+    (lambda x: beta_value(Fraction(1, 2), x), 3),
 ], ids=["PrincipalSeries", "is_reduction_point", "classify", "jantzen_lambda0",
-        "jantzen_epsilon", "continuation_ratio", "HalfInt.of", "quadrature_s", "quadrature_t"])
+        "jantzen_epsilon", "continuation_ratio", "HalfInt.of", "quadrature_s", "quadrature_t",
+        "beta_a", "beta_b"])
 def test_the_library_refuses_floats_and_strings(call, good):
     # 0.1 would enter as 3602879701896397/36028797018963968; parse_rational
     # is the one reader of text

@@ -4,11 +4,11 @@
 laws as cross-multiplied integer numerators, and ``definiteness`` reads the
 closed-form signs.  The reference functions here evaluate the same laws
 the plain way, as products and differences of ``Fraction`` coefficients
-and form ratios from the table walk, one ``_step`` or ``theta_sign`` call
-per use, and must give the same failure lines in the same order, the same
-``CheckResult`` and the same errors.  Counter tests pin that each check
-reads every coefficient and every theta sign once, and that the checks
-leave no state on the module beyond its cached facts.
+and form ratios from their own step products, one ``_step`` or
+``theta_sign`` call per use, and must give the same failure lines in the
+same order, the same ``CheckResult`` and the same errors.  Counter tests
+pin that each check reads every coefficient and every theta sign once,
+and that the checks leave no state on the module beyond its cached facts.
 """
 
 import gc
@@ -108,12 +108,25 @@ def reference_theta_failures(spec, vectors):
     return failures
 
 
+def diagonal_ratio(spec, v):
+    """V(v) / V(reference), a product of exact steps outward from the reference to |n|:
+    P(k+1) / P(k) = -(k+1)(m+k+1) on a point module, else
+    V(n+1) / V(n) = (2n + lam + 1) / (lam - 1 - 2n), never 0/0 off a reduction point."""
+    ratio = Fraction(1)
+    for j in range(spec.lattice[0], abs(v.index.twice), 2):  # steps j/2 -> j/2 + 1
+        if spec.codim:
+            ratio *= -(j // 2 + 1) * (spec.m + j // 2 + 1)
+        else:
+            ratio *= (j + spec.base.lam + 1) / (spec.base.lam - 1 - j)
+    return ratio
+
+
 def reference_invariance_failures(spec, vectors):
     if spec.reducible:
         raise ValueError(f"form has a pole at every basis vector of {spec}")
     failures = []
     members = set(vectors)
-    uratio = {v: forms._table(spec).ratio(v.index.twice) for v in vectors}
+    uratio = {v: diagonal_ratio(spec, v) for v in vectors}
     gratio = {v: forms.theta_sign(v, spec) * uratio[v] for v in vectors}
 
     def pair(gen, u, w, table):

@@ -58,28 +58,28 @@ def reference_walk(twice: int, lam: Fraction, ref_twice: int):
 
 
 def table_ratio(spec, twice: int):
-    return forms._table(spec).ratio(twice)
+    return form_diagonal(BasisVector(HalfInt(twice)), spec).ratio_to_reference
 
 
 ZERO_ODD = PrincipalSeries(Fraction(0), Parity.ODD)
 
 
 def check_entry(ps, twice: int):
-    """The table entries, ratio and sign, at twice/2 against the two-sided reference walk.
+    """The table entry, ratio and sign, at twice/2 against the two-sided reference walk.
 
-    PS(0, odd) is reducible and has no W1, so no public function reads its
-    table; below its reference the walk takes the 0/0 step, which the
-    one-sided table never does.  There the public sign is checked instead.
+    A reducible series has no table: the closed-form sign, the public sign
+    and the form value are a pole at every index.
     """
-    if ps == ZERO_ODD:
-        assert diagonal_sign(BasisVector(HalfInt(twice)), ps) is Sign.POLE
+    v = BasisVector(HalfInt(twice))
+    if ps.reducible:
+        assert forms._signs(ps)(twice) is diagonal_sign(v, ps) is Sign.POLE
+        assert form_diagonal(v, ps).sign is Sign.POLE
     else:
         expected = reference_walk(twice, ps.lam, ps.parity.twice_residue)
         assert table_ratio(ps, twice) == expected
-        # the closed-form sign, a pole everywhere on a reducible series
         sign = forms._signs(ps)(twice)
-        assert sign is (Sign.POLE if ps.reducible else Sign.of(expected))
-        assert diagonal_sign(BasisVector(HalfInt(twice)), ps) is sign
+        assert sign is Sign.of(expected)
+        assert diagonal_sign(v, ps) is sign
 
 
 lams = st.builds(Fraction, st.integers(0, 40), st.integers(1, 9))
@@ -110,13 +110,14 @@ def test_table_poles_at_integer_lambda(lam, parity, bound):
 
 
 def test_table_pole_configurations():
+    # PS(3, even): the W1 ends one step before the zero step n = 1 -> 2
     ps = PrincipalSeries(Fraction(3), Parity.EVEN)
-    assert [table_ratio(ps, 2 * n) for n in (-3, -2, -1, 0, 1, 2, 3)] == [
-        None, None, 2, 1, 2, None, None]
-    # PS(0, odd): the reference walk's 0/0 step at n = -1/2; every public
-    # value is a pole
-    assert all(diagonal_sign(v, ZERO_ODD) is Sign.POLE for v in basis_window(ZERO_ODD, 3))
-    assert table_ratio(ZERO_ODD, 3) == reference_walk(3, Fraction(0), 1)
+    assert [table_ratio(W1Sub(ps), 2 * n) for n in (-1, 0, 1)] == [2, 1, 2]
+    # every public value is a pole on PS(3, even) and on PS(0, odd), where
+    # the reference walk takes the 0/0 step at n = -1/2
+    for spec in (ps, ZERO_ODD):
+        assert all(diagonal_sign(v, spec) is form_diagonal(v, spec).sign is Sign.POLE
+                   for v in basis_window(spec, 3))
 
 
 def test_out_of_order_queries():
@@ -203,13 +204,12 @@ class _Counter:
 
 
 def fresh_table(spec):
-    """The spec's table, asserted unused: only the reference ratio and no values.
+    """The spec's table, asserted unused: no values and no negations.
 
     Equal specs share one table, so a count is only true on a module value
     that no other live spec has used.
     """
     table = forms._table(spec)
-    assert table._ratios == {0: 1} and table.magnitude is None
     assert not table.values and not table.negated
     return table
 
@@ -264,7 +264,7 @@ def test_a_ladder_of_fresh_equal_specs_walks_once(monkeypatch):
         for check in (bracket_check, theta_check, invariance_check):
             assert check(ps, bound).ok
         for v in basis_window(ps, bound):
-            assert form_diagonal(v, ps).ratio_to_reference == table_ratio(specs[0], v.index.twice)
+            assert form_diagonal(v, ps) is form_diagonal(v, specs[0])
             gR_form_diagonal(v, ps)
             hodge_level(v, ps)
     assert steps.calls == 200  # the largest bound, not 25 + 50 + 100 + 200
@@ -318,10 +318,18 @@ def test_a_table_dies_with_its_last_spec():
         assert key not in forms._TABLES
 
 
-def test_value_memo_holds_no_pole():
+def test_value_memo_holds_no_pole(monkeypatch):
     # a W1 shares its reducible base's table, and so does a fresh equal
     # base: in either query order the base reports poles uncached and the
-    # W1 its own values
+    # W1 its own values, walking no zero step
+    denominators, real = [], forms._table_step
+
+    def step(*args):
+        pair = real(*args)
+        denominators.append(pair[1])
+        return pair
+
+    monkeypatch.setattr(forms, "_table_step", step)
     for lam0 in (1, 2, 5, 8):
         parity = reducible_parity(lam0)
         for base_first, fresh_base in ((True, False), (False, False), (True, True),
@@ -348,6 +356,18 @@ def test_value_memo_holds_no_pole():
             assert set(table.negated) <= set(members)
             for memo in (table.values, table.negated):
                 assert all(value.sign is not Sign.POLE for value in memo.values())
+    assert denominators and all(denominators)
+
+
+def test_a_reducible_series_builds_no_table(monkeypatch):
+    made = _Counter(forms._shared)
+    monkeypatch.setattr(forms, "_shared", made)
+    ps = PrincipalSeries(Fraction(47), Parity.EVEN)  # kept alive by no other test
+    reference = forms.reference_magnitude(ps)
+    for v in basis_window(ps, 30):
+        for value in (form_diagonal(v, ps), gR_form_diagonal(v, ps)):
+            assert value == forms.FormValue(Sign.POLE, None, None, reference)
+    assert made.calls == 0 and (47, 1, 0) not in forms._TABLES
 
 
 def test_a_used_spec_pickles_with_equal_values():
@@ -541,6 +561,28 @@ def test_threads_sharing_a_spec_read_one_value_per_index():
     assert sorted(kept) == sorted({abs(t) for t in indices})
     for found in results[1::2]:  # the form_diagonal sweeps
         assert all(value is kept[abs(t)] for t, value in found.items())
+
+
+def test_a_walk_overtaken_by_another_reads_its_own_index():
+    # a concurrent walker may extend the memo past |2n| between the miss
+    # and the resume; the walk then reads the entry at |2n|, not the last
+    ps = PrincipalSeries(Fraction(31, 37), Parity.ODD)  # kept alive by no other test
+    table = fresh_table(ps)
+
+    class Overtaken(dict):
+        overtaken = False
+
+        def get(self, twice, default=None):
+            if self.overtaken:
+                return super().get(twice, default)
+            self.overtaken = True
+            forms._walk(ps, 21)  # the other walker, out to n = 21/2
+            return default
+
+    table.values = Overtaken()
+    value = form_diagonal(BasisVector(HalfInt(3)), ps)
+    assert value is table.values[3] and len(table.values) == 11
+    assert value.ratio_to_reference == reference_walk(3, ps.lam, 1)
 
 
 def test_threads_building_equal_specs_read_equal_values():
