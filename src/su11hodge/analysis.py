@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 from .exact import _rational, RationalLike, Sign
 from .filtrations import _levels
-from .forms import _j0, _signs
+from .forms import _breakpoints, _signs
 from .modules import (
     _require_bound,
     BasisVector,
@@ -142,20 +142,15 @@ def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
     k steps out on the side 2n >= 0, (theta v, v) has the sign
     (-1)^k (-1)^max(0, k - j0) (see ``forms``), on the side 2n < 0 that
     times (-1)^(2 n0).  So it is positive definite (a point module always)
-    if j0 = 0 or the lattice ends at k = 0, and no index is negative and
-    odd; else indefinite.  ``bound`` (>= 0) cannot change the verdict.
+    if j0 = 0 and the lattice is even; else indefinite.  ``bound`` (>= 0)
+    cannot change the verdict.
     """
     if bound is not None:
         _require_bound(bound)
     if spec.reducible:
         raise ValueError(f"{spec} is reducible; classify its constituents instead")
-    r, lowest, highest = spec.lattice
-    reach = _j0(spec)
-    if highest is not None:
-        reach = min(reach, (highest - r) // 2)
-    if reach == 0 and not (r and (lowest is None or lowest < 0)):
-        return Definiteness.POS_DEF
-    return Definiteness.INDEFINITE
+    r, _, j0 = _breakpoints(spec)
+    return Definiteness.INDEFINITE if j0 or r else Definiteness.POS_DEF
 
 
 @dataclass(frozen=True)

@@ -168,15 +168,14 @@ def _emit(args, preamble: str, payload: Dict[str, Any], rows_key: str,
 
 def _build_spec(args) -> ModuleSpec:
     has_ps = args.lam is not None
-    has_point = getattr(args, "point_m", None) is not None
-    if has_ps == has_point:
-        raise ValueError("give either --lambda/--parity or --point-m/--orbit")
+    if has_ps == (args.point_m is not None):
+        args.parser.error("give either --lambda/--parity or --point-m/--orbit")
     if has_ps:
         if args.parity is None:
-            raise ValueError("--parity is required with --lambda")
+            args.parser.error("--parity is required with --lambda")
         return PrincipalSeries(args.lam, Parity(args.parity))
     if args.orbit is None:
-        raise ValueError("--orbit is required with --point-m")
+        args.parser.error("--orbit is required with --point-m")
     return PointModule(args.point_m, Orbit(args.orbit))
 
 
@@ -367,6 +366,7 @@ def _add_spec_flags(sub, point: bool = True):
         sub.add_argument("--point-m", dest="point_m", type=_integer, default=None,
                          metavar="M", help="point-module twist (integer >= 0)")
         sub.add_argument("--orbit", choices=[orbit.value for orbit in Orbit], default=None)
+        sub.set_defaults(parser=sub)  # ``_build_spec`` refuses through it, as argparse
 
 
 def _integer(text: str) -> int:
@@ -442,11 +442,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; keep that contract
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
         return args.fn(args)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors, also those of ``_build_spec``
+        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     except (ValueError, OSError, ImportError) as exc:
         # ImportError: quadrature (oracle) needs scipy, which may be absent
         print(f"error: {exc}", file=sys.stderr)

@@ -1,14 +1,12 @@
 """Hodge levels, weight-filtration membership, and the gr_{W,2} weight oracle.
 
 On the open-orbit modules the Hodge level of z^n s0^mu is governed by pole
-order: v_n enters F_p exactly when |n| <= (lam+1)/2 + p, so
-
-    level(n) = max(0, ceil(|n| - (lam+1)/2)) = max(0, ceil((q|2n| - p - q) / 2q))
-
-with lam = p/q, computed by integer floor division (the ceiling lands
-boundary cases, where the difference is an exact integer, on the weak
-inequality).  On point modules the level is the derivative order shifted
-by the codimension of the support: level(k) = k + 1.
+order: v_n lies in F_h exactly when |n| <= (lam+1)/2 + h.  With lam = p/q
+and |2n| = r + 2k, k steps out from the reference 2 n0 = r, that is
+k <= k1 + h with k1 = floor((p + q - q r) / 2q), so the level is
+max(0, k - k1).  On point modules it is the derivative order shifted by the
+codimension of the support, k + 1: k1 = -1.  ``forms._breakpoints`` reads
+k1, beside the sign threshold j0, and every level here comes from it.
 
 The weight filtration is trivial in the irreducible case and on point
 modules; at a reduction point lam0 the W1 layer consists of |2n| <= lam0-1.
@@ -22,6 +20,7 @@ from functools import partial
 from typing import Callable, List, Tuple
 
 from .exact import RationalLike
+from .forms import _breakpoints, _past
 from .modules import (
     _lattice,
     BasisVector,
@@ -47,39 +46,26 @@ __all__ = [
 ]
 
 
-def _point_level(twice: int) -> int:
-    return twice // 2 + 1
-
-
-def _series_level(p: int, q: int, twice: int) -> int:
-    # ceil(a / b) = -(-a // b) with a = q|2n| - p - q and b = 2q > 0
-    return max(0, -((p + q - q * abs(twice)) // (2 * q)))
-
-
 def hodge_dim(spec: ModuleSpec, p: int) -> int:
     """Number of basis vectors with hodge_level <= p (finite for every p)."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    if spec.codim:
-        return p
-    # as in ``_series_level`` at lam = a/b: level <= p iff b|2n| <= a + b(1 + 2p)
-    a, b = spec.base.lam.numerator, spec.base.lam.denominator
-    hi = (a + b * (1 + 2 * p)) // b
+    r, k1, _ = _breakpoints(spec)
+    hi = r + 2 * (p + k1)  # max(0, k - k1) <= p iff k <= p + k1
     return len(_lattice(spec, -hi, hi))
 
 
 def _levels(spec: ModuleSpec) -> Callable[[int], int]:
     """The Hodge level of v_n on ``spec`` as a function of 2n, membership unchecked."""
-    if spec.codim:
-        return _point_level
-    lam = spec.base.lam
-    return partial(_series_level, lam.numerator, lam.denominator)
+    r, k1, _ = _breakpoints(spec)
+    return partial(_past, r, k1)
 
 
 def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
     """Smallest p with v in F_p, by the pole-order / derivative-order rule."""
     require_member(v, spec)
-    return _levels(spec)(v.index.twice)
+    r, k1, _ = _breakpoints(spec)
+    return _past(r, k1, v.index.twice)
 
 
 def w1_member(v: BasisVector, lambda0: RationalLike, parity: Parity) -> bool:

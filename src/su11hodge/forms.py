@@ -39,18 +39,18 @@ unpickled copies, since a table pickles as its key.  A reducible series
 builds no table: its values are poles.
 
 Signs need no walk and no table.  At lam = p/q the step at n >= 0 has
-the numerator q(2n + 1) + p > 0, so its sign is that of p - q(2n + 1):
-positive for the first j0 = max(0, ceil((p - q(1 + r)) / 2q)) steps out
-(r = 2 n0), negative after.  So k steps out (v, v) has the sign
+the numerator q(2n + 1) + p > 0, so its sign is that of its denominator
+p - q(2n + 1): positive for the first j0 = max(0, ceil((p - q(1 + r)) / 2q))
+steps out (r = 2 n0), negative after.  So k steps out (v, v) has the sign
 (-1)^max(0, k - j0), and on a point module j0 = 0.  A zero step
 q(r + 2 j0 + 1) = p lies only on a reducible series, whose every ambient
-value is a pole, and a W1 ends before it.  ``_j0`` computes j0 and
-``_signs`` reads the law as a function of 2n; verdicts (the sign law,
-Jantzen, definiteness) read these, form values the table, and invariance
-the integer steps, which decide each law and print its failures.  Every
-reader of a step (the table walk through ``_table_step``, j0, invariance,
-``continuation_ratio``) calls one integer function of (p, q, t1 = 2n + 1),
-``_continuation_step``; a point module steps by ``_point_step``.
+value is a pole, and a W1 ends before it.  ``_breakpoints`` reads j0 off
+that denominator and the level's k1 off pole order (see ``filtrations``),
+neither from the other.  Verdicts (the sign law, Jantzen, definiteness)
+read it, form values the table, and invariance the integer steps, which
+decide each law and print its failures.  Every reader of a step (the
+table walk, ``_breakpoints``, invariance, ``continuation_ratio``) calls
+``_continuation_step`` of (p, q, t1 = 2n + 1), a point module ``_point_step``.
 """
 
 from __future__ import annotations
@@ -106,6 +106,31 @@ def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Option
     numerator, denominator = _continuation_step(lam.numerator, lam.denominator,
                                                 HalfInt.of(n).twice + 1)
     return Fraction(numerator, denominator) if denominator else None
+
+
+def _breakpoints(spec: ModuleSpec) -> Tuple[int, int, int]:
+    """(r, k1, j0): the reference 2 n0 = r of ``spec`` and two thresholds, so that
+    k steps out the Hodge level is max(0, k - k1) and the sign exponent of (v, v)
+    max(0, k - j0), both counted by ``_past``; (0, -1, 0) on a point module.  A
+    reducible series answers too (``describe`` prints its levels).  Kept on the
+    spec, outside the dataclass fields, as its table is."""
+    found = vars(spec).get("_breakpoints")
+    if found is None:
+        r = spec.lattice[0]
+        if spec.codim:
+            found = r, -1, 0
+        else:
+            p, q = spec.base.lam.as_integer_ratio()
+            # k1 by pole order (see ``filtrations``), j0 by the step's denominator
+            found = (r, (p + q - q * r) // (2 * q),
+                     max(0, -(-_continuation_step(p, q, r + 1)[1] // (2 * q))))
+        vars(spec)["_breakpoints"] = found
+    return found
+
+
+def _past(r: int, t: int, twice: int) -> int:
+    """max(0, k - t) at 2n = twice, k = (|2n| - r) / 2 steps out from the reference."""
+    return max(0, (abs(twice) - r) // 2 - t)
 
 
 @dataclass(frozen=True)
@@ -257,18 +282,8 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
     return _compact(v, spec)[1]
 
 
-def _j0(spec: ModuleSpec) -> int:
-    """The number j0 of positive steps out from the reference; 0 on a point module."""
-    if spec.codim:
-        return 0
-    lam = spec.base.lam
-    p, q = lam.numerator, lam.denominator
-    # j0 steps have a positive denominator; it falls by 2q a step
-    return max(0, -(-_continuation_step(p, q, spec.lattice[0] + 1)[1] // (2 * q)))
-
-
-def _law_sign(j0: int, ref_twice: int, twice: int) -> Sign:
-    return Sign.NEGATIVE if max(0, (abs(twice) - ref_twice) // 2 - j0) % 2 else Sign.POSITIVE
+def _law_sign(r: int, j0: int, twice: int) -> Sign:
+    return Sign.NEGATIVE if _past(r, j0, twice) % 2 else Sign.POSITIVE
 
 
 def _pole(twice: int) -> Sign:
@@ -280,7 +295,8 @@ def _signs(spec: ModuleSpec) -> Callable[[int], Sign]:
     (-1)^max(0, k - j0) k steps out, a pole everywhere on a reducible series."""
     if spec.reducible:
         return _pole
-    return partial(_law_sign, _j0(spec), spec.lattice[0])
+    r, _, j0 = _breakpoints(spec)
+    return partial(_law_sign, r, j0)
 
 
 def diagonal_sign(v: BasisVector, spec: ModuleSpec) -> Sign:

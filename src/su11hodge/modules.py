@@ -48,8 +48,8 @@ reference index; and ``coefficients``, the formulas above as one integer
 polynomial of degree <= 2 in t = 2n plus a shift per generator, over one
 integer denominator per module (2q on PS(p/q), 4 on a point module),
 built once per module.  A new family is a class with these facts; rules
-where the open orbit and a point differ (the diagonal step, the reference
-magnitude) read ``codim``.  Each check
+where the open orbit and a point differ (the diagonal step, the level and
+sign breakpoints, the reference magnitude) read ``codim``.  Each check
 reads each coefficient once, as an integer numerator and denominator, and
 compares its laws cross-multiplied.
 """

@@ -205,6 +205,23 @@ def test_table_step_is_a_degree_two_ratio_on_each_side(spec):
         assert is_degree_two_ratio([(u.as_fraction, step(u)) for u in side])
 
 
+@pytest.mark.parametrize("spec", [PrincipalSeries(Fraction(1, 3), Parity.EVEN),
+                                  PrincipalSeries(Fraction(1, 3), Parity.ODD),
+                                  PointModule(1, Orbit.AT_ZERO)], ids=str)
+def test_decide_samples_six_steps_out_on_each_side_of_the_fold(spec):
+    # the soundness argument needs five consecutive indices on each side of
+    # the fold V(-n) = V(n): the sample holds k = 0..6 steps out on the side
+    # 2n >= 0 and, on a series, k = 0..6 (even) or 0..5 (odd) on the side 2n <= 0
+    calls = []
+    result = modules._decide(spec, 40, lambda s, vectors: calls.append(vectors) or [])
+    assert result == CheckResult(True) and len(calls) == 1
+    r = reference_index(spec).twice
+    twice = [v.index.twice for v in calls[0]]
+    assert sorted((tw - r) // 2 for tw in twice if tw >= 0) == list(range(7))
+    below = sorted((-tw - r) // 2 for tw in twice if tw <= 0)
+    assert below == ([0] if spec.codim else list(range(7 - r)))
+
+
 # ---------------------------------------------------------------------------
 # the bound contract
 

@@ -256,6 +256,23 @@ def test_conflicting_spec_flags(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lambda", "1/2"],
+    ["classify", "--lambda", "1/2"],
+    ["describe", "--point-m", "1"],
+    ["form-table", "--lambda", "1/2", "--parity", "even", "--point-m", "1", "--orbit", "0"],
+], ids=["verify", "classify", "describe", "form-table-both"])
+def test_missing_spec_flag_refused_by_the_commands_parser(capsys, argv):
+    # argparse refuses classify's flag and _build_spec the others, in one shape
+    code, out, err = run(capsys, *argv)
+    command = argv[0]
+    assert code == 2 and out == ""
+    assert err.startswith(f"usage: su11hodge {command} [-h] ")
+    *usage, last = err.splitlines()
+    assert all(line.startswith(("usage: ", " ")) for line in usage)
+    assert last.startswith(f"su11hodge {command}: error: ") and err.endswith("\n")
+
+
 def test_negative_lambda_rejected(capsys):
     code, _, err = run(capsys, "describe", "--lambda", "-1", "--parity", "even")
     assert code == 2

@@ -4,9 +4,10 @@ At lam = p/q the sign of V(n) k steps out from the reference is
 (-1)^max(0, k - j0), a pole past a zero step; on a point module it is
 (-1)^k.  The reference here multiplies the signs of ``continuation_ratio``
 one step at a time (the closed form for point modules is checked against
-``point_diagonal_value``).  ``classify`` must then be constant on every
-open interval between consecutive reduction points, and cost nothing that
-grows with lam.
+``point_diagonal_value``).  The sign threshold j0 and the Hodge level's
+k1 must agree off the reduction points, which is the sign law on the whole
+lattice.  ``classify`` must then be constant on every open interval between
+consecutive reduction points, and cost nothing that grows with lam.
 """
 
 import time
@@ -24,6 +25,7 @@ from su11hodge.forms import (
     point_diagonal_value,
 )
 from su11hodge.modules import (
+    Orbit,
     Parity,
     PointModule,
     PrincipalSeries,
@@ -79,11 +81,35 @@ def test_poles_lie_past_a_zero_step():
     # PS(5, even): steps 0 and 1 positive, step 2 (n = 2 -> 3) divides by zero;
     # its W1 ends at n = 2, before that step
     ps = PrincipalSeries(Fraction(5), Parity.EVEN)
-    assert forms._j0(ps) == 2 and forms._continuation_step(5, 1, 2 * 2 + 1)[1] == 0
+    assert forms._breakpoints(ps) == (0, 3, 2)  # r, k1, j0
+    assert forms._continuation_step(5, 1, 2 * 2 + 1)[1] == 0
     w1 = W1Sub(ps)
     assert [form_diagonal(v, w1).ratio_to_reference for v in basis_window(w1, 4)
             if v.index.twice >= 0] == [1, Fraction(3, 2), 6]
     assert all(forms._signs(ps)(2 * n) is Sign.POLE for n in range(-4, 5))
+
+
+def test_breakpoints_agree_off_the_reduction_points():
+    # the sign law on the whole lattice, in integers: k1 (pole order) and j0
+    # (step signs) are read apart, and agree on every irreducible series; at
+    # a reduction point k1 = j0 + 1, and its W1 ends at k = j0
+    irreducible = positive_points = 0
+    for parity in Parity:
+        for lam in {Fraction(p, q) for q in range(1, 13) for p in range(60 * q + 1)}:
+            ps = PrincipalSeries(lam, parity)
+            r, k1, j0 = forms._breakpoints(ps)
+            assert r == reference_index(ps).twice
+            if not ps.reducible:
+                irreducible += 1
+                assert k1 == j0 >= 0, ps
+            elif lam:
+                positive_points += 1
+                assert k1 == j0 + 1, ps
+                w1 = W1Sub(ps)
+                assert forms._breakpoints(w1) == (r, k1, j0)
+                assert 2 * j0 == w1.lattice[2] - r, w1
+    assert (irreducible, positive_points) == (5461, 60)
+    assert forms._breakpoints(PointModule(3, Orbit.AT_INFINITY)) == (0, -1, 0)
 
 
 def reduction_points(parity: Parity):
