@@ -66,10 +66,11 @@ from .exact import _rational, HalfInt, RationalLike, Sign, beta_value
 from .modules import (
     _decide,
     _lattice,
-    _steps,
+    _rows,
     _theta_odd,
     BasisVector,
     CheckResult,
+    Generator,
     ModuleSpec,
     reference_index,
     require_member,
@@ -350,7 +351,7 @@ def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[s
     if spec.reducible:
         raise ValueError(f"form has a pole at every basis vector of {spec}")
     failures = []
-    E, _, F = _steps(spec)
+    E, F = _rows(spec, (Generator.E_PLUS, Generator.E_MINUS), vectors)
     theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
     for v in vectors:
         u = v.index.twice

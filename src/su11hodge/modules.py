@@ -59,8 +59,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Dict, List, Optional, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .exact import _rational, HalfInt, RationalLike
 
@@ -265,8 +265,13 @@ class BasisVector:
         return f"v[{self.index}]"
 
 
-# v_n by 2n, one shared instance each: sweeps reuse them (windows up to bound 1024)
-_vector = lru_cache(maxsize=4096)(lambda twice: BasisVector(HalfInt(twice)))
+_shared_vector = lru_cache(maxsize=4096)(lambda twice: BasisVector(HalfInt(twice)))
+
+
+def _vector(twice: int) -> BasisVector:
+    """v_n by 2n: one shared instance each for the 4096 central indices, which
+    sweeps reuse; a fresh one outside them, so a wide window evicts none."""
+    return _shared_vector(twice) if -2048 <= twice < 2048 else BasisVector(HalfInt(twice))
 
 
 def belongs(v: BasisVector, spec: ModuleSpec) -> bool:
@@ -294,7 +299,8 @@ def _step(spec: ModuleSpec, gen: Generator, twice: int) -> Tuple[int, int, int]:
     numerator is the module's integer polynomial of degree <= 2 in t and
     the denominator the module's own (> 0), not reduced, so callers
     compare cross-multiplied or build a ``Fraction``; the shift is -1, 0
-    or +1.  Membership of v_n is not checked.
+    or +1.  Membership of v_n is not checked, so the law checks' step rows
+    may read one index past either end of a W1 (see ``_rows``).
     """
     denominator, polynomials = spec.coefficients
     a0, a1, a2, shift = polynomials[gen]
@@ -359,7 +365,9 @@ def _lattice(spec: ModuleSpec, lo: int, hi: int) -> range:
 def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
     """All basis vectors with |n| <= bound (k <= bound on point modules)."""
     _require_bound(bound)
-    return [_vector(tw) for tw in _lattice(spec, -2 * bound, 2 * bound)]
+    # below bound 1024 every |2n| <= 2046 is central: straight through the cache
+    return list(map(_shared_vector if bound < 1024 else _vector,
+                    _lattice(spec, -2 * bound, 2 * bound)))
 
 
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
@@ -400,51 +408,39 @@ def _decide(spec: ModuleSpec, bound: int,
     _require_bound(bound)
     ref, _, highest = spec.lattice
     if highest is None:
-        sample = [_vector(tw) for tw in _lattice(spec, ref - 12, ref + 12)]
+        sample = list(map(_shared_vector, _lattice(spec, ref - 12, ref + 12)))  # all cached
         if not failures(spec, sample):
             return CheckResult(True)
     found = failures(spec, basis_window(spec, bound))
     return CheckResult(not found, tuple(found))
 
 
-class _Memo(dict):
-    """A dict that fills a missing key k with ``compute(k)``, once."""
-
-    def __init__(self, compute: Callable):
-        self.compute = compute
-
-    def __missing__(self, key):
-        value = self[key] = self.compute(key)
-        return value
-
-
-def _steps(spec: ModuleSpec) -> List[_Memo]:
-    """``_step`` for e+, h, e-: 2n -> (numerator, denominator, shift), once each per call."""
-    return [_Memo(partial(_step, spec, gen)) for gen in Generator]
+def _rows(spec: ModuleSpec, gens: Iterable[Generator], vectors: List[BasisVector],
+          pad: int = 0) -> List[Dict[int, Tuple[int, int, int]]]:
+    """``_step`` of each of ``gens`` as a dict 2n -> (numerator, denominator, shift),
+    read once per index over the lattice span of ``vectors`` (increasing, as
+    windows are) and ``pad`` steps past either end."""
+    span = range(vectors[0].index.twice - 2 * pad,
+                 vectors[-1].index.twice + 2 * pad + 1, 2) if vectors else ()
+    return [{tw: _step(spec, gen, tw) for tw in span} for gen in gens]
 
 
 def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    E, H, F = _steps(spec)
-
-    def compose(a: _Memo, b: _Memo, tw: int) -> Tuple[int, int]:
-        # a . (b . v) at its single target index, as (numerator, denominator)
-        n, d, shift = b[tw]
-        if not n:  # b . v is zero; its index may lie off the basis
-            return 0, 1
-        n2, d2, _ = a[tw + 2 * shift]
-        return n * n2, d * d2
-
+    E, H, F = _rows(spec, Generator, vectors, 1)
     # [a, b] v = k g v, with both sides on the same basis vector
     laws = ((H, E, 2, E, "[h,e+] != 2 e+"), (H, F, -2, F, "[h,e-] != -2 e-"),
             (E, F, 1, H, "[e+,e-] != h"))
     for v in vectors:
         tw = v.index.twice
         for a, b, k, g, law in laws:
-            n1, d1 = compose(a, b, tw)
-            n2, d2 = compose(b, a, tw)
+            an, ad, a_shift = a[tw]
+            bn, bd, b_shift = b[tw]
+            # a . (b . v) = bn n1 / (bd d1) and b . (a . v) = an n2 / (ad d2)
+            n1, d1, _ = a[tw + 2 * b_shift]
+            n2, d2, _ = b[tw + 2 * a_shift]
             n3, d3, _ = g[tw]
-            if (n1 * d2 - n2 * d1) * d3 != k * n3 * d1 * d2:
+            if (bn * n1 * ad * d2 - an * n2 * bd * d1) * d3 != k * n3 * bd * d1 * ad * d2:
                 failures.append(f"{law} at {v}")
     return failures
 
@@ -461,18 +457,20 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
 
 def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    E, H, F = _steps(spec)
-    theta = _Memo(lambda tw: theta_sign(_vector(tw), spec))
+    E, H, F = _rows(spec, Generator, vectors)
+    theta: Dict[int, int] = {}  # read as needed: a shifted index can leave a W1
     laws = ((E, -1, "theta e+ theta != -e+"), (F, -1, "theta e- theta != -e-"),
             (H, 1, "theta h theta != h"))
     for v in vectors:
         tw = v.index.twice
-        sign = theta[tw]
+        sign = theta.get(tw) or theta.setdefault(tw, theta_sign(v, spec))
         if sign * sign != 1:
             failures.append(f"theta^2 != 1 at {v}")
-        for step, k, law in laws:  # a zero gen . v may point off the basis
-            n, _, shift = step[tw]
-            if n and sign * theta[tw + 2 * shift] != k:
+        for row, k, law in laws:
+            n, _, shift = row[tw]
+            t = tw + 2 * shift
+            if n and sign * (theta.get(t) or
+                             theta.setdefault(t, theta_sign(_vector(t), spec))) != k:
                 failures.append(f"{law} at {v}")
     return failures
 

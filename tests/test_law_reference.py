@@ -293,6 +293,33 @@ def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize("check,reads", [(bracket_check, [45, 45, 27, 21]),
+                                         (theta_check, [39, 39, 21, 15]),
+                                         (invariance_check, [26, 26, 14, 10])],
+                         ids=["bracket", "theta", "invariance"])
+def test_each_check_reads_one_step_row_per_generator(monkeypatch, check, reads):
+    # a row per generator read over the sample (13, 7 indices) or the W1 (5):
+    # bracket reads all three one index past either end for its shifted
+    # reads, theta all three and invariance e+ and e- on the vectors alone
+    steps = Counter()
+    monkeypatch.setattr(modules, "_step", counting(steps, modules._step,
+                                                   lambda spec, gen, twice: (gen, twice)))
+    found = []
+    for spec in MEMO_SPECS + [W1Sub(PrincipalSeries(Fraction(5), Parity.EVEN))]:
+        steps.clear()
+        assert check(spec, 12).ok
+        found.append(sum(steps.values()))
+    assert found == reads
+
+
+def test_an_empty_window_passes_every_check():
+    spec = W1Sub(PrincipalSeries(Fraction(4), Parity.ODD))
+    assert spec.lattice == (1, -3, 3) and basis_window(spec, 0) == []
+    for check, failures, _ in CHECKS:
+        assert check(spec, 0) == CheckResult(True)
+        assert failures(spec, []) == []
+
+
 
 @pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)
 @pytest.mark.parametrize("run", [

@@ -235,10 +235,22 @@ def test_windows_share_their_vectors_and_stay_exact_past_the_memo():
     first, again = basis_window(PS(2), 12), basis_window(PS(Fraction(7, 3)), 12)
     assert all(u is w for u, w in zip(first, again))
     assert first == [BasisVector(HalfInt(2 * n)) for n in range(-12, 13)]
-    # 4201 indices: more than the memo holds, so the window evicts its own start
+    # 4201 indices: more than the memo holds, so those outside it are built fresh
     wide = basis_window(PS(2), 2100)
     assert [u.index.twice for u in wide] == list(range(-4200, 4201, 2))
     assert basis_window(PS(2), 2100) == wide and len(set(wide)) == 4201
+
+
+def test_a_wide_window_evicts_no_shared_vector():
+    small = basis_window(PS(2), 12)
+    before = modules._shared_vector.cache_info()
+    wide = basis_window(PS(2), 5000)
+    after = modules._shared_vector.cache_info()
+    assert after.currsize <= 4096
+    # only the 2048 central indices -2048 <= 2n < 2048 of the window ask the memo
+    assert after.hits + after.misses - before.hits - before.misses == 2048
+    assert [u.index.twice for u in wide] == list(range(-10000, 10001, 2))
+    assert all(u is w for u, w in zip(basis_window(PS(2), 12), small))
 
 
 def test_basis_window_rejects_negative_bound():
