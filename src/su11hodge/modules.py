@@ -365,9 +365,7 @@ def _lattice(spec: ModuleSpec, lo: int, hi: int) -> range:
 def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
     """All basis vectors with |n| <= bound (k <= bound on point modules)."""
     _require_bound(bound)
-    # below bound 1024 every |2n| <= 2046 is central: straight through the cache
-    return list(map(_shared_vector if bound < 1024 else _vector,
-                    _lattice(spec, -2 * bound, 2 * bound)))
+    return list(map(_vector, _lattice(spec, -2 * bound, 2 * bound)))
 
 
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
@@ -408,7 +406,7 @@ def _decide(spec: ModuleSpec, bound: int,
     _require_bound(bound)
     ref, _, highest = spec.lattice
     if highest is None:
-        sample = list(map(_shared_vector, _lattice(spec, ref - 12, ref + 12)))  # all cached
+        sample = list(map(_vector, _lattice(spec, ref - 12, ref + 12)))
         if not failures(spec, sample):
             return CheckResult(True)
     found = failures(spec, basis_window(spec, bound))
@@ -458,19 +456,19 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
 def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
     E, H, F = _rows(spec, Generator, vectors)
-    theta: Dict[int, int] = {}  # read as needed: a shifted index can leave a W1
+    theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
     laws = ((E, -1, "theta e+ theta != -e+"), (F, -1, "theta e- theta != -e-"),
             (H, 1, "theta h theta != h"))
     for v in vectors:
         tw = v.index.twice
-        sign = theta.get(tw) or theta.setdefault(tw, theta_sign(v, spec))
+        sign = theta[tw]
         if sign * sign != 1:
             failures.append(f"theta^2 != 1 at {v}")
         for row, k, law in laws:
             n, _, shift = row[tw]
             t = tw + 2 * shift
-            if n and sign * (theta.get(t) or
-                             theta.setdefault(t, theta_sign(_vector(t), spec))) != k:
+            # read past the window only where gen . v is non-zero: it can leave a W1
+            if n and sign * (theta[t] if t in theta else theta_sign(_vector(t), spec)) != k:
                 failures.append(f"{law} at {v}")
     return failures
 
