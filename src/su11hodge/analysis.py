@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 from .exact import _rational, RationalLike, Sign
 from .filtrations import _levels
-from .forms import _breakpoints, _signs
+from .forms import _signs
 from .modules import (
     _require_bound,
     BasisVector,
@@ -149,7 +149,7 @@ def definiteness(spec: ModuleSpec, bound: Optional[int] = None) -> Definiteness:
         _require_bound(bound)
     if spec.reducible:
         raise ValueError(f"{spec} is reducible; classify its constituents instead")
-    r, _, j0 = _breakpoints(spec)
+    r, _, j0 = spec.breakpoints
     return Definiteness.INDEFINITE if j0 or r else Definiteness.POS_DEF
 
 

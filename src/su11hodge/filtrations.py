@@ -5,8 +5,8 @@ order: v_n lies in F_h exactly when |n| <= (lam+1)/2 + h.  With lam = p/q
 and |2n| = r + 2k, k steps out from the reference 2 n0 = r, that is
 k <= k1 + h with k1 = floor((p + q - q r) / 2q), so the level is
 max(0, k - k1).  On point modules it is the derivative order shifted by the
-codimension of the support, k + 1: k1 = -1.  ``forms._breakpoints`` reads
-k1, beside the sign threshold j0, and every level here comes from it.
+codimension of the support, k + 1: k1 = -1.  Every level here reads k1
+from ``spec.breakpoints``, beside the sign threshold j0 (see ``modules``).
 
 The weight filtration is trivial in the irreducible case and on point
 modules; at a reduction point lam0 the W1 layer consists of |2n| <= lam0-1.
@@ -20,9 +20,9 @@ from functools import partial
 from typing import Callable, List, Tuple
 
 from .exact import RationalLike
-from .forms import _breakpoints, _past
 from .modules import (
     _lattice,
+    _past,
     BasisVector,
     ModuleSpec,
     Parity,
@@ -50,21 +50,21 @@ def hodge_dim(spec: ModuleSpec, p: int) -> int:
     """Number of basis vectors with hodge_level <= p (finite for every p)."""
     if p < 0:
         raise ValueError("p must be >= 0")
-    r, k1, _ = _breakpoints(spec)
+    r, k1, _ = spec.breakpoints
     hi = r + 2 * (p + k1)  # max(0, k - k1) <= p iff k <= p + k1
     return len(_lattice(spec, -hi, hi))
 
 
 def _levels(spec: ModuleSpec) -> Callable[[int], int]:
     """The Hodge level of v_n on ``spec`` as a function of 2n, membership unchecked."""
-    r, k1, _ = _breakpoints(spec)
+    r, k1, _ = spec.breakpoints
     return partial(_past, r, k1)
 
 
 def hodge_level(v: BasisVector, spec: ModuleSpec) -> int:
     """Smallest p with v in F_p, by the pole-order / derivative-order rule."""
     require_member(v, spec)
-    r, k1, _ = _breakpoints(spec)
+    r, k1, _ = spec.breakpoints
     return _past(r, k1, v.index.twice)
 
 

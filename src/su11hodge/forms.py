@@ -44,12 +44,12 @@ p - q(2n + 1): positive for the first j0 = max(0, ceil((p - q(1 + r)) / 2q))
 steps out (r = 2 n0), negative after.  So k steps out (v, v) has the sign
 (-1)^max(0, k - j0), and on a point module j0 = 0.  A zero step
 q(r + 2 j0 + 1) = p lies only on a reducible series, whose every ambient
-value is a pole, and a W1 ends before it.  ``_breakpoints`` reads j0 off
-that denominator and the level's k1 off pole order (see ``filtrations``),
+value is a pole, and a W1 ends before it.  ``spec.breakpoints`` reads j0
+off that denominator and the level's k1 off pole order (see ``filtrations``),
 neither from the other.  Verdicts (the sign law, Jantzen, definiteness)
 read it, form values the table, and invariance the integer steps, which
 decide each law and print its failures.  Every reader of a step (the
-table walk, ``_breakpoints``, invariance, ``continuation_ratio``) calls
+table walk, ``spec.breakpoints``, invariance, ``continuation_ratio``) calls
 ``_continuation_step`` of (p, q, t1 = 2n + 1), a point module ``_point_step``.
 """
 
@@ -64,10 +64,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .exact import _rational, HalfInt, RationalLike, Sign, beta_value
 from .modules import (
+    _continuation_step,
     _decide,
     _lattice,
+    _past,
     _rows,
     _theta_odd,
+    _vector,
     BasisVector,
     CheckResult,
     Generator,
@@ -90,12 +93,6 @@ __all__ = [
 ]
 
 
-def _continuation_step(p: int, q: int, t1: int) -> Tuple[int, int]:
-    """V(n+1) / V(n) at lam = p/q, t1 = 2n + 1: (numerator, denominator), unreduced;
-    the denominator is 0 exactly at a pole."""
-    return q * t1 + p, p - q * t1
-
-
 def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Optional[Fraction]:
     """Exact one-step ratio V(n+1)/V(n) = (2n+lam+1)/(lam-1-2n).
 
@@ -107,31 +104,6 @@ def continuation_ratio(n: "HalfInt | RationalLike", lam: RationalLike) -> Option
     numerator, denominator = _continuation_step(lam.numerator, lam.denominator,
                                                 HalfInt.of(n).twice + 1)
     return Fraction(numerator, denominator) if denominator else None
-
-
-def _breakpoints(spec: ModuleSpec) -> Tuple[int, int, int]:
-    """(r, k1, j0): the reference 2 n0 = r of ``spec`` and two thresholds, so that
-    k steps out the Hodge level is max(0, k - k1) and the sign exponent of (v, v)
-    max(0, k - j0), both counted by ``_past``; (0, -1, 0) on a point module.  A
-    reducible series answers too (``describe`` prints its levels).  Kept on the
-    spec, outside the dataclass fields, as its table is."""
-    found = vars(spec).get("_breakpoints")
-    if found is None:
-        r = spec.lattice[0]
-        if spec.codim:
-            found = r, -1, 0
-        else:
-            p, q = spec.base.lam.as_integer_ratio()
-            # k1 by pole order (see ``filtrations``), j0 by the step's denominator
-            found = (r, (p + q - q * r) // (2 * q),
-                     max(0, -(-_continuation_step(p, q, r + 1)[1] // (2 * q))))
-        vars(spec)["_breakpoints"] = found
-    return found
-
-
-def _past(r: int, t: int, twice: int) -> int:
-    """max(0, k - t) at 2n = twice, k = (|2n| - r) / 2 steps out from the reference."""
-    return max(0, (abs(twice) - r) // 2 - t)
 
 
 @dataclass(frozen=True)
@@ -296,7 +268,7 @@ def _signs(spec: ModuleSpec) -> Callable[[int], Sign]:
     (-1)^max(0, k - j0) k steps out, a pole everywhere on a reducible series."""
     if spec.reducible:
         return _pole
-    r, _, j0 = _breakpoints(spec)
+    r, _, j0 = spec.breakpoints
     return partial(_law_sign, r, j0)
 
 
@@ -365,7 +337,7 @@ def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[s
                                   (-1, theta[u], theta[w], "(e+u,w)=-(u,e-w)")):
             # c(u) t(w) V(w) = flip c'(w) t(u) V(u) over V(w) != 0, compared and printed
             if en * tw * fd * sd != flip * tu * fn * ed * sn:
-                failures.append(f"{law} fails at u={v}, w={BasisVector(HalfInt(w))}: "
+                failures.append(f"{law} fails at u={v}, w={_vector(w)}: "
                                 f"{Fraction(en * tw, ed)} != "
                                 f"{Fraction(flip * tu * fn * sn, fd * sd)}")
     return failures

@@ -44,14 +44,15 @@ every layer read them instead of switching on the type: ``reducible``;
 ``base``, the ambient series of a W1 (any other module is its own);
 ``codim`` of the supporting orbit; ``lattice``, the residue of 2n mod 2
 and the lowest and highest 2n (None: no limit), whose least |2n| is the
-reference index; and ``coefficients``, the formulas above as one integer
+reference index; ``coefficients``, the formulas above as one integer
 polynomial of degree <= 2 in t = 2n plus a shift per generator, over one
 integer denominator per module (2q on PS(p/q), 4 on a point module),
-built once per module.  A new family is a class with these facts; rules
-where the open orbit and a point differ (the diagonal step, the level and
-sign breakpoints, the reference magnitude) read ``codim``.  Each check
-reads each coefficient once, as an integer numerator and denominator, and
-compares its laws cross-multiplied.
+built once per module; and ``breakpoints`` (r, k1, j0), the reference
+2 n0 = r and the Hodge level and sign thresholds (see ``_past``).  A new
+family is a class with these facts; rules where the open orbit and a
+point differ (the diagonal step, the reference magnitude) read ``codim``.
+Each check reads each coefficient once, as an integer numerator and
+denominator, and compares its laws cross-multiplied.
 """
 
 from __future__ import annotations
@@ -127,6 +128,17 @@ def is_reduction_point(lam: RationalLike, parity: Parity) -> bool:
     return (lam.numerator % 2 == 1) is want_odd
 
 
+def _continuation_step(p: int, q: int, t1: int) -> Tuple[int, int]:
+    """V(n+1) / V(n) at lam = p/q, t1 = 2n + 1: (numerator, denominator), unreduced;
+    the denominator is 0 exactly at a pole."""
+    return q * t1 + p, p - q * t1
+
+
+def _past(r: int, t: int, twice: int) -> int:
+    """max(0, k - t) at 2n = twice, k = (|2n| - r) / 2 steps out from the reference."""
+    return max(0, (abs(twice) - r) // 2 - t)
+
+
 @dataclass(frozen=True)
 class PrincipalSeries:
     """Sheaf module on the open orbit with twist lam >= 0 and a parity."""
@@ -164,6 +176,14 @@ class PrincipalSeries:
         return 2 * q, {Generator.E_PLUS: (q - p, -q, 0, -1), Generator.H: (0, -2 * q, 0, 0),
                        Generator.E_MINUS: (q - p, q, 0, 1)}
 
+    @cached_property
+    def breakpoints(self) -> Tuple[int, int, int]:
+        # k1 by pole order (see ``filtrations``), j0 by the step's denominator (``forms``)
+        p, q = self.lam.numerator, self.lam.denominator
+        r = self.lattice[0]
+        return (r, (p + q - q * r) // (2 * q),
+                max(0, -(-_continuation_step(p, q, r + 1)[1] // (2 * q))))
+
     def __str__(self) -> str:
         return f"PS(lambda={self.lam}, {self.parity.value})"
 
@@ -178,6 +198,7 @@ class PointModule:
     codim = 1
     reducible = False
     lattice = (0, 0, None)  # k = n >= 0
+    breakpoints = (0, -1, 0)  # level k + 1 (derivative order plus codim), sign (-1)^k
 
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
@@ -243,6 +264,10 @@ class W1Sub:
     @property
     def coefficients(self) -> Coefficients:
         return self.base.coefficients
+
+    @property
+    def breakpoints(self) -> Tuple[int, int, int]:
+        return self.base.breakpoints
 
     def __str__(self) -> str:
         return f"W1(lambda0={self.lam0}, {self.parity.value}, dim {self.dim})"
@@ -318,7 +343,7 @@ def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, F
     """
     require_member(v, spec)
     n, d, shift = _step(spec, gen, v.index.twice)
-    return {BasisVector(v.index + shift): Fraction(n, d)} if n else {}
+    return {_vector(v.index.twice + 2 * shift): Fraction(n, d)} if n else {}
 
 
 def _theta_odd(spec: ModuleSpec, twice: int) -> int:

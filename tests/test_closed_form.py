@@ -81,7 +81,7 @@ def test_poles_lie_past_a_zero_step():
     # PS(5, even): steps 0 and 1 positive, step 2 (n = 2 -> 3) divides by zero;
     # its W1 ends at n = 2, before that step
     ps = PrincipalSeries(Fraction(5), Parity.EVEN)
-    assert forms._breakpoints(ps) == (0, 3, 2)  # r, k1, j0
+    assert ps.breakpoints == (0, 3, 2)  # r, k1, j0
     assert forms._continuation_step(5, 1, 2 * 2 + 1)[1] == 0
     w1 = W1Sub(ps)
     assert [form_diagonal(v, w1).ratio_to_reference for v in basis_window(w1, 4)
@@ -97,7 +97,7 @@ def test_breakpoints_agree_off_the_reduction_points():
     for parity in Parity:
         for lam in {Fraction(p, q) for q in range(1, 13) for p in range(60 * q + 1)}:
             ps = PrincipalSeries(lam, parity)
-            r, k1, j0 = forms._breakpoints(ps)
+            r, k1, j0 = ps.breakpoints
             assert r == reference_index(ps).twice
             if not ps.reducible:
                 irreducible += 1
@@ -106,10 +106,10 @@ def test_breakpoints_agree_off_the_reduction_points():
                 positive_points += 1
                 assert k1 == j0 + 1, ps
                 w1 = W1Sub(ps)
-                assert forms._breakpoints(w1) == (r, k1, j0)
+                assert w1.breakpoints == (r, k1, j0)
                 assert 2 * j0 == w1.lattice[2] - r, w1
     assert (irreducible, positive_points) == (5461, 60)
-    assert forms._breakpoints(PointModule(3, Orbit.AT_INFINITY)) == (0, -1, 0)
+    assert PointModule(3, Orbit.AT_INFINITY).breakpoints == (0, -1, 0)
 
 
 def reduction_points(parity: Parity):

@@ -1,14 +1,20 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and layers import downward.
 
 An unused import costs start-up time in every CLI process and hides which
 layer a module really depends on.  The check reads the source with ``ast``:
 a name bound by a top-level ``import`` must be read somewhere in its module,
 in code or in a string annotation.  ``__init__.py`` re-exports by importing,
 and names listed in ``__all__`` are exported, so both are exempt.
+
+The layers stack exact -> modules -> {filtrations, forms} -> analysis ->
+cli: a module imports, anywhere in its code, only from layers below its
+own, so filtrations and forms do not import each other.  The package root
+re-exports every layer.
 """
 
 import ast
 from pathlib import Path
+from typing import Dict
 
 import pytest
 
@@ -52,3 +58,48 @@ def test_the_check_sees_an_unused_import():
     source = "from typing import List, Tuple\nimport os\nx: 'List[int]' = []\n"
     assert unused_imports(source) == [(1, "Tuple"), (2, "os")]
     assert unused_imports("import os\n__all__ = ['os']\n") == []
+
+
+LAYERS = {"exact": 0, "modules": 1, "filtrations": 2, "forms": 2, "analysis": 3, "cli": 4,
+          "__init__": 5}
+
+
+def package_imports(source: str):
+    """The package modules ``source`` imports anywhere in it, relatively or by name;
+    a name the root exports counts as the root."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("su11hodge." if node.level else "") + (node.module or "")
+            paths = [f"{module.rstrip('.')}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        for parts in (path.split(".") for path in paths):
+            if parts[0] == "su11hodge":
+                found.add(parts[1] if len(parts) > 1 and parts[1] in LAYERS else "__init__")
+    return found
+
+
+def layering_violations(sources: Dict[str, str]):
+    return sorted((name, target) for name, source in sources.items()
+                  for target in package_imports(source) if LAYERS[target] >= LAYERS[name])
+
+
+def test_every_module_has_a_layer():
+    assert sorted(p.stem for p in PACKAGE.glob("*.py")) == sorted(LAYERS)
+
+
+def test_layers_import_only_downward():
+    assert layering_violations({p.stem: p.read_text() for p in PACKAGE.glob("*.py")}) == []
+
+
+def test_the_check_sees_an_upward_or_sideways_import():
+    sources = {"filtrations": "from .forms import _signs\n",
+               "modules": "def f():\n    from . import analysis\n",
+               "exact": "import su11hodge.cli\n",
+               "forms": "from su11hodge.modules import act\nfrom .exact import Sign\n",
+               "analysis": "from su11hodge import act\n"}
+    assert layering_violations(sources) == [("analysis", "__init__"), ("exact", "cli"),
+                                            ("filtrations", "forms"), ("modules", "analysis")]

@@ -255,6 +255,18 @@ def test_a_wide_window_evicts_no_shared_vector():
     assert all(u is w for u, w in zip(basis_window(PS(2), 12), small))
 
 
+def test_the_action_lands_on_the_shared_window_vectors():
+    # act builds its target through the one entry point to the vector cache
+    for spec in (PS(Fraction(7, 3)), PS(Fraction(1, 2), Parity.ODD),
+                 PointModule(2, Orbit.AT_ZERO), W1Sub(PS(5))):
+        window = basis_window(spec, 12)
+        shared = {u.index.twice: u for u in window}
+        for u in window[1:-1]:
+            for gen in Generator:
+                assert all(target is shared[target.index.twice]
+                           for target in act(gen, u, spec))
+
+
 def test_basis_window_rejects_negative_bound():
     with pytest.raises(ValueError):
         basis_window(PS(2), -1)
