@@ -123,6 +123,8 @@ def grw2_weights(lambda0: RationalLike, parity: Parity, cutoff: int) -> WeightMa
     point modules with twist lambda0 at 0 and at infinity.  Both sides are
     truncated to |weight| <= cutoff.
     """
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
     w1 = W1Sub(PrincipalSeries(lambda0, parity))
     ps, m = w1.base, w1.dim
     quotient = sorted(

@@ -48,9 +48,11 @@ value is a pole, and a W1 ends before it.  ``spec.breakpoints`` reads j0
 off that denominator and the level's k1 off pole order (see ``filtrations``),
 neither from the other.  Verdicts (the sign law, Jantzen, definiteness)
 read it, form values the table, and invariance the integer steps, which
-decide each law and print its failures.  Every reader of a step (the
-table walk, ``spec.breakpoints``, invariance, ``continuation_ratio``) calls
-``_continuation_step`` of (p, q, t1 = 2n + 1), a point module ``_point_step``.
+decide each law and print its failures.  The table walk and invariance
+read a step k out from the reference through ``_diagonal_step``, the one
+place that tells a point module's step -(k+1)(m+k+1) from the open
+orbit's; it, ``spec.breakpoints`` and ``continuation_ratio`` each call
+``_continuation_step`` of (p, q, t1 = 2n + 1).
 """
 
 from __future__ import annotations
@@ -137,17 +139,13 @@ def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
     return None if beta is None else 4.0 * math.pi * beta
 
 
-def _point_step(m: int, k: int) -> Tuple[int, int]:
-    """P(k+1) / P(k) = -(k+1)(m+k+1) on a point module, over 1."""
-    return -(k + 1) * (m + k + 1), 1
-
-
-def _table_step(key: "int | Tuple[int, int, int]", k: int) -> Tuple[int, int]:
-    """Step k out from the reference of the table ``key``: V(k+1) / V(k) as integers."""
-    if isinstance(key, int):
-        return _point_step(key, k)
-    p, q, r = key
-    return _continuation_step(p, q, r + 2 * k + 1)
+def _diagonal_step(spec: ModuleSpec, k: int) -> Tuple[int, int]:
+    """V(k+1) / V(k) at k steps out from the reference, as integers: on a point
+    module P(k+1) / P(k) = -(k+1)(m+k+1) over 1, otherwise the base's continuation step."""
+    if spec.codim:
+        return -(k + 1) * (spec.m + k + 1), 1
+    p, q = spec.base.lam.as_integer_ratio()
+    return _continuation_step(p, q, spec.lattice[0] + 2 * k + 1)
 
 
 class _Table:
@@ -165,7 +163,7 @@ class _Table:
     __slots__ = ("key", "values", "negated", "__weakref__")
 
     def __init__(self, key: "int | Tuple[int, int, int]"):
-        self.key = key
+        self.key = key  # the registry and pickle identity, read by no step
         self.values: Dict[int, FormValue] = {}
         self.negated: Dict[int, FormValue] = {}
 
@@ -201,7 +199,7 @@ def _table(spec: ModuleSpec) -> _Table:
 
 def _walk(spec: ModuleSpec, twice: int) -> Tuple[_Table, FormValue]:
     """The table of an irreducible spec or W1 and its compact value at |2n| = twice,
-    walked from the last entry of ``values``, one ``_table_step`` per new |n|;
+    walked from the last entry of ``values``, one ``_diagonal_step`` per new |n|;
     concurrent walkers settle on one object per index."""
     table = _table(spec)
     values = table.values
@@ -216,7 +214,7 @@ def _walk(spec: ModuleSpec, twice: int) -> Tuple[_Table, FormValue]:
         value = values[ref + 2 * k]
         magnitude = value.reference_magnitude
         while ref + 2 * k < twice:
-            numerator, denominator = _table_step(table.key, k)
+            numerator, denominator = _diagonal_step(spec, k)
             ratio = value.ratio_to_reference * Fraction(numerator, denominator)
             k += 1
             value = values.setdefault(ref + 2 * k, FormValue(
@@ -313,9 +311,7 @@ def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:
     a, b = abs(twice), abs(twice - 2)
     if a == b:
         return 1, 1
-    low = min(a, b)
-    up = (_point_step(spec.m, low // 2) if spec.codim else
-          _continuation_step(spec.base.lam.numerator, spec.base.lam.denominator, low + 1))
+    up = _diagonal_step(spec, (min(a, b) - spec.lattice[0]) // 2)
     return up if a > b else up[::-1]
 
 

@@ -49,8 +49,9 @@ polynomial of degree <= 2 in t = 2n plus a shift per generator, over one
 integer denominator per module (2q on PS(p/q), 4 on a point module),
 built once per module; and ``breakpoints`` (r, k1, j0), the reference
 2 n0 = r and the Hodge level and sign thresholds (see ``_past``).  A new
-family is a class with these facts; rules where the open orbit and a
-point differ (the diagonal step, the reference magnitude) read ``codim``.
+family is a class with these facts; the two rules where the open orbit
+and a point differ read ``codim``, each in one function of ``forms``: the
+diagonal step (``_diagonal_step``) and the reference magnitude.
 Each check reads each coefficient once, as an integer numerator and
 denominator, and compares its laws cross-multiplied.
 """
@@ -119,9 +120,17 @@ Lattice = Tuple[int, Optional[int], Optional[int]]
 Coefficients = Tuple[int, Dict[Generator, Tuple[int, int, int, int]]]
 
 
+def _member(value, kind: type) -> None:
+    """Refuse anything but a member of the enum ``kind`` (its value as a string, say)
+    with TypeError, as ``_rational`` refuses a float."""
+    if not isinstance(value, kind):
+        raise TypeError(f"not a member of {kind.__name__}: {value!r}")
+
+
 def is_reduction_point(lam: RationalLike, parity: Parity) -> bool:
     """Reducibility criterion: odd integer (even parity), even integer (odd)."""
     lam = _rational(lam)
+    _member(parity, Parity)
     if lam.denominator != 1:
         return False
     want_odd = parity is Parity.EVEN
@@ -150,6 +159,7 @@ class PrincipalSeries:
 
     def __post_init__(self):
         object.__setattr__(self, "lam", _rational(self.lam))
+        _member(self.parity, Parity)
         if self.lam < 0:
             raise ValueError(f"dominance requires lam >= 0, got {self.lam}")
 
@@ -203,6 +213,7 @@ class PointModule:
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValueError(f"point module twist must be an integer >= 0, got {self.m}")
+        _member(self.orbit, Orbit)
 
     @property
     def base(self) -> "PointModule":

@@ -142,8 +142,8 @@ def test_classify_is_constant_between_reduction_points(case):
 def test_classify_at_large_lambda_walks_nothing(monkeypatch):
     # the walk it replaced took about 8 s here
     steps, made = [], []
-    step, shared = forms._table_step, forms._shared
-    monkeypatch.setattr(forms, "_table_step", lambda *args: steps.append(args) or
+    step, shared = forms._diagonal_step, forms._shared
+    monkeypatch.setattr(forms, "_diagonal_step", lambda *args: steps.append(args) or
                         step(*args))
     monkeypatch.setattr(forms, "_shared", lambda key: made.append(key) or shared(key))
     start = time.process_time()

@@ -263,6 +263,12 @@ def test_grw2_requires_positive_reduction_point():
         grw2_weights(0, Parity.ODD, 10)
 
 
+def test_grw2_refuses_a_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        grw2_weights(3, Parity.EVEN, -1)
+    assert grw2_weights(3, Parity.EVEN, 0).equal
+
+
 # ---------------------------------------------------------------------------
 # observed relation between quotient realizations: the level induced on the
 # point quotient by the ambient basis sits one below the intrinsic level

@@ -10,6 +10,9 @@ The layers stack exact -> modules -> {filtrations, forms} -> analysis ->
 cli: a module imports, anywhere in its code, only from layers below its
 own, so filtrations and forms do not import each other.  The package root
 re-exports every layer.
+
+The same reading pins who calls the continuation step: a diagonal step of
+the forms layer is read in one function, whichever family the module is.
 """
 
 import ast
@@ -103,3 +106,39 @@ def test_the_check_sees_an_upward_or_sideways_import():
                "analysis": "from su11hodge import act\n"}
     assert layering_violations(sources) == [("analysis", "__init__"), ("exact", "cli"),
                                             ("filtrations", "forms"), ("modules", "analysis")]
+
+
+def callers(source: str, name: str):
+    """The qualified names of the functions in ``source`` that call ``name``,
+    by its bare name or as an attribute."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
+                                                        getattr(child.func, "attr", None)):
+                found.add(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_one_step_reader_per_layer():
+    # every diagonal step of forms goes through _diagonal_step, the one
+    # place that tells a point module's step from the open orbit's
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert {(module, caller) for module, source in sources.items()
+            for caller in callers(source, "_continuation_step")} == {
+        ("modules", "PrincipalSeries.breakpoints"), ("forms", "continuation_ratio"),
+        ("forms", "_diagonal_step")}
+    assert "isinstance" not in sources["forms"]
+
+
+def test_the_check_sees_every_caller():
+    source = ("def f():\n    return g(1)\n\nclass A:\n    def h(self):\n"
+              "        return [m.g(k) for k in ()]\n\nx = g(0)\n")
+    assert callers(source, "g") == {"f", "A.h", ""}

@@ -89,6 +89,19 @@ def test_point_module_twist_must_be_an_int(m):
         PointModule(m, Orbit.AT_ZERO)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: PointModule(2, "0"),  # would act as the module at infinity
+    lambda: PointModule(2, "inf"),
+    lambda: is_reduction_point(3, "even"),  # would answer False
+    lambda: PS(Fraction(1, 2), "even"),  # would fail later, reading the parity
+    lambda: PS(3, Parity.EVEN.value),
+], ids=["point at '0'", "point at 'inf'", "reduction point 'even'", "series 'even'",
+        "series at a reduction point"])
+def test_a_parity_or_orbit_must_be_its_enum(make):
+    with pytest.raises(TypeError, match="not a member of (Parity|Orbit)"):
+        make()
+
+
 def test_w1sub_validation():
     with pytest.raises(ValueError):
         W1Sub(PS(2, Parity.EVEN))  # irreducible

@@ -1,22 +1,31 @@
-"""A catalogue of mutants of the breakpoint facts, each of which a public result
-must notice.
+"""A catalogue of mutants of the private integer rules, each of which a public
+result must notice.
 
 ``spec.breakpoints`` (r, k1, j0) decides the Hodge level, the sign law and
-definiteness on every module, so a wrong rule there must change a verdict.
-Each mutant replaces one family's rule, through ``monkeypatch``: a
-``property`` over the class attribute, read by specs the test builds.  It
-names the public result that must change under it.  A mutant that changes
-nothing fails the test unless the catalogue marks it equivalent and says
-why; a mutant marked equivalent that does change its result fails too, as
-the catalogue is then wrong.
+definiteness on every module; ``_past``, ``_law_sign`` and
+``forms._diagonal_step`` turn it and the continuation steps into levels,
+signs and the invariance laws.  So a wrong rule in any of them must change
+a verdict, a check or a level.  Each mutant replaces one rule through
+``monkeypatch``: a family's breakpoints as a ``property`` over the class
+attribute, read by specs the test builds, or a module-level rule by name in
+every module that imports it.  It names the public result that must change
+under it.  A mutant that changes nothing fails the test unless the
+catalogue marks it equivalent and says why; a mutant marked equivalent that
+does change its result fails too, as the catalogue is then wrong.
+
+No result here reads a diagonal table (verdicts and invariance walk no
+step), so a mutated step leaves no wrong value behind for other tests.
 """
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Union
 
 import pytest
 
+from su11hodge import analysis, cli, exact, filtrations, forms, modules
 from su11hodge.analysis import classify, verify_conjecture
+from su11hodge.filtrations import hodge_level
+from su11hodge.forms import invariance_check
 from su11hodge.modules import (
     _continuation_step,
     Orbit,
@@ -24,17 +33,34 @@ from su11hodge.modules import (
     PointModule,
     PrincipalSeries,
     W1Sub,
+    basis_window,
 )
 
-SERIES_RULE = PrincipalSeries.__dict__["breakpoints"].func  # the shipped rule
+SERIES_RULE = PrincipalSeries.__dict__["breakpoints"].func  # the shipped rules
+PAST, LAW_SIGN, STEP = modules._past, forms._law_sign, forms._diagonal_step
+PACKAGE = (exact, modules, filtrations, forms, analysis, cli)
 
 
 def series_verdict():
     return verify_conjecture(PrincipalSeries(Fraction(7, 3), Parity.EVEN), 4).verdict
 
 
+def series_levels():
+    ps = PrincipalSeries(Fraction(7, 3), Parity.EVEN)
+    return tuple(hodge_level(v, ps) for v in basis_window(ps, 4))
+
+
 def point_verdicts():
     return tuple(verify_conjecture(PointModule(3, orbit), 4).verdict for orbit in Orbit)
+
+
+def point_invariance():
+    return tuple(invariance_check(PointModule(3, orbit), 4).ok for orbit in Orbit)
+
+
+def series_invariance():
+    return tuple(invariance_check(PrincipalSeries(Fraction(7, 3), parity), 4).ok
+                 for parity in Parity)
 
 
 def unitary_flags():
@@ -43,8 +69,8 @@ def unitary_flags():
 
 class Mutant(NamedTuple):
     name: str
-    cls: type
-    rule: Callable[[object], tuple]
+    target: Union[type, str]  # a spec class (its breakpoints) or a module-level rule's name
+    rule: Callable
     result: Callable[[], object]
     equivalent: Optional[str] = None  # why no result can tell it apart
 
@@ -70,6 +96,26 @@ def k1_clamped(spec):
     return r, max(0, k1), j0
 
 
+def point_step(sign, extra):
+    """The shipped series step, and on a point module sign * (k+1)(m+k+1+extra)."""
+    def rule(spec, k):
+        return (sign * (k + 1) * (spec.m + k + 1 + extra), 1) if spec.codim else STEP(spec, k)
+    return rule
+
+
+def series_step_one_late(spec, k):
+    p, q = spec.base.lam.as_integer_ratio()
+    return _continuation_step(p, q, spec.lattice[0] + 2 * (k + 1) + 1)
+
+
+def law_sign_j0_plus_one(r, j0, twice):
+    return LAW_SIGN(r, j0 + 1, twice)
+
+
+def past_plus_one(r, t, twice):
+    return PAST(r, t, twice) + 1
+
+
 CATALOGUE = [
     Mutant("series k1 + 1", PrincipalSeries, k1_plus_one, series_verdict),
     Mutant("series j0 by floor, not ceil", PrincipalSeries, j0_by_floor, series_verdict),
@@ -79,13 +125,37 @@ CATALOGUE = [
            equivalent="k1 = floor((p + q - q r) / 2q) with r = 0 or 1 and p >= 0 "
                       "(dominance, lam >= 0) is never negative; test_closed_form asserts "
                       "k1 == j0 >= 0 or k1 == j0 + 1 on its grid of series"),
+    Mutant("point step sign flipped", "_diagonal_step", point_step(1, 0), point_invariance),
+    Mutant("point step m + k + 2", "_diagonal_step", point_step(-1, 1), point_invariance),
+    Mutant("series step one k late", "_diagonal_step", series_step_one_late,
+           series_invariance),
+    Mutant("_law_sign j0 + 1", "_law_sign", law_sign_j0_plus_one, series_verdict),
+    Mutant("_past + 1", "_past", past_plus_one, series_levels),
+    Mutant("_past + 1, seen by the verdict", "_past", past_plus_one, series_verdict,
+           equivalent="the level and the sign exponent are both _past, of k1 and of j0, "
+                      "so both move by one and the sign law still matches at every "
+                      "vector; the levels themselves are the killer"),
 ]
+
+
+def patch(monkeypatch, mutant):
+    if isinstance(mutant.target, type):
+        monkeypatch.setattr(mutant.target, "breakpoints", property(mutant.rule))
+        return
+    patched = [module for module in PACKAGE if mutant.target in vars(module)]
+    assert patched, mutant.target
+    for module in patched:
+        monkeypatch.setattr(module, mutant.target, mutant.rule)
 
 
 @pytest.mark.parametrize("mutant", CATALOGUE, ids=[m.name for m in CATALOGUE])
 def test_each_mutant_changes_its_public_result_or_is_named_equivalent(monkeypatch, mutant):
     shipped = mutant.result()
-    monkeypatch.setattr(mutant.cls, "breakpoints", property(mutant.rule))
+    patch(monkeypatch, mutant)
     killed = mutant.result() != shipped
     assert killed is (mutant.equivalent is None), mutant.equivalent or "survived"
 
+
+def test_a_rule_is_patched_in_every_module_that_imports_it(monkeypatch):
+    patch(monkeypatch, CATALOGUE[-1])
+    assert modules._past is filtrations._past is forms._past is past_plus_one

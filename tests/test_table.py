@@ -215,12 +215,19 @@ def fresh_table(spec):
 
 
 def count_forms(monkeypatch):
-    """Counters on the table steps, reference magnitudes and built values."""
+    """Counters on the diagonal steps, reference magnitudes and built values."""
     counters = []
-    for name in ("_table_step", "reference_magnitude", "FormValue"):
+    for name in ("_diagonal_step", "reference_magnitude", "FormValue"):
         counters.append(_Counter(getattr(forms, name)))
         monkeypatch.setattr(forms, name, counters[-1])
     return counters
+
+
+def invariance_reads(steps, spec, bound):
+    """The diagonal steps one passing ``invariance_check`` reads, apart from any walk."""
+    before = steps.calls
+    assert invariance_check(spec, bound).ok
+    return steps.calls - before
 
 
 def test_window_sweeps_cost_one_step_per_index(monkeypatch):
@@ -230,14 +237,16 @@ def test_window_sweeps_cost_one_step_per_index(monkeypatch):
     bound = 60
     window = basis_window(ps, bound)
     verify_conjecture(ps, bound)
-    invariance_check(ps, bound)
+    # invariance reads the same steps on its fixed sample, at any bound, and walks nothing
+    reads = invariance_reads(steps, ps, bound)
+    assert reads == invariance_reads(steps, ps, 10 * bound) > 0
     compact, noncompact = {}, {}
     for v in window:
         compact.setdefault(abs(v.index.twice), []).append(form_diagonal(v, ps))
         noncompact.setdefault(abs(v.index.twice), []).append(gR_form_diagonal(v, ps))
         if theta_sign(v, ps) == 1:
             assert noncompact[abs(v.index.twice)][-1] is compact[abs(v.index.twice)][0]
-    assert steps.calls == bound  # one step per |n| past the reference
+    assert steps.calls - 2 * reads == bound  # the walk: one step per |n| past the reference
     assert magnitudes.calls == 1
     # one value per |n|, read back for -n and by gR_form_diagonal, which
     # builds its negation once per |n| where theta is -1
@@ -254,20 +263,23 @@ def test_window_sweeps_cost_one_step_per_index(monkeypatch):
 def test_a_ladder_of_fresh_equal_specs_walks_once(monkeypatch):
     # as in a window scan: a fresh equal spec per rung, all alive together
     steps, magnitudes, _ = count_forms(monkeypatch)
-    specs = []
+    specs, reads = [], []
     for bound in (25, 50, 100, 200):
         ps = PrincipalSeries(Fraction(7, 13), Parity.EVEN)  # kept alive by no other test
         if not specs:
             fresh_table(ps)
         specs.append(ps)
         verify_conjecture(ps, bound)
-        for check in (bracket_check, theta_check, invariance_check):
+        for check in (bracket_check, theta_check):
             assert check(ps, bound).ok
+        reads.append(invariance_reads(steps, ps, bound))
         for v in basis_window(ps, bound):
             assert form_diagonal(v, ps) is form_diagonal(v, specs[0])
             gR_form_diagonal(v, ps)
             hodge_level(v, ps)
-    assert steps.calls == 200  # the largest bound, not 25 + 50 + 100 + 200
+    assert reads == [reads[0]] * 4 and reads[0] > 0  # the same sample at every bound
+    # the walk: the largest bound, not 25 + 50 + 100 + 200
+    assert steps.calls - sum(reads) == 200
     assert magnitudes.calls == 1
     assert all(forms._table(ps) is forms._table(specs[0]) for ps in specs)
 
@@ -322,14 +334,14 @@ def test_value_memo_holds_no_pole(monkeypatch):
     # a W1 shares its reducible base's table, and so does a fresh equal
     # base: in either query order the base reports poles uncached and the
     # W1 its own values, walking no zero step
-    denominators, real = [], forms._table_step
+    denominators, real = [], forms._diagonal_step
 
     def step(*args):
         pair = real(*args)
         denominators.append(pair[1])
         return pair
 
-    monkeypatch.setattr(forms, "_table_step", step)
+    monkeypatch.setattr(forms, "_diagonal_step", step)
     for lam0 in (1, 2, 5, 8):
         parity = reducible_parity(lam0)
         for base_first, fresh_base in ((True, False), (False, False), (True, True),
@@ -438,8 +450,8 @@ def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
 
 
 def test_verdicts_walk_no_ratio(monkeypatch):
-    steps = _Counter(forms._table_step)
-    monkeypatch.setattr(forms, "_table_step", steps)
+    steps = _Counter(forms._diagonal_step)
+    monkeypatch.setattr(forms, "_diagonal_step", steps)
     for lam, parity in ((Fraction(1, 2), Parity.EVEN), (Fraction(7, 3), Parity.ODD),
                         (Fraction(5), Parity.EVEN), (Fraction(1009, 1009 * 3 + 1), Parity.ODD)):
         ps = PrincipalSeries(lam, parity)
