@@ -39,11 +39,11 @@ from .analysis import classify, jantzen_crossing, verify_conjecture
 from .exact import _qagse, beta_value, parse_rational, quadrature_integral
 from .filtrations import _levels, filtration_table
 from .forms import (
-    _magnitude,
     convergence_range,
     form_diagonal,
     gR_form_diagonal,
     invariance_check,
+    reference_magnitude,
 )
 from .modules import (
     ModuleSpec,
@@ -228,7 +228,7 @@ def cmd_form_table(args) -> int:
         # irreducible: the weight filtration collapses, so every vector is in W1
         rows.append((v.index, level(v.index.twice), u.sign, u.ratio_to_reference,
                      u.magnitude, g.sign, True))
-    ref_mag = _magnitude(spec)  # read from the reference entry of the table
+    ref_mag = reference_magnitude(spec)  # the spec's fact, computed by the first walk
     payload = {"spec": spec_to_json(spec), "bound": args.bound, "reference_magnitude": ref_mag}
     preamble = f"module: {spec}\nreference magnitude: {_fmt_float(ref_mag)}\n"
     _emit(args, preamble, payload, "rows",

@@ -40,8 +40,10 @@ __all__ = [
 
 
 def _rational(x: RationalLike) -> Fraction:
-    """An int or a ``Fraction`` as a ``Fraction``; anything else (a float, a
-    string) is refused with TypeError, as by ``Sign.of``."""
+    """An int or a ``Fraction`` as a ``Fraction``; anything else (a bool, a
+    float, a string) is refused with TypeError, as by ``Sign.of``."""
+    if isinstance(x, bool):
+        raise TypeError(f"not an exact rational: {x!r}")
     try:
         return Fraction(x.numerator, x.denominator)
     except AttributeError:

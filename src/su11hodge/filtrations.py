@@ -23,6 +23,7 @@ from .exact import RationalLike
 from .modules import (
     _lattice,
     _past,
+    _require_bound,
     BasisVector,
     ModuleSpec,
     Parity,
@@ -48,8 +49,7 @@ __all__ = [
 
 def hodge_dim(spec: ModuleSpec, p: int) -> int:
     """Number of basis vectors with hodge_level <= p (finite for every p)."""
-    if p < 0:
-        raise ValueError("p must be >= 0")
+    _require_bound(p, "p")
     r, k1, _ = spec.breakpoints
     hi = r + 2 * (p + k1)  # max(0, k - k1) <= p iff k <= p + k1
     return len(_lattice(spec, -hi, hi))
@@ -123,8 +123,7 @@ def grw2_weights(lambda0: RationalLike, parity: Parity, cutoff: int) -> WeightMa
     point modules with twist lambda0 at 0 and at infinity.  Both sides are
     truncated to |weight| <= cutoff.
     """
-    if cutoff < 0:
-        raise ValueError("cutoff must be >= 0")
+    _require_bound(cutoff, "cutoff")
     w1 = W1Sub(PrincipalSeries(lambda0, parity))
     ps, m = w1.base, w1.dim
     quotient = sorted(

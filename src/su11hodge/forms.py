@@ -26,17 +26,17 @@ with P(k+1) = -(k+1)(m+k+1) P(k).  The noncompact-form-invariant values
 twist these by the diagonal Cartan involution signs.
 
 Each irreducible module value has one exact table of its FormValues, a
-cache that only form values read (``form_diagonal``, ``gR_form_diagonal``
-and the CLI's reference magnitude): every live spec equal to it (and a W1
-of it) keeps the same table, found through a weak registry keyed by the
-integers the values are made of, (p, q, 2 n0) at lam = p/q and m on a
-point module, whose orbit does not enter P(k).  The table lives as long
-as some such spec does.  V(-n) = V(n), as the Beta integral is symmetric,
-so the table grows outward to |n|, one step and one FormValue (and its
-negation, where theta is -1) per new |n|: a window of bound B costs about
-B steps and one reference Beta value, shared by fresh equal specs and by
-unpickled copies, since a table pickles as its key.  A reducible series
-builds no table: its values are poles.
+cache that only form values read (``form_diagonal`` and
+``gR_form_diagonal``): every live spec equal to it (and a W1 of it) keeps
+the same table, found through a weak registry keyed by what the values
+are made of, the step polynomials ``spec.step`` and the reference 2 n0;
+the two orbits of a point module have one step, and so one table.  The
+table lives as long as some such spec does.  V(-n) = V(n), as the Beta
+integral is symmetric, so the table grows outward to |n|, one step and
+one FormValue (and its negation, where theta is -1) per new |n|: a window
+of bound B costs about B steps and one reference Beta value, shared by
+fresh equal specs and by unpickled copies, since a table pickles as its
+key.  A reducible series builds no table: its values are poles.
 
 Signs need no walk and no table.  At lam = p/q the step at n >= 0 has
 the numerator q(2n + 1) + p > 0, so its sign is that of its denominator
@@ -49,10 +49,11 @@ off that denominator and the level's k1 off pole order (see ``filtrations``),
 neither from the other.  Verdicts (the sign law, Jantzen, definiteness)
 read it, form values the table, and invariance the integer steps, which
 decide each law and print its failures.  The table walk and invariance
-read a step k out from the reference through ``_diagonal_step``, the one
-place that tells a point module's step -(k+1)(m+k+1) from the open
-orbit's; it, ``spec.breakpoints`` and ``continuation_ratio`` each call
-``_continuation_step`` of (p, q, t1 = 2n + 1).
+read a step k out from the reference through ``_diagonal_step``, which
+evaluates ``spec.step`` at t = 2 n0 + 2k whatever the family; on a series
+that fact, ``spec.breakpoints`` and ``continuation_ratio`` each read
+``_continuation_step`` of (p, q, t1 = 2n + 1).  No function here chooses
+a family: the step, the reference magnitude and the strip are the spec's.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exact import _rational, HalfInt, RationalLike, Sign, beta_value
+from .exact import _rational, HalfInt, RationalLike, Sign
 from .modules import (
     _continuation_step,
     _decide,
@@ -77,7 +78,7 @@ from .modules import (
     CheckResult,
     Generator,
     ModuleSpec,
-    reference_index,
+    Step,
     require_member,
     theta_sign,
 )
@@ -124,28 +125,18 @@ class FormValue:
 
 
 def reference_magnitude(spec: ModuleSpec) -> Optional[float]:
-    """Float value of the diagonal form at the reference vector.
-
-    On the open-orbit modules this is 4 pi times the Beta value of the
-    reference integral, None where it diverges (only on PS(0, odd)); on
-    point modules the anchor is 1.
-    """
-    if spec.codim:
-        return 1.0
-    ps = spec.base
-    n0 = reference_index(ps).as_fraction
-    half = (ps.lam + 1) / 2
-    beta = beta_value(half + n0, half - n0)
-    return None if beta is None else 4.0 * math.pi * beta
+    """Float value of the diagonal form at the reference vector, the base's fact:
+    on a series 4 pi times the Beta value of the reference integral, None where
+    it diverges (only on PS(0, odd)); on a point module the anchor 1."""
+    return spec.base.reference_magnitude
 
 
 def _diagonal_step(spec: ModuleSpec, k: int) -> Tuple[int, int]:
-    """V(k+1) / V(k) at k steps out from the reference, as integers: on a point
-    module P(k+1) / P(k) = -(k+1)(m+k+1) over 1, otherwise the base's continuation step."""
-    if spec.codim:
-        return -(k + 1) * (spec.m + k + 1), 1
-    p, q = spec.base.lam.as_integer_ratio()
-    return _continuation_step(p, q, spec.lattice[0] + 2 * k + 1)
+    """V(k+1) / V(k) at k steps out from the reference, as integers: ``spec.step``
+    at t = 2n = 2 n0 + 2k, unreduced."""
+    (a0, a1, a2), (b0, b1, b2) = spec.step
+    t = spec.lattice[0] + 2 * k
+    return a0 + t * (a1 + t * a2), b0 + t * (b1 + t * b2)
 
 
 class _Table:
@@ -162,7 +153,7 @@ class _Table:
 
     __slots__ = ("key", "values", "negated", "__weakref__")
 
-    def __init__(self, key: "int | Tuple[int, int, int]"):
+    def __init__(self, key: Tuple[Step, int]):
         self.key = key  # the registry and pickle identity, read by no step
         self.values: Dict[int, FormValue] = {}
         self.negated: Dict[int, FormValue] = {}
@@ -176,7 +167,7 @@ class _Table:
 _TABLES: "weakref.WeakValueDictionary[object, _Table]" = weakref.WeakValueDictionary()
 
 
-def _shared(key: "int | Tuple[int, int, int]") -> _Table:
+def _shared(key: Tuple[Step, int]) -> _Table:
     """The live table of the module value ``key``, registered if none is alive."""
     table = _TABLES.get(key)
     return _TABLES.setdefault(key, _Table(key)) if table is None else table
@@ -188,12 +179,11 @@ def _table(spec: ModuleSpec) -> _Table:
     It is kept on the spec, in the instance dictionary, outside the
     dataclass fields, so equality, hashing and repr are untouched.  Equal
     specs, and a W1 and its base, share it through ``_TABLES``, keyed by
-    the base's integers: m on a point module, (p, q, 2 n0) at lam = p/q.
+    what the values are made of: the step polynomials and the reference 2 n0.
     """
     table = vars(spec).get("_diagonal_table")
     if table is None:
-        key = spec.m if spec.codim else (*spec.base.lam.as_integer_ratio(), spec.lattice[0])
-        table = vars(spec).setdefault("_diagonal_table", _shared(key))
+        table = vars(spec).setdefault("_diagonal_table", _shared((spec.step, spec.lattice[0])))
     return table
 
 
@@ -220,11 +210,6 @@ def _walk(spec: ModuleSpec, twice: int) -> Tuple[_Table, FormValue]:
             value = values.setdefault(ref + 2 * k, FormValue(
                 Sign.of(ratio), ratio, abs(float(ratio)) * magnitude, magnitude))
     return table, value
-
-
-def _magnitude(spec: ModuleSpec) -> float:
-    """The reference magnitude of an irreducible spec or W1, read from its table."""
-    return _walk(spec, spec.lattice[0])[1].reference_magnitude
 
 
 def point_diagonal_value(m: int, k: int) -> int:
@@ -299,10 +284,8 @@ def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:
     None on a point module, which is supported on a closed orbit and has no
     strip; on a W1 every index of its lattice lies inside the strip.
     """
-    if spec.codim:
-        return None
-    hi = math.ceil(spec.base.lam + 1) - 1  # the largest integer < lam + 1
-    return [HalfInt(tw) for tw in _lattice(spec, -hi, hi)]
+    hi = spec.base.strip
+    return None if hi is None else [HalfInt(tw) for tw in _lattice(spec, -hi, hi)]
 
 
 def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:

@@ -47,24 +47,32 @@ and the lowest and highest 2n (None: no limit), whose least |2n| is the
 reference index; ``coefficients``, the formulas above as one integer
 polynomial of degree <= 2 in t = 2n plus a shift per generator, over one
 integer denominator per module (2q on PS(p/q), 4 on a point module),
-built once per module; and ``breakpoints`` (r, k1, j0), the reference
-2 n0 = r and the Hodge level and sign thresholds (see ``_past``).  A new
-family is a class with these facts; the two rules where the open orbit
-and a point differ read ``codim``, each in one function of ``forms``: the
-diagonal step (``_diagonal_step``) and the reference magnitude.
+built once per module; ``breakpoints`` (r, k1, j0), the reference
+2 n0 = r and the Hodge level and sign thresholds (see ``_past``);
+``step``, the diagonal step V(n+1) / V(n) of the invariant form as an
+integer polynomial of degree <= 2 in t over another, kept apart from
+``coefficients`` so that invariance compares two independent facts;
+``reference_magnitude``, the float V(n0) (4 pi times a Beta value on a
+series, None where it diverges, 1 on a point module); and ``strip``, the
+largest integer < lam + 1, which bounds |2n| on the convergence strip
+(None on a point module).  A W1 has its base's, and the forms read the
+base's magnitude and strip.  A new family is a class with these facts: no
+function outside this module chooses a family, and ``codim`` is read only
+as the sign law's value.
 Each check reads each coefficient once, as an integer numerator and
 denominator, and compares its laws cross-multiplied.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
-from .exact import _rational, HalfInt, RationalLike
+from .exact import _rational, HalfInt, RationalLike, beta_value
 
 __all__ = [
     "Parity",
@@ -118,6 +126,8 @@ Lattice = Tuple[int, Optional[int], Optional[int]]
 # (d, {gen -> (a0, a1, a2, shift)}): gen . v_n = (a0 + a1 t + a2 t^2) / d v_{n + shift}
 # with t = 2n, integers throughout and one denominator d > 0 per module
 Coefficients = Tuple[int, Dict[Generator, Tuple[int, int, int, int]]]
+# (numerator, denominator) of V(n+1) / V(n), each (a0, a1, a2): a0 + a1 t + a2 t^2, t = 2n
+Step = Tuple[Tuple[int, int, int], Tuple[int, int, int]]
 
 
 def _member(value, kind: type) -> None:
@@ -194,6 +204,24 @@ class PrincipalSeries:
         return (r, (p + q - q * r) // (2 * q),
                 max(0, -(-_continuation_step(p, q, r + 1)[1] // (2 * q))))
 
+    @cached_property
+    def step(self) -> Step:
+        # the continuation step is linear in t1 = t + 1: its value at t = 0 and its slope
+        p, q = self.lam.numerator, self.lam.denominator
+        (n0, d0), (n1, d1) = (_continuation_step(p, q, t1) for t1 in (1, 2))
+        return (n0, n1 - n0, 0), (d0, d1 - d0, 0)
+
+    @cached_property
+    def reference_magnitude(self) -> Optional[float]:
+        # 4 pi B(a + n0, a - n0), a = (lam + 1) / 2: None where the integral diverges
+        half, n0 = (self.lam + 1) / 2, Fraction(self.lattice[0], 2)
+        beta = beta_value(half + n0, half - n0)
+        return None if beta is None else 4.0 * math.pi * beta
+
+    @property
+    def strip(self) -> int:
+        return math.ceil(self.lam + 1) - 1  # the largest integer < lam + 1
+
     def __str__(self) -> str:
         return f"PS(lambda={self.lam}, {self.parity.value})"
 
@@ -209,6 +237,8 @@ class PointModule:
     reducible = False
     lattice = (0, 0, None)  # k = n >= 0
     breakpoints = (0, -1, 0)  # level k + 1 (derivative order plus codim), sign (-1)^k
+    reference_magnitude = 1.0  # P(0)
+    strip = None  # supported on a closed orbit
 
     def __post_init__(self):
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
@@ -229,6 +259,11 @@ class PointModule:
         # at infinity: e+ <-> e-, h -> -h
         return 4, {E: down, H: (-4 * m - 4, -4, 0, 0), F: up}
 
+    @cached_property
+    def step(self) -> Step:
+        # P(k+1) / P(k) = -(k+1)(m+k+1) = -(t + 2)(t + 2m + 2) / 4 at t = 2k
+        return (-4 * self.m - 4, -2 * self.m - 4, -1), (4, 0, 0)
+
     def __str__(self) -> str:
         return f"Point(m={self.m}, at {self.orbit.value})"
 
@@ -246,6 +281,8 @@ class W1Sub:
     reducible = False
 
     def __post_init__(self):
+        if not isinstance(self.base, PrincipalSeries):
+            raise TypeError(f"W1 submodule base must be a PrincipalSeries, got {self.base!r}")
         if not self.base.reducible or self.base.lam < 1:
             raise ValueError(
                 f"W1 submodule needs a positive reduction point, got {self.base}"
@@ -279,6 +316,10 @@ class W1Sub:
     @property
     def breakpoints(self) -> Tuple[int, int, int]:
         return self.base.breakpoints
+
+    @property
+    def step(self) -> Step:
+        return self.base.step
 
     def __str__(self) -> str:
         return f"W1(lambda0={self.lam0}, {self.parity.value}, dim {self.dim})"
@@ -352,6 +393,7 @@ def act(gen: Generator, v: BasisVector, spec: ModuleSpec) -> Dict[BasisVector, F
     function and the twist.  W1 members use the ambient formulas (the
     submodule is action-stable).
     """
+    _member(gen, Generator)
     require_member(v, spec)
     n, d, shift = _step(spec, gen, v.index.twice)
     return {_vector(v.index.twice + 2 * shift): Fraction(n, d)} if n else {}
@@ -385,9 +427,13 @@ def constituents(spec: ModuleSpec) -> List[ModuleSpec]:
     return [W1Sub(spec)] + points
 
 
-def _require_bound(bound: int) -> None:
+def _require_bound(bound: int, name: str = "bound") -> None:
+    """Refuse anything but an int >= 0: a bool or a float with TypeError, as
+    ``_rational`` refuses a float, and a negative int with ValueError."""
+    if not isinstance(bound, int) or isinstance(bound, bool):
+        raise TypeError(f"{name} must be an integer, got {bound!r}")
     if bound < 0:
-        raise ValueError("bound must be >= 0")
+        raise ValueError(f"{name} must be >= 0")
 
 
 def _lattice(spec: ModuleSpec, lo: int, hi: int) -> range:

@@ -6,13 +6,14 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from su11hodge import cli, exact, filtrations, forms, modules
-from su11hodge.modules import CheckResult
+from su11hodge import analysis, cli, exact, filtrations, forms, modules
+from su11hodge.modules import CheckResult, Parity, PrincipalSeries
 
 
 def run(capsys, *argv):
@@ -143,9 +144,19 @@ def test_form_table_checks_each_vector_twice_and_takes_one_beta_value(monkeypatc
 
     for module in (modules, forms, filtrations):
         counted(module, "require_member")
-    counted(forms, "beta_value")
+    binders = [module for module in (exact, modules, filtrations, forms, analysis, cli)
+               if "beta_value" in vars(module)]
+    assert modules in binders
+    for module in binders:
+        counted(module, "beta_value")
     gc.collect()
-    assert (5, 3, 1) not in forms._TABLES  # a fresh table: its magnitude is not yet known
+    spec = PrincipalSeries(Fraction(5, 3), Parity.ODD)
+    key = spec.step, spec.lattice[0]
+    assert key not in forms._TABLES  # a fresh table: its magnitude is not yet known
+    assert forms._table(spec) is forms._TABLES[key]  # the key of the CLI's spec
+    del spec
+    gc.collect()
+    assert key not in forms._TABLES
     code, out, _ = run(capsys, "form-table", "--lambda", "5/3", "--parity", "odd",
                        "--bound", "12", "--output", "csv")
     assert code == 0 and len(out.splitlines()) == 1 + 24

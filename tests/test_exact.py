@@ -303,9 +303,10 @@ def test_sign_of_refuses_a_float():
         "beta_a", "beta_b"])
 def test_the_library_refuses_floats_and_strings(call, good):
     # 0.1 would enter as 3602879701896397/36028797018963968; parse_rational
-    # is the one reader of text
+    # is the one reader of text; True == 1, but PrincipalSeries(True, .)
+    # would print and compare as a bool
     call(good)
-    for x in (float(good), str(good)):
+    for x in (float(good), str(good), True, False):
         with pytest.raises(TypeError, match="not an exact rational"):
             call(x)
 

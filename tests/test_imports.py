@@ -11,8 +11,11 @@ cli: a module imports, anywhere in its code, only from layers below its
 own, so filtrations and forms do not import each other.  The package root
 re-exports every layer.
 
-The same reading pins who calls the continuation step: a diagonal step of
-the forms layer is read in one function, whichever family the module is.
+The same reading pins where the family of a module is decided: in the
+spec classes of ``modules`` alone.  The layers above read the facts of a
+spec and read no ``codim`` but the sign law's, and none switches on a type;
+the continuation step is read by the series' own facts and by
+``continuation_ratio``.
 """
 
 import ast
@@ -108,9 +111,9 @@ def test_the_check_sees_an_upward_or_sideways_import():
                                             ("filtrations", "forms"), ("modules", "analysis")]
 
 
-def callers(source: str, name: str):
-    """The qualified names of the functions in ``source`` that call ``name``,
-    by its bare name or as an attribute."""
+def scopes(source: str, hit):
+    """The qualified names of the functions and classes in ``source`` ("" at module
+    level) holding a node that ``hit`` accepts."""
     found = set()
 
     def visit(node, scope):
@@ -118,8 +121,7 @@ def callers(source: str, name: str):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and name in (getattr(child.func, "id", None),
-                                                        getattr(child.func, "attr", None)):
+            if hit(child):
                 found.add(".".join(scope))
             visit(child, scope)
 
@@ -127,18 +129,44 @@ def callers(source: str, name: str):
     return found
 
 
+def callers(source: str, name: str):
+    """The scopes in ``source`` that call ``name``, by its bare name or as an attribute."""
+    return scopes(source, lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)))
+
+
+def readers(source: str, attr: str):
+    """The scopes in ``source`` that read the attribute ``attr`` of anything."""
+    return scopes(source, lambda node: isinstance(node, ast.Attribute) and node.attr == attr)
+
+
+FAMILY_BLIND = ("filtrations", "forms", "analysis")
+
+
+def test_no_family_switch_outside_the_spec_classes():
+    # each spec class carries its family's facts (step, breakpoints, strip,
+    # reference magnitude, ...); the layers above read them and choose no
+    # family, and the sign law reads codim only as its value
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert {(module, reader) for module in FAMILY_BLIND
+            for reader in readers(sources[module], "codim")} == {
+        ("analysis", "verify_conjecture")}
+    assert [module for module in FAMILY_BLIND if "isinstance" in sources[module]] == []
+
+
 def test_one_step_reader_per_layer():
-    # every diagonal step of forms goes through _diagonal_step, the one
-    # place that tells a point module's step from the open orbit's
+    # the open orbit's step has one definition: the series' step and
+    # breakpoints facts read it, and continuation_ratio, the public step
     sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
     assert {(module, caller) for module, source in sources.items()
             for caller in callers(source, "_continuation_step")} == {
-        ("modules", "PrincipalSeries.breakpoints"), ("forms", "continuation_ratio"),
-        ("forms", "_diagonal_step")}
-    assert "isinstance" not in sources["forms"]
+        ("modules", "PrincipalSeries.breakpoints"), ("modules", "PrincipalSeries.step"),
+        ("forms", "continuation_ratio")}
 
 
 def test_the_check_sees_every_caller():
-    source = ("def f():\n    return g(1)\n\nclass A:\n    def h(self):\n"
-              "        return [m.g(k) for k in ()]\n\nx = g(0)\n")
+    source = ("def f():\n    return g(1)\n\nclass A:\n    codim = 1\n\n    def h(self):\n"
+              "        return [m.g(k) for k in ()]\n\nx = g(0)\ny = f().codim\n")
     assert callers(source, "g") == {"f", "A.h", ""}
+    assert readers(source, "codim") == {""}
+    assert readers(source, "g") == {"A.h"}

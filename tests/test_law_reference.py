@@ -329,7 +329,7 @@ def test_an_empty_window_passes_every_check():
 def test_the_checks_leave_only_the_cached_facts_on_a_module(spec, run):
     for check, failures, _ in CHECKS:
         assert run(check, failures, spec) in (CheckResult(True), [])
-    cached = {name for name in ("reducible", "lattice", "coefficients")
+    cached = {name for name in ("reducible", "lattice", "coefficients", "step")
               if isinstance(vars(type(spec)).get(name), cached_property)}
     assert set(vars(spec)) == {f.name for f in fields(spec)} | cached
 

@@ -2,30 +2,32 @@
 result must notice.
 
 ``spec.breakpoints`` (r, k1, j0) decides the Hodge level, the sign law and
-definiteness on every module; ``_past``, ``_law_sign`` and
-``forms._diagonal_step`` turn it and the continuation steps into levels,
-signs and the invariance laws.  So a wrong rule in any of them must change
-a verdict, a check or a level.  Each mutant replaces one rule through
-``monkeypatch``: a family's breakpoints as a ``property`` over the class
-attribute, read by specs the test builds, or a module-level rule by name in
-every module that imports it.  It names the public result that must change
-under it.  A mutant that changes nothing fails the test unless the
-catalogue marks it equivalent and says why; a mutant marked equivalent that
-does change its result fails too, as the catalogue is then wrong.
+definiteness on every module; ``_past``, ``_law_sign`` and ``definiteness``
+turn it into levels, signs and unitarity.  ``spec.step`` is the diagonal
+step the invariance laws read, and ``spec.strip`` the convergence strip.
+So a wrong fact or rule in any of them must change a verdict, a check, a
+level or the strip.  Each mutant replaces one rule through ``monkeypatch``:
+a family's fact as a ``property`` over the class attribute, read by specs
+the test builds, or a module-level rule by name in every module that
+imports it.  It names the public result that must change under it.  A
+mutant that changes nothing fails the test unless the catalogue marks it
+equivalent and says why; a mutant marked equivalent that does change its
+result fails too, as the catalogue is then wrong.
 
 No result here reads a diagonal table (verdicts and invariance walk no
-step), so a mutated step leaves no wrong value behind for other tests.
+step), and a table is keyed by the step it is made of, so a mutated step
+leaves no wrong value behind for other tests.
 """
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import pytest
 
 from su11hodge import analysis, cli, exact, filtrations, forms, modules
-from su11hodge.analysis import classify, verify_conjecture
+from su11hodge.analysis import Definiteness, classify, verify_conjecture
 from su11hodge.filtrations import hodge_level
-from su11hodge.forms import invariance_check
+from su11hodge.forms import convergence_range, invariance_check
 from su11hodge.modules import (
     _continuation_step,
     Orbit,
@@ -37,7 +39,9 @@ from su11hodge.modules import (
 )
 
 SERIES_RULE = PrincipalSeries.__dict__["breakpoints"].func  # the shipped rules
-PAST, LAW_SIGN, STEP = modules._past, forms._law_sign, forms._diagonal_step
+SERIES_STEP, POINT_STEP = PrincipalSeries.__dict__["step"].func, PointModule.__dict__["step"].func
+SERIES_STRIP = PrincipalSeries.__dict__["strip"].fget
+PAST, LAW_SIGN = modules._past, forms._law_sign
 PACKAGE = (exact, modules, filtrations, forms, analysis, cli)
 
 
@@ -67,9 +71,20 @@ def unitary_flags():
     return tuple(entry.unitary for entry in classify(1, Parity.EVEN).entries)
 
 
+def grid_unitary_flags():
+    return tuple(entry.unitary
+                 for lam in (Fraction(1, 2), 1, Fraction(7, 3), 2, 3) for parity in Parity
+                 for entry in classify(lam, parity).entries)
+
+
+def strips_of_two():
+    # |2n| <= 3 instead of 2 adds v_{-3/2} and v_{3/2}: only the odd lattice has them
+    return tuple(convergence_range(PrincipalSeries(2, parity)) for parity in Parity)
+
+
 class Mutant(NamedTuple):
     name: str
-    target: Union[type, str]  # a spec class (its breakpoints) or a module-level rule's name
+    target: Union[Tuple[type, str], str]  # (spec class, fact) or a module-level rule's name
     rule: Callable
     result: Callable[[], object]
     equivalent: Optional[str] = None  # why no result can tell it apart
@@ -96,16 +111,30 @@ def k1_clamped(spec):
     return r, max(0, k1), j0
 
 
-def point_step(sign, extra):
-    """The shipped series step, and on a point module sign * (k+1)(m+k+1+extra)."""
-    def rule(spec, k):
-        return (sign * (k + 1) * (spec.m + k + 1 + extra), 1) if spec.codim else STEP(spec, k)
-    return rule
+def point_step_negated(spec):
+    (a0, a1, a2), denominator = POINT_STEP(spec)
+    return (-a0, -a1, -a2), denominator
 
 
-def series_step_one_late(spec, k):
-    p, q = spec.base.lam.as_integer_ratio()
-    return _continuation_step(p, q, spec.lattice[0] + 2 * (k + 1) + 1)
+def point_step_m_plus_one(spec):
+    # -(k+1)(m+k+2): the shipped step at m + 1, -(t + 2)(t + 2m + 4) / 4
+    (a0, a1, a2), denominator = POINT_STEP(spec)
+    return (a0 - 4, a1 - 2, a2), denominator
+
+
+def series_step_one_late(spec):
+    # each polynomial at t + 2, one k further out
+    return tuple((a0 + 2 * a1 + 4 * a2, a1 + 4 * a2, a2) for a0, a1, a2 in SERIES_STEP(spec))
+
+
+def definiteness_j0_past_one(spec, bound=None):
+    r, _, j0 = spec.breakpoints
+    return Definiteness.INDEFINITE if j0 > 1 or r else Definiteness.POS_DEF
+
+
+def definiteness_without_r(spec, bound=None):
+    r, _, j0 = spec.breakpoints
+    return Definiteness.INDEFINITE if j0 else Definiteness.POS_DEF
 
 
 def law_sign_j0_plus_one(r, j0, twice):
@@ -116,19 +145,29 @@ def past_plus_one(r, t, twice):
     return PAST(r, t, twice) + 1
 
 
+SERIES, POINT, W1 = ((cls, "breakpoints") for cls in (PrincipalSeries, PointModule, W1Sub))
+
 CATALOGUE = [
-    Mutant("series k1 + 1", PrincipalSeries, k1_plus_one, series_verdict),
-    Mutant("series j0 by floor, not ceil", PrincipalSeries, j0_by_floor, series_verdict),
-    Mutant("point module (0, 0, 0)", PointModule, lambda spec: (0, 0, 0), point_verdicts),
-    Mutant("W1 j0 + 1", W1Sub, w1_j0_plus_one, unitary_flags),
-    Mutant("series k1 clamped at 0", PrincipalSeries, k1_clamped, series_verdict,
+    Mutant("series k1 + 1", SERIES, k1_plus_one, series_verdict),
+    Mutant("series j0 by floor, not ceil", SERIES, j0_by_floor, series_verdict),
+    Mutant("point module (0, 0, 0)", POINT, lambda spec: (0, 0, 0), point_verdicts),
+    Mutant("W1 j0 + 1", W1, w1_j0_plus_one, unitary_flags),
+    Mutant("series k1 clamped at 0", SERIES, k1_clamped, series_verdict,
            equivalent="k1 = floor((p + q - q r) / 2q) with r = 0 or 1 and p >= 0 "
                       "(dominance, lam >= 0) is never negative; test_closed_form asserts "
                       "k1 == j0 >= 0 or k1 == j0 + 1 on its grid of series"),
-    Mutant("point step sign flipped", "_diagonal_step", point_step(1, 0), point_invariance),
-    Mutant("point step m + k + 2", "_diagonal_step", point_step(-1, 1), point_invariance),
-    Mutant("series step one k late", "_diagonal_step", series_step_one_late,
+    Mutant("point step sign flipped", (PointModule, "step"), point_step_negated,
+           point_invariance),
+    Mutant("point step m + k + 2", (PointModule, "step"), point_step_m_plus_one,
+           point_invariance),
+    Mutant("series step one k late", (PrincipalSeries, "step"), series_step_one_late,
            series_invariance),
+    Mutant("series strip one too wide", (PrincipalSeries, "strip"),
+           lambda spec: SERIES_STRIP(spec) + 1, strips_of_two),
+    Mutant("definiteness j0 > 1", "definiteness", definiteness_j0_past_one,
+           grid_unitary_flags),
+    Mutant("definiteness without r", "definiteness", definiteness_without_r,
+           grid_unitary_flags),
     Mutant("_law_sign j0 + 1", "_law_sign", law_sign_j0_plus_one, series_verdict),
     Mutant("_past + 1", "_past", past_plus_one, series_levels),
     Mutant("_past + 1, seen by the verdict", "_past", past_plus_one, series_verdict,
@@ -139,8 +178,8 @@ CATALOGUE = [
 
 
 def patch(monkeypatch, mutant):
-    if isinstance(mutant.target, type):
-        monkeypatch.setattr(mutant.target, "breakpoints", property(mutant.rule))
+    if isinstance(mutant.target, tuple):
+        monkeypatch.setattr(*mutant.target, property(mutant.rule))
         return
     patched = [module for module in PACKAGE if mutant.target in vars(module)]
     assert patched, mutant.target

@@ -57,6 +57,15 @@ def reference_walk(twice: int, lam: Fraction, ref_twice: int):
     return ratio
 
 
+def table_key(spec):
+    """The registry key of the spec's table: its step polynomials and reference 2 n0.
+
+    A test that asserts a key is absent also asserts, while a spec of it is
+    alive, that this is the key its table is registered under.
+    """
+    return spec.step, spec.lattice[0]
+
+
 def table_ratio(spec, twice: int):
     return form_diagonal(BasisVector(HalfInt(twice)), spec).ratio_to_reference
 
@@ -309,9 +318,10 @@ def test_distinct_module_values_keep_distinct_tables():
 
 
 def test_a_table_dies_with_its_last_spec():
-    for make, key in ((lambda: PrincipalSeries(Fraction(19, 17), Parity.ODD), (19, 17, 1)),
-                      (lambda: PointModule(1_000_003, Orbit.AT_INFINITY), 1_000_003)):
+    for make in (lambda: PrincipalSeries(Fraction(19, 17), Parity.ODD),
+                 lambda: PointModule(1_000_003, Orbit.AT_INFINITY)):
         first, second = make(), make()
+        key = table_key(first)
         assert key not in forms._TABLES  # no other test keeps this value alive
         for v in basis_window(first, 8):
             form_diagonal(v, first)
@@ -379,7 +389,9 @@ def test_a_reducible_series_builds_no_table(monkeypatch):
     for v in basis_window(ps, 30):
         for value in (form_diagonal(v, ps), gR_form_diagonal(v, ps)):
             assert value == forms.FormValue(Sign.POLE, None, None, reference)
-    assert made.calls == 0 and (47, 1, 0) not in forms._TABLES
+    key = table_key(ps)
+    assert made.calls == 0 and key not in forms._TABLES
+    assert forms._table(ps) is forms._TABLES[key]
 
 
 def test_a_used_spec_pickles_with_equal_values():
@@ -403,10 +415,11 @@ def test_a_used_spec_pickles_with_equal_values():
 
 def test_an_unpickled_spec_joins_the_shared_table():
     # values no other test keeps alive; a W1 keeps its base's table
-    for make, key in ((lambda: PrincipalSeries(Fraction(23, 19), Parity.ODD), (23, 19, 1)),
-                      (lambda: PointModule(1_000_033, Orbit.AT_ZERO), 1_000_033),
-                      (lambda: W1Sub(PrincipalSeries(Fraction(43), Parity.EVEN)), (43, 1, 0))):
+    for make in (lambda: PrincipalSeries(Fraction(23, 19), Parity.ODD),
+                 lambda: PointModule(1_000_033, Orbit.AT_ZERO),
+                 lambda: W1Sub(PrincipalSeries(Fraction(43), Parity.EVEN))):
         spec = make()
+        key = table_key(spec)
         assert key not in forms._TABLES
         window = basis_window(spec, 12)
         compact = [form_diagonal(v, spec) for v in window]
@@ -467,8 +480,13 @@ def test_verdicts_build_no_table(monkeypatch):
     made = _Counter(forms._shared)
     monkeypatch.setattr(forms, "_shared", made)
     # module values kept alive by no other test: PS(29/31, odd), the
-    # constituents at 37 (even) and the two Jantzen samples 37 -/+ 1/5
-    keys = [(29, 31, 1), (37, 1, 0), 37, (184, 5, 0), (186, 5, 0)]
+    # constituents at 37 (even; a W1 keys as its base) and the two Jantzen
+    # samples 37 -/+ 1/5
+    values = [PrincipalSeries(Fraction(29, 31), Parity.ODD),
+              PrincipalSeries(Fraction(37), Parity.EVEN), PointModule(37, Orbit.AT_ZERO),
+              PrincipalSeries(Fraction(184, 5), Parity.EVEN),
+              PrincipalSeries(Fraction(186, 5), Parity.EVEN)]
+    keys = [table_key(spec) for spec in values]
     assert not any(key in forms._TABLES for key in keys)
     series = PrincipalSeries(Fraction(29, 31), Parity.ODD)
     # alive to the end, so a table made on them would still be registered
@@ -482,6 +500,7 @@ def test_verdicts_build_no_table(monkeypatch):
     assert jantzen_crossing(Fraction(37), Parity.EVEN, Fraction(1, 5), 30).verdict
     assert made.calls == 0
     assert not any(key in forms._TABLES for key in keys)
+    assert all(forms._table(spec) is forms._TABLES[key] for spec, key in zip(values, keys))
 
 
 def test_a_failing_invariance_check_builds_no_table(monkeypatch):
@@ -496,11 +515,13 @@ def test_a_failing_invariance_check_builds_no_table(monkeypatch):
         return n + (gen is Generator.E_PLUS), d, shift
 
     monkeypatch.setattr(modules, "_step", perturbed)
-    assert (53, 59, 1) not in forms._TABLES
     series = PrincipalSeries(Fraction(53, 59), Parity.ODD)
+    key = table_key(series)
+    assert key not in forms._TABLES
     report = invariance_check(series, 6)
     assert not report.ok and len(report.failures) == 2 * 11  # both laws, every neighbor pair
-    assert made.calls == 0 and (53, 59, 1) not in forms._TABLES
+    assert made.calls == 0 and key not in forms._TABLES
+    assert forms._table(series) is forms._TABLES[key]
 
 
 def test_verdict_signs_build_no_float():
@@ -600,7 +621,8 @@ def test_a_walk_overtaken_by_another_reads_its_own_index():
 def test_threads_building_equal_specs_read_equal_values():
     # each thread builds its own equal spec: they find (or race to create)
     # the shared table, and every value equals a single-threaded one
-    lam, key = Fraction(23, 19), (23, 19, 0)  # kept alive by no other test
+    lam = Fraction(23, 19)  # kept alive by no other test
+    key = table_key(PrincipalSeries(lam, Parity.EVEN))
     indices = [2 * n for n in range(-60, 61)]
     expected = [sweep(PrincipalSeries(lam, Parity.EVEN), indices, kind) for kind in (0, 1)]
     gc.collect()
