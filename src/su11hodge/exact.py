@@ -56,7 +56,10 @@ _RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 def parse_rational(text: str) -> Fraction:
     """Parse 'p' or 'p/q' exactly: ASCII digits, an optional leading '-',
     no inner spaces; outer whitespace is ignored.  Anything else (decimals,
-    floats, '+3', '1_0', '1/-2', non-ASCII digits, q = 0) is refused."""
+    floats, '+3', '1_0', '1/-2', non-ASCII digits, q = 0) is refused, and
+    anything but a string with TypeError."""
+    if not isinstance(text, str):
+        raise TypeError(f"not a string: {text!r}")
     s = text.strip()
     if not _RATIONAL.fullmatch(s):
         raise ValueError(f"not an exact rational: {text!r}")
@@ -72,9 +75,14 @@ class HalfInt:
     """An element of (1/2)Z, stored as its double so index arithmetic is exact.
 
     Even-parity basis indices have even ``twice``; odd-parity ones odd.
+    Anything but an int (a bool, a float, None) is refused with TypeError.
     """
 
     twice: int
+
+    def __post_init__(self):
+        if not isinstance(self.twice, int) or isinstance(self.twice, bool):
+            raise TypeError(f"a half integer stores an int twice, got {self.twice!r}")
 
     @classmethod
     def of(cls, x: "HalfInt | RationalLike") -> "HalfInt":

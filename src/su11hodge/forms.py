@@ -47,13 +47,14 @@ q(r + 2 j0 + 1) = p lies only on a reducible series, whose every ambient
 value is a pole, and a W1 ends before it.  ``spec.breakpoints`` reads j0
 off that denominator and the level's k1 off pole order (see ``filtrations``),
 neither from the other.  Verdicts (the sign law, Jantzen, definiteness)
-read it, form values the table, and invariance the integer steps, which
-decide each law and print its failures.  The table walk and invariance
-read a step k out from the reference through ``_diagonal_step``, which
-evaluates ``spec.step`` at t = 2 n0 + 2k whatever the family; on a series
-that fact, ``spec.breakpoints`` and ``continuation_ratio`` each read
-``_continuation_step`` of (p, q, t1 = 2n + 1).  No function here chooses
-a family: the step, the reference magnitude and the strip are the spec's.
+read it, form values the table, and invariance the step polynomials,
+which decide each law; a failing sweep prints from the integer steps.
+The walk and that sweep read a step k out from the reference through
+``_diagonal_step``, which evaluates ``spec.step`` at t = 2 n0 + 2k whatever
+the family; on a series that fact, ``spec.breakpoints`` and
+``continuation_ratio`` each read ``_continuation_step`` of (p, q, t1 = 2n + 1).
+No function here chooses a family: the step, the reference magnitude and
+the strip are the spec's.
 """
 
 from __future__ import annotations
@@ -71,8 +72,11 @@ from .modules import (
     _decide,
     _lattice,
     _past,
+    _require_bound,
     _rows,
+    _substitute,
     _theta_odd,
+    _vanishes,
     _vector,
     BasisVector,
     CheckResult,
@@ -213,7 +217,10 @@ def _walk(spec: ModuleSpec, twice: int) -> Tuple[_Table, FormValue]:
 
 
 def point_diagonal_value(m: int, k: int) -> int:
-    """Closed-form diagonal value (-1)^k k! (m+1)(m+2)...(m+k) on a point module."""
+    """Closed-form diagonal value (-1)^k k! (m+1)(m+2)...(m+k) on a point module;
+    m and k are ints >= 0 (TypeError or ValueError otherwise)."""
+    _require_bound(m, "m")
+    _require_bound(k, "k")
     value = math.factorial(k)
     for j in range(1, k + 1):
         value *= m + j
@@ -298,19 +305,40 @@ def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:
     return up if a > b else up[::-1]
 
 
-def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
+def _refuse_poles(spec: ModuleSpec) -> None:
     if spec.reducible:
         raise ValueError(f"form has a pole at every basis vector of {spec}")
+
+
+def _invariance_holds(spec: ModuleSpec) -> bool:
+    _refuse_poles(spec)
+    _, polynomials = spec.coefficients
+    (*e, s), (*f, s_f) = polynomials[Generator.E_PLUS], polynomials[Generator.E_MINUS]
+    if s not in (-1, 1) or s_f != -s:
+        return False
+    r, near = spec.lattice[0], set(_lattice(spec, -3, 3))
+    for side in (1, -1):  # 2u = side (x + outer), 2w = side (x + 2 - outer), x >= 0
+        outer = 1 - side * s
+        up, down = spec.step[::-1] if outer else spec.step  # V(x + 2) / V(x) = num / den
+        if {side * r, side * (r + 2)} <= near and not _vanishes(
+                (1, _substitute(e, side * outer, side), up),
+                (-1, _substitute(f, side * (2 - outer), side), down)):
+            return False
+    return not {-1, 1} <= near or _substitute(e, -s)[0] == _substitute(f, s)[0]
+
+
+def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
+    _refuse_poles(spec)
     failures = []
-    E, F = _rows(spec, (Generator.E_PLUS, Generator.E_MINUS), vectors)
+    E, F = _rows(spec, (Generator.E_PLUS, Generator.E_MINUS))
     theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
     for v in vectors:
         u = v.index.twice
-        en, ed, shift = E[u]
+        en, ed, shift = E(u)
         w = u + 2 * shift  # e+ u lies on v[w], e- v[w] on u
         if w not in theta:
             continue
-        fn, fd, _ = F[w]
+        fn, fd, _ = F(w)
         sn, sd = _u_step(spec, u) if w < u else _u_step(spec, w)[::-1]  # V(u) / V(w)
         for flip, tu, tw, law in ((1, 1, 1, "(e+u,w)=(u,e-w)"),
                                   (-1, theta[u], theta[w], "(e+u,w)=-(u,e-w)")):
@@ -328,14 +356,15 @@ def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
     Compact form:    (e+ u, w) = (u, e- w)  and  (h u, w) = (u, h w).
     Noncompact form: (e+ u, w) = -(u, e- w).
 
-    A generator moves an index by at most one step and all pairings reduce
-    to the diagonal, so a pair (u, w) can only violate a law when w is u
-    or a neighbor of u.  h is diagonal, so its law holds termwise; the
-    others only bind where e+ u lands on w, say c(u) V(u-1) = c'(u-1) V(u).
-    Over V(u-1), cross-multiplied by the integer step, that is a polynomial
-    identity in the index on either side of the fold V(-n) = V(n), decided
-    as in ``modules._decide``.  A failing law is listed with both sides over
-    V(w), from the same integers.  On a reducible series, whose every value
-    is a pole, it raises ValueError.
+    All pairings reduce to the diagonal and h is diagonal, so its law holds
+    termwise; the others bind only where e+ u lands on w = u + shift, as
+    N_E(u) V(w) = N_F(w) V(u).  With V(x+1) / V(x) = ``spec.step`` at the
+    smaller |index| x, that is one identity of degree <= 4 in t = 2n on each
+    side of the fold V(-n) = V(n) that holds a pair, and one value at the
+    fold |u| = |w| = 1/2.  The shift is odd, so theta(u) theta(w) = -1 and the
+    noncompact law is the same identity, listed apart.  Decided as in
+    ``modules._decide``; a failing law is listed with both sides over V(w),
+    from the same integers.  On a reducible series, whose every value is a
+    pole, it raises ValueError.
     """
-    return _decide(spec, bound, _invariance_failures)
+    return _decide(spec, bound, _invariance_holds, _invariance_failures)

@@ -59,8 +59,7 @@ largest integer < lam + 1, which bounds |2n| on the convergence strip
 base's magnitude and strip.  A new family is a class with these facts: no
 function outside this module chooses a family, and ``codim`` is read only
 as the sign law's value.
-Each check reads each coefficient once, as an integer numerator and
-denominator, and compares its laws cross-multiplied.
+Each check decides its laws as identities of these polynomials (``_decide``).
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from .exact import _rational, HalfInt, RationalLike, beta_value
@@ -330,9 +329,14 @@ ModuleSpec = Union[PrincipalSeries, PointModule, W1Sub]
 
 @dataclass(frozen=True, order=True)
 class BasisVector:
-    """A single basis element, identified by its (half-)integer index."""
+    """A single basis element, identified by its (half-)integer index, a ``HalfInt``
+    (anything else is refused with TypeError)."""
 
     index: HalfInt
+
+    def __post_init__(self):
+        if not isinstance(self.index, HalfInt):
+            raise TypeError(f"a basis vector's index is a HalfInt, got {self.index!r}")
 
     @classmethod
     def at(cls, n: "HalfInt | RationalLike") -> "BasisVector":
@@ -376,8 +380,8 @@ def _step(spec: ModuleSpec, gen: Generator, twice: int) -> Tuple[int, int, int]:
     numerator is the module's integer polynomial of degree <= 2 in t and
     the denominator the module's own (> 0), not reduced, so callers
     compare cross-multiplied or build a ``Fraction``; the shift is -1, 0
-    or +1.  Membership of v_n is not checked, so the law checks' step rows
-    may read one index past either end of a W1 (see ``_rows``).
+    or +1.  Membership of v_n is not checked, so the law checks' sweeps may
+    read past either end of a window or of a W1 (see ``_rows``).
     """
     denominator, polynomials = spec.coefficients
     a0, a1, a2, shift = polynomials[gen]
@@ -465,61 +469,66 @@ class CheckResult:
     failures: Tuple[str, ...] = field(default_factory=tuple)
 
 
-def _decide(spec: ModuleSpec, bound: int,
+def _decide(spec: ModuleSpec, bound: int, holds: Callable[[ModuleSpec], bool],
             failures: Callable[[ModuleSpec, List[BasisVector]], List[str]]) -> CheckResult:
     """Decide the laws behind ``failures`` on every index, listing window failures.
 
-    Each ``_step`` numerator is a polynomial of degree <= 2 in the index
-    over a constant denominator and each shift is constant, so each bracket
-    and theta law at v is a polynomial identity of degree <= 4 in the
-    index.  So is each invariance law on either side of the fold
-    V(-n) = V(n), cross-multiplied by the integer continuation step, a
-    ratio of degree <= 2.  Such an identity
-    holds on the whole lattice when it holds at five consecutive indices
-    (on each side of the fold).  The sample has them: the lattice indices
-    within six steps of the reference (k = 0..6 on a point module), on
-    every infinite lattice: a reducible series has the same coefficient
-    polynomials, and invariance refuses it.  When every law holds there
-    the result is ok; otherwise, or on a finite W1, the window of ``bound``
-    is swept and its failures listed.  ``failures`` compares cross-multiplied
-    integers, so an unreduced denominator gives the same verdict, and builds
-    a ``Fraction`` only to print a value.
+    ``holds`` says whether each law is an identity of the integer polynomials
+    ``spec.coefficients`` (and ``spec.step``) in t = 2n.  If one is not, or a
+    shift is outside the contract, ``failures`` sweeps the window, comparing
+    the same integers cross-multiplied, and builds a ``Fraction`` only to print.
     """
     _require_bound(bound)
-    ref, _, highest = spec.lattice
-    if highest is None:
-        sample = list(map(_vector, _lattice(spec, ref - 12, ref + 12)))
-        if not failures(spec, sample):
-            return CheckResult(True)
+    if holds(spec):
+        return CheckResult(True)
     found = failures(spec, basis_window(spec, bound))
     return CheckResult(not found, tuple(found))
 
 
-def _rows(spec: ModuleSpec, gens: Iterable[Generator], vectors: List[BasisVector],
-          pad: int = 0) -> List[Dict[int, Tuple[int, int, int]]]:
-    """``_step`` of each of ``gens`` as a dict 2n -> (numerator, denominator, shift),
-    read once per index over the lattice span of ``vectors`` (increasing, as
-    windows are) and ``pad`` steps past either end."""
-    span = range(vectors[0].index.twice - 2 * pad,
-                 vectors[-1].index.twice + 2 * pad + 1, 2) if vectors else ()
-    return [{tw: _step(spec, gen, tw) for tw in span} for gen in gens]
+def _rows(spec: ModuleSpec, gens: Iterable[Generator]) -> List[Callable[[int], tuple]]:
+    """``_step`` of each of ``gens`` as a function of 2n that reads each index once."""
+    return [lru_cache(maxsize=None)(partial(_step, spec, gen)) for gen in gens]
+
+
+def _substitute(p: Tuple[int, int, int], c: int, sign: int = 1) -> Tuple[int, int, int]:
+    """p(sign t + c) for p = (a0, a1, a2), a0 + a1 t + a2 t^2."""
+    a0, a1, a2 = p
+    return a0 + c * (a1 + c * a2), sign * (a1 + 2 * c * a2), a2
+
+
+def _vanishes(*terms: Tuple[int, Tuple[int, int, int], Tuple[int, int, int]]) -> bool:
+    """Whether the sum of k p q over ``terms`` (k, p, q), in t as (a0, a1, a2), is 0."""
+    t0 = t1 = t2 = t3 = t4 = 0
+    for k, (a0, a1, a2), (b0, b1, b2) in terms:
+        t0, t1 = t0 + k * a0 * b0, t1 + k * (a0 * b1 + a1 * b0)
+        t2 += k * (a0 * b2 + a1 * b1 + a2 * b0)
+        t3, t4 = t3 + k * (a1 * b2 + a2 * b1), t4 + k * a2 * b2
+    return not (t0 or t1 or t2 or t3 or t4)
+
+
+def _bracket_holds(spec: ModuleSpec) -> bool:
+    d, polynomials = spec.coefficients
+    E, H, F = (polynomials[gen] for gen in Generator)
+    return all(_vanishes((1, b[:3], _substitute(a[:3], 2 * b[3])),
+                         (-1, a[:3], _substitute(b[:3], 2 * a[3])), (-k * d, g[:3], (1, 0, 0)))
+               for a, b, k, g in ((H, E, 2, E), (H, F, -2, F), (E, F, 1, H)))
 
 
 def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    E, H, F = _rows(spec, Generator, vectors, 1)
+    E, H, F = _rows(spec, Generator)
     # [a, b] v = k g v, with both sides on the same basis vector
     laws = ((H, E, 2, E, "[h,e+] != 2 e+"), (H, F, -2, F, "[h,e-] != -2 e-"),
             (E, F, 1, H, "[e+,e-] != h"))
     for v in vectors:
         tw = v.index.twice
         for a, b, k, g, law in laws:
-            an, ad, a_shift = a[tw]
-            bn, bd, b_shift = b[tw]
+            an, ad, a_shift = a(tw)
+            bn, bd, b_shift = b(tw)
             # a . (b . v) = bn n1 / (bd d1) and b . (a . v) = an n2 / (ad d2)
-            n1, d1, _ = a[tw + 2 * b_shift]
-            n2, d2, _ = b[tw + 2 * a_shift]
-            n3, d3, _ = g[tw]
+            n1, d1, _ = a(tw + 2 * b_shift)
+            n2, d2, _ = b(tw + 2 * a_shift)
+            n3, d3, _ = g(tw)
             if (bn * n1 * ad * d2 - an * n2 * bd * d1) * d3 != k * n3 * bd * d1 * ad * d2:
                 failures.append(f"{law} at {v}")
     return failures
@@ -529,15 +538,25 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
     """Decide [h,e+] = 2e+, [h,e-] = -2e-, [e+,e-] = h on every index, exactly.
 
     Both sides of each relation are multiples of the same basis vector
-    (shifts add), so each relation is one polynomial identity in the index
-    between coefficients, decided as in ``_decide``.
+    (shifts add), so [a, b] = k g is one identity of degree <= 4 in t,
+    N_b(t) N_a(t + 2 s_b) - N_a(t) N_b(t + 2 s_a) = k d N_g(t) over the
+    denominator d, decided as in ``_decide``.
     """
-    return _decide(spec, bound, _bracket_failures)
+    return _decide(spec, bound, _bracket_holds, _bracket_failures)
+
+
+def _theta_holds(spec: ModuleSpec) -> bool:
+    _, polynomials = spec.coefficients
+    ends = {-1: spec.lattice[1], 1: spec.lattice[2]}
+    return all(not any(p) or abs(s) < 2 and (-1) ** (s % 2) == k
+               and (ends.get(s) is None or not _substitute(p, ends[s])[0])
+               for gen, k in ((Generator.E_PLUS, -1), (Generator.E_MINUS, -1), (Generator.H, 1))
+               for *p, s in [polynomials[gen]])
 
 
 def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     failures = []
-    E, H, F = _rows(spec, Generator, vectors)
+    E, H, F = _rows(spec, Generator)
     theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
     laws = ((E, -1, "theta e+ theta != -e+"), (F, -1, "theta e- theta != -e-"),
             (H, 1, "theta h theta != h"))
@@ -547,7 +566,7 @@ def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
         if sign * sign != 1:
             failures.append(f"theta^2 != 1 at {v}")
         for row, k, law in laws:
-            n, _, shift = row[tw]
+            n, _, shift = row(tw)
             t = tw + 2 * shift
             # read past the window only where gen . v is non-zero: it can leave a W1
             if n and sign * (theta[t] if t in theta else theta_sign(_vector(t), spec)) != k:
@@ -559,7 +578,8 @@ def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
     """Decide theta^2 = 1 and the intertwining signs on every index, exactly.
 
     theta gen theta sends v to theta(v) theta(v + shift) times gen . v, so
-    each intertwining law is a sign identity where gen . v is non-zero,
-    decided as in ``_decide``.
+    each intertwining law says (-1)^shift = +-1 wherever the coefficient
+    polynomial is non-zero, and where a shift leaves a finite end of the
+    lattice it must vanish there; decided as in ``_decide``.
     """
-    return _decide(spec, bound, _theta_failures)
+    return _decide(spec, bound, _theta_holds, _theta_failures)

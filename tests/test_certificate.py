@@ -1,12 +1,18 @@
-"""The sampled decision of the algebraic checks against their full window sweeps.
+"""The polynomial decision of the algebraic checks against their window sweeps.
 
 ``bracket_check``, ``theta_check`` and ``invariance_check`` decide their
-laws on a fixed sample of indices and sweep the window only to list
-failures.  That is sound because every law is a polynomial identity of
-low degree in the index; the tests here pin the degree contract and check
-that the public result is always the sweep's.
+laws as identities between the integer coefficient polynomials
+``spec.coefficients`` and the step polynomials ``spec.step``, with no
+sample of indices, and sweep the window only when an identity fails, to
+list the failures.  The tests here perturb those facts on a spec, the way
+a wrong family fact would, and check that the public result is always the
+window sweep's and that an identity decided true leaves no failure on a
+far wider sweep.  They also pin the degree contract the facts keep.
 """
 
+import math
+from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,11 +49,12 @@ def sweep(failures, spec, bound) -> CheckResult:
 
 
 def outcome(fn, *args):
-    """The result of fn, or the ValueError it raised (a pole, a non-member)."""
+    """The result of fn, or the error it raised: a ValueError (a pole, a non-member)
+    or, printing a failure over a zero step denominator, a ZeroDivisionError."""
     try:
         return fn(*args)
-    except ValueError as exc:
-        return ("ValueError", str(exc))
+    except (ValueError, ZeroDivisionError) as exc:
+        return (type(exc).__name__, str(exc))
 
 
 def w1(lam0: int) -> W1Sub:
@@ -70,19 +77,41 @@ def test_checks_agree_with_their_window_sweeps(spec, bound):
         assert outcome(check, spec, bound) == outcome(sweep, failures, spec, bound)
 
 
-def perturbed_step(gen, poly):
-    """``_step`` with the polynomial ``poly`` in the index added to gen's coefficient."""
-    exact = modules._step
+def fresh(spec):
+    """An equal spec that shares no instance, and so no cached fact, with ``spec``."""
+    return W1Sub(replace(spec.base)) if isinstance(spec, W1Sub) else replace(spec)
 
-    def step(spec, g, twice):
-        num, den, shift = exact(spec, g, twice)
-        if g is gen:
-            n = Fraction(twice, 2)
-            coefficient = Fraction(num, den) + poly[0] + poly[1] * n + poly[2] * n * n
-            num, den = coefficient.numerator, coefficient.denominator
-        return num, den, shift
 
-    return step
+def add_to_coefficient(spec, gen, poly):
+    """``spec`` with the polynomial ``poly`` in n added to gen's coefficient, written
+    on the instance that carries the facts (a W1's base) over the common
+    denominator d L, L = 4 lcm of the denominators of ``poly`` (n = t / 2)."""
+    d, polynomials = spec.coefficients
+    scale = 4 * math.lcm(*(Fraction(c).denominator for c in poly))
+    new = {g: (a0 * scale, a1 * scale, a2 * scale, shift)
+           for g, (a0, a1, a2, shift) in polynomials.items()}
+    extra = [Fraction(c) * d * scale / 2 ** i for i, c in enumerate(poly)]  # in t
+    assert all(c.denominator == 1 for c in extra)
+    a0, a1, a2, shift = new[gen]
+    new[gen] = (a0 + int(extra[0]), a1 + int(extra[1]), a2 + int(extra[2]), shift)
+    vars(spec.base)["coefficients"] = (d * scale, new)
+    return spec
+
+
+def add_to_step(spec, half, poly):
+    """``spec`` with the integer polynomial ``poly`` in t added to the numerator
+    (``half`` 0) or the denominator (1) of its step fact."""
+    step = [list(p) for p in spec.step]
+    step[half] = [a + b for a, b in zip(step[half], poly)]
+    vars(spec.base)["step"] = tuple(map(tuple, step))
+    return spec
+
+
+def set_shift(spec, gen, shift):
+    """``spec`` with gen's shift replaced, the contract's |shift| <= 1 or not."""
+    d, polynomials = spec.coefficients
+    vars(spec.base)["coefficients"] = (d, {**polynomials, gen: (*polynomials[gen][:3], shift)})
+    return spec
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -91,11 +120,9 @@ small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 @settings(max_examples=100, deadline=None)
 @given(specs, bounds, st.sampled_from(Generator), st.tuples(small, small, small))
 def test_perturbed_coefficient_fails_the_same_way_on_both_paths(spec, bound, gen, poly):
-    with pytest.MonkeyPatch.context() as mp:
-        step = perturbed_step(gen, poly)
-        mp.setattr(modules, "_step", step)
-        for check, failures in CHECKS.values():
-            assert outcome(check, spec, bound) == outcome(sweep, failures, spec, bound)
+    spec = add_to_coefficient(spec, gen, poly)
+    for check, failures in CHECKS.values():
+        assert outcome(check, spec, bound) == outcome(sweep, failures, spec, bound)
 
 
 def near_reference(spec):
@@ -111,12 +138,11 @@ def near_reference(spec):
 @pytest.mark.parametrize("spec", [PrincipalSeries(Fraction(1, 3), Parity.EVEN),
                                   PrincipalSeries(Fraction(5, 2), Parity.ODD),
                                   PointModule(2, Orbit.AT_INFINITY)], ids=str)
-def test_perturbation_is_listed_on_the_window(monkeypatch, name, gen, poly, spec):
+def test_perturbation_is_listed_on_the_window(name, gen, poly, spec):
     # each perturbation breaks the brackets and the e+/e- invariance laws;
     # the second one holds on the invariance pairs at and next to the
     # reference, so a sample of three indices there would miss it
-    step = perturbed_step(gen, poly(spec))
-    monkeypatch.setattr(modules, "_step", step)
+    spec = add_to_coefficient(fresh(spec), gen, poly(spec))
     check, failures = CHECKS[name]
     report = check(spec, 7)
     assert report == sweep(failures, spec, 7)
@@ -124,8 +150,55 @@ def test_perturbation_is_listed_on_the_window(monkeypatch, name, gen, poly, spec
         assert not report.ok and report.failures
 
 
+HOLDS = {"bracket_check": modules._bracket_holds, "theta_check": modules._theta_holds,
+         "invariance_check": forms._invariance_holds}
+integer = st.integers(-2, 2)
+facts = st.one_of(
+    st.tuples(st.just(add_to_coefficient), st.sampled_from(Generator),
+              st.tuples(small, small, small)),
+    st.tuples(st.just(add_to_step), st.integers(0, 1), st.tuples(integer, integer, integer)),
+    st.tuples(st.just(set_shift), st.sampled_from(Generator), integer),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(specs, bounds, st.lists(facts, max_size=2))
+def test_the_decision_is_the_window_sweep_on_perturbed_facts(spec, bound, changes):
+    # series, point modules at either orbit and W1s, with integer and
+    # fractional coefficient perturbations, step perturbations and shifts
+    # outside the contract; an identity decided true holds 40 steps out too
+    for perturb, *args in changes:
+        spec = perturb(spec, *args)
+    for name, (check, failures) in CHECKS.items():
+        assert outcome(check, spec, bound) == outcome(sweep, failures, spec, bound)
+        if outcome(HOLDS[name], spec) is True:
+            assert failures(spec, basis_window(spec, 40)) == []
+
+
+@pytest.mark.parametrize("gen", [Generator.E_PLUS, Generator.H], ids=lambda g: g.value)
+@pytest.mark.parametrize("shift", [-2, 2])
+def test_a_shift_outside_the_contract_gets_a_check_result(monkeypatch, gen, shift):
+    # |shift| <= 1 is the contract; past it each check still returns its
+    # sweep, which reads each coefficient once, past the window too
+    spec = set_shift(PrincipalSeries(Fraction(1, 3), Parity.EVEN), gen, shift)
+    reads, exact = Counter(), modules._step
+
+    def step(spec, g, twice):
+        reads[g, twice] += 1
+        return exact(spec, g, twice)
+
+    monkeypatch.setattr(modules, "_step", step)
+    for check, failures in CHECKS.values():
+        reads.clear()
+        report = check(spec, 5)
+        assert isinstance(report, CheckResult) and set(reads.values()) <= {1}
+        assert report == sweep(failures, spec, 5)
+    assert not bracket_check(spec, 5).ok
+    assert theta_check(spec, 5).ok is (gen is Generator.H)  # (-1)^shift = 1: h keeps theta
+
+
 # ---------------------------------------------------------------------------
-# the degree contract the sample relies on
+# the degree contract the facts keep
 
 FAMILIES = [
     PrincipalSeries(Fraction(1, 3), Parity.EVEN),
@@ -203,23 +276,6 @@ def test_table_step_is_a_degree_two_ratio_on_each_side(spec):
         sides.append([HalfInt(-ref.twice) - j for j in range(20)])  # u <= -n0
     for side in sides:
         assert is_degree_two_ratio([(u.as_fraction, step(u)) for u in side])
-
-
-@pytest.mark.parametrize("spec", [PrincipalSeries(Fraction(1, 3), Parity.EVEN),
-                                  PrincipalSeries(Fraction(1, 3), Parity.ODD),
-                                  PointModule(1, Orbit.AT_ZERO)], ids=str)
-def test_decide_samples_six_steps_out_on_each_side_of_the_fold(spec):
-    # the soundness argument needs five consecutive indices on each side of
-    # the fold V(-n) = V(n): the sample holds k = 0..6 steps out on the side
-    # 2n >= 0 and, on a series, k = 0..6 (even) or 0..5 (odd) on the side 2n <= 0
-    calls = []
-    result = modules._decide(spec, 40, lambda s, vectors: calls.append(vectors) or [])
-    assert result == CheckResult(True) and len(calls) == 1
-    r = reference_index(spec).twice
-    twice = [v.index.twice for v in calls[0]]
-    assert sorted((tw - r) // 2 for tw in twice if tw >= 0) == list(range(7))
-    below = sorted((-tw - r) // 2 for tw in twice if tw <= 0)
-    assert below == ([0] if spec.codim else list(range(7 - r)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,19 @@ breakpoints) fails here.
 Boundary: a bound, a cutoff or a level is an int >= 0, a W1's base is a
 principal series and a generator is a ``Generator``; anything else is
 refused with TypeError, not taken as 1, truncated, or failed on later.
+Every public callable, enumerated from ``__all__`` by its signature, meets
+a junk scalar in any argument slot with TypeError or ValueError only.
 """
 
+import enum
+import inspect
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import su11hodge
 from su11hodge import analysis, cli, exact, filtrations, forms, modules
 from su11hodge.analysis import (
     classify,
@@ -26,6 +31,7 @@ from su11hodge.analysis import (
     jantzen_crossing,
     verify_conjecture,
 )
+from su11hodge.exact import HalfInt
 from su11hodge.filtrations import filtration_table, grw2_weights, hodge_dim, hodge_level
 from su11hodge.forms import diagonal_sign, form_diagonal, invariance_check, reference_magnitude
 from su11hodge.modules import (
@@ -125,7 +131,7 @@ BOUNDS = [
     "definiteness", "jantzen_crossing", "filtration_table", "hodge_dim", "grw2_weights"])
 def test_a_bound_must_be_an_int(name, call):
     # True would pass as 1 (and print as True); 2.5 would be decided on the
-    # sample and return ok, or be truncated by the window
+    # polynomials and return ok, or be truncated by the window
     call(2)
     for junk in (True, False, 2.5, 2.0, Fraction(2), "2"):
         with pytest.raises(TypeError, match=f"^{name} must be an integer, got "):
@@ -146,3 +152,69 @@ def test_a_w1_base_must_be_a_series(base):
 def test_act_refuses_a_generator_name(gen):
     with pytest.raises(TypeError, match="not a member of Generator"):
         act(gen, BasisVector.at(0), SERIES)
+
+
+# a valid argument for each parameter name in ``__all__``; a public callable
+# whose parameter is missing here fails the enumeration below until one is added
+VALID = {
+    "text": "7/3", "twice": 1, "index": HalfInt(1), "lam": Fraction(7, 3),
+    "parity": Parity.EVEN, "m": 3, "orbit": Orbit.AT_ZERO, "base": PrincipalSeries(3, Parity.EVEN),
+    "v": BasisVector.at(1), "spec": SERIES, "gen": Generator.E_PLUS,
+    "bound": 3, "n": Fraction(1, 2), "a": Fraction(3, 2), "b": Fraction(5, 2),
+    "s": Fraction(1, 2), "t": Fraction(3), "k": 2, "lambda0": 3, "epsilon": Fraction(1, 4),
+    "p": 1, "cutoff": 3,
+}
+JUNK = (True, 2.5, "x", None, -1, Fraction(-7, 3), object())
+# spec and vector arguments stay duck-typed: a junk one may fail on a missing attribute
+DUCK_TYPED = {"spec", "v"}
+
+
+def public_callables():
+    """Every function in ``__all__`` and every class that validates its fields
+    (has ``__post_init__``): not the enums, type aliases or plain records."""
+    for name in su11hodge.__all__:
+        obj = getattr(su11hodge, name)
+        if inspect.isfunction(obj) or (inspect.isclass(obj) and not issubclass(obj, enum.Enum)
+                                       and hasattr(obj, "__post_init__")):
+            yield name, obj, list(inspect.signature(obj).parameters)
+
+
+def test_the_enumeration_covers_the_boundary():
+    names = {name for name, _, _ in public_callables()}
+    assert {"HalfInt", "BasisVector", "PrincipalSeries", "PointModule", "W1Sub",
+            "parse_rational", "point_diagonal_value", "bracket_check", "classify"} <= names
+    assert len(names) == 36
+
+
+@pytest.mark.parametrize("name,fn,params", list(public_callables()),
+                         ids=[name for name, _, _ in public_callables()])
+def test_a_junk_scalar_raises_only_type_or_value_error(name, fn, params):
+    assert set(params) <= set(VALID), set(params) - set(VALID)
+    fn(**{p: VALID[p] for p in params})  # the valid call goes through
+    for slot in params:
+        allowed = (TypeError, ValueError) + ((AttributeError,) if slot in DUCK_TYPED else ())
+        for junk in JUNK:
+            try:
+                fn(**{p: junk if p == slot else VALID[p] for p in params})
+            except allowed:
+                pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HalfInt(2.5), lambda: HalfInt(None), lambda: HalfInt(True),
+    lambda: BasisVector(None), lambda: BasisVector(1),
+    lambda: forms.point_diagonal_value(2.5, 2), lambda: forms.point_diagonal_value(2, True),
+    lambda: exact.parse_rational(-1), lambda: exact.parse_rational(None),
+], ids=["HalfInt(2.5)", "HalfInt(None)", "HalfInt(True)", "BasisVector(None)",
+        "BasisVector(1)", "point_diagonal_value(2.5, 2)", "point_diagonal_value(2, True)",
+        "parse_rational(-1)", "parse_rational(None)"])
+def test_the_rest_of_the_boundary_is_refused_with_type_error(call):
+    with pytest.raises(TypeError):
+        call()
+
+
+def test_the_shared_vectors_take_no_new_check(monkeypatch):
+    # a cache hit returns the shared instance without building or checking one
+    modules._vector(4)
+    monkeypatch.setattr(modules.BasisVector, "__post_init__", None)
+    assert modules._vector(4) is modules._vector(4)

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from su11hodge import forms
 from su11hodge.exact import Sign, quadrature_integral
 from su11hodge.filtrations import hodge_level
 from su11hodge.forms import (
@@ -306,25 +305,25 @@ def test_invariance_refuses_a_reducible_series(spec, bound):
 # ---------------------------------------------------------------------------
 # reference magnitude
 
-def test_invariance_reports_failing_pairs(monkeypatch):
-    # double the compact-form value at n = 1: both e+/e- laws then fail on
-    # the pairs (1, 0) and (2, 1), the h law and the diagonal pairs hold;
-    # the laws are decided on the integer steps and printed from them, both
-    # sides over V(w)
-    exact = forms._u_step
-
-    def step(spec, twice):  # V(u) / V(u - 1)
-        ratio = Fraction(*exact(spec, twice)) * {2: 2, 4: Fraction(1, 2)}.get(twice, 1)
-        return ratio.numerator, ratio.denominator
-
-    monkeypatch.setattr(forms, "_u_step", step)
-    report = invariance_check(PS(Fraction(1, 3)), 2)
+def test_invariance_reports_failing_pairs():
+    # double the step fact V(n+1) / V(n): both e+/e- laws then fail on every
+    # neighbor pair, the h law and the diagonal pairs hold; the laws are
+    # decided on the integer polynomials and printed from the integer
+    # steps, both sides over V(w)
+    spec = PS(Fraction(1, 3))
+    (a0, a1, a2), denominator = spec.step
+    vars(spec)["step"] = ((2 * a0, 2 * a1, 2 * a2), denominator)
+    report = invariance_check(spec, 2)
     assert not report.ok
     assert report.failures == (
+        "(e+u,w)=(u,e-w) fails at u=v[-1], w=v[-2]: 4/3 != 2/3",
+        "(e+u,w)=-(u,e-w) fails at u=v[-1], w=v[-2]: 4/3 != 2/3",
+        "(e+u,w)=(u,e-w) fails at u=v[0], w=v[-1]: 1/3 != 1/6",
+        "(e+u,w)=-(u,e-w) fails at u=v[0], w=v[-1]: -1/3 != -1/6",
         "(e+u,w)=(u,e-w) fails at u=v[1], w=v[0]: -2/3 != -4/3",
         "(e+u,w)=-(u,e-w) fails at u=v[1], w=v[0]: -2/3 != -4/3",
-        "(e+u,w)=(u,e-w) fails at u=v[2], w=v[1]: -5/3 != -5/6",
-        "(e+u,w)=-(u,e-w) fails at u=v[2], w=v[1]: 5/3 != 5/6",
+        "(e+u,w)=(u,e-w) fails at u=v[2], w=v[1]: -5/3 != -10/3",
+        "(e+u,w)=-(u,e-w) fails at u=v[2], w=v[1]: 5/3 != 10/3",
     )
 
 

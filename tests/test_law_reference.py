@@ -12,12 +12,13 @@ and that the checks leave no state on the module beyond its cached facts.
 """
 
 import gc
+import math
 import pickle
 import sys
 import threading
 import weakref
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -177,19 +178,20 @@ specs = st.one_of(
 bounds = st.integers(0, 40)
 
 
-def perturbed_step(gen, poly):
-    """``_step`` with the polynomial ``poly`` in the index added to gen's coefficient."""
-    exact = modules._step
-
-    def perturbed(spec, g, twice):
-        num, den, shift = exact(spec, g, twice)
-        if g is gen:
-            n = Fraction(twice, 2)
-            coefficient = Fraction(num, den) + poly[0] + poly[1] * n + poly[2] * n * n
-            num, den = coefficient.numerator, coefficient.denominator
-        return num, den, shift
-
-    return perturbed
+def add_to_coefficient(spec, gen, poly):
+    """``spec`` with the polynomial ``poly`` in n added to gen's coefficient, written
+    on the instance that carries the facts (a W1's base) over the common
+    denominator d L, L = 4 lcm of the denominators of ``poly`` (n = t / 2)."""
+    d, polynomials = spec.coefficients
+    scale = 4 * math.lcm(*(Fraction(c).denominator for c in poly))
+    new = {g: (a0 * scale, a1 * scale, a2 * scale, shift)
+           for g, (a0, a1, a2, shift) in polynomials.items()}
+    extra = [Fraction(c) * d * scale / 2 ** i for i, c in enumerate(poly)]  # in t
+    assert all(c.denominator == 1 for c in extra)
+    a0, a1, a2, shift = new[gen]
+    new[gen] = (a0 + int(extra[0]), a1 + int(extra[1]), a2 + int(extra[2]), shift)
+    vars(spec.base)["coefficients"] = (d * scale, new)
+    return spec
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
@@ -197,36 +199,34 @@ perturbations = st.none() | st.tuples(st.sampled_from(Generator),
                                       st.tuples(small, small, small))
 
 
+def reference_sweep(reference, spec, bound):
+    found = reference(spec, basis_window(spec, bound))
+    return CheckResult(not found, tuple(found))
+
+
 def assert_same_as_reference(spec, bound):
     window = basis_window(spec, bound)
     for check, failures, reference in CHECKS:
-        expected = outcome(modules._decide, spec, bound, reference)
-        assert outcome(check, spec, bound) == expected
+        assert outcome(check, spec, bound) == outcome(reference_sweep, reference, spec, bound)
         assert outcome(failures, spec, window) == outcome(reference, spec, window)
 
 
 @settings(max_examples=150, deadline=None)
 @given(specs, bounds, perturbations)
 def test_checks_match_the_fraction_reference(spec, bound, perturbation):
-    if perturbation is None:
-        assert_same_as_reference(spec, bound)
-        return
-    with pytest.MonkeyPatch.context() as mp:
-        perturbed = perturbed_step(*perturbation)
-        mp.setattr(modules, "_step", perturbed)
-        assert_same_as_reference(spec, bound)
+    if perturbation is not None:
+        add_to_coefficient(spec, *perturbation)
+    assert_same_as_reference(spec, bound)
 
 
 def test_reference_sees_a_perturbation():
     # the reference is not vacuous: a perturbed e- coefficient fails both paths
-    spec = PrincipalSeries(Fraction(7, 1009), Parity.ODD)
-    with pytest.MonkeyPatch.context() as mp:
-        perturbed = perturbed_step(F, (0, 0, Fraction(1, 3)))
-        mp.setattr(modules, "_step", perturbed)
-        for check, _, reference in CHECKS[::2]:  # theta signs do not see sizes
-            report = check(spec, 3)
-            assert not report.ok
-            assert report == modules._decide(spec, 3, reference)
+    spec = add_to_coefficient(PrincipalSeries(Fraction(7, 1009), Parity.ODD),
+                              F, (0, 0, Fraction(1, 3)))
+    for check, _, reference in CHECKS[::2]:  # theta signs do not see sizes
+        report = check(spec, 3)
+        assert not report.ok
+        assert report == reference_sweep(reference, spec, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -272,12 +272,25 @@ def counting(calls, fn, key):
     return counted
 
 
+def broken(spec, check):
+    """A fresh copy of ``spec`` on which ``check`` fails and so sweeps its window:
+    e+ unshifted for theta, whose signs do not see sizes, else e+ plus t / d."""
+    spec = W1Sub(replace(spec.base)) if isinstance(spec, W1Sub) else replace(spec)
+    d, polynomials = spec.coefficients
+    a0, a1, a2, shift = polynomials[E]
+    polynomials = {**polynomials, E: (a0, a1, a2, 0) if check is theta_check
+                   else (a0, a1 + 1, a2, shift)}
+    vars(spec.base)["coefficients"] = (d, polynomials)
+    return spec
+
+
 @pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)
 @pytest.mark.parametrize("run", [
-    lambda check, failures, spec: check(spec, 7),
+    lambda check, failures, spec: check(broken(spec, check), 7),
     lambda check, failures, spec: failures(spec, basis_window(spec, 7)),
 ], ids=["check", "window"])
 def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
+    # a failing check sweeps its window as ``failures`` does: once per read
     for check, failures, _ in CHECKS:
         steps, signs = Counter(), Counter()
         step = counting(steps, modules._step, lambda spec, gen, twice: (gen, twice))
@@ -286,28 +299,42 @@ def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
         monkeypatch.setattr(modules, "theta_sign", theta)
         monkeypatch.setattr(forms, "theta_sign", theta)
         result = run(check, failures, spec)
-        assert result in (CheckResult(True), [])
+        assert result == [] or not result.ok and result.failures
         assert steps and max(steps.values()) == 1, check.__name__
         assert not signs or max(signs.values()) == 1, check.__name__
         assert bool(signs) == (check is not bracket_check)
         monkeypatch.undo()
 
 
-@pytest.mark.parametrize("check,reads", [(bracket_check, [45, 45, 27, 21]),
-                                         (theta_check, [39, 39, 21, 15]),
-                                         (invariance_check, [26, 26, 14, 10])],
+@pytest.mark.parametrize("check,reads", [(bracket_check, [79, 76, 43, 19]),
+                                         (theta_check, [75, 72, 39, 15]),
+                                         (invariance_check, [49, 47, 25, 9])],
                          ids=["bracket", "theta", "invariance"])
 def test_each_check_reads_one_step_row_per_generator(monkeypatch, check, reads):
-    # a row per generator read over the sample (13, 7 indices) or the W1 (5):
-    # bracket reads all three one index past either end for its shifted
-    # reads, theta all three and invariance e+ and e- on the vectors alone
-    steps = Counter()
+    # a passing check reads no step and builds no window, at any bound; a
+    # failing one reads its rows over the window (25, 24, 13 vectors, the
+    # W1's 5), each index once: bracket all three, h one index past either
+    # end and e+ and e- one past the end their partner's shift reaches;
+    # theta all three on the window; invariance e+ on u and e- on w
+    steps, windows = Counter(), []
+    monkeypatch.setattr(modules, "_step", counting(steps, modules._step,
+                                                   lambda spec, gen, twice: (gen, twice)))
+    monkeypatch.setattr(forms, "_diagonal_step", counting(steps, forms._diagonal_step,
+                                                          lambda spec, k: ("step", k)))
+    monkeypatch.setattr(modules, "basis_window", lambda *args: windows.append(args))
+    specs = MEMO_SPECS + [W1Sub(PrincipalSeries(Fraction(5), Parity.EVEN))]
+    for spec in specs:
+        for bound in (0, 12, 10_000):
+            assert check(spec, bound).ok
+    assert not steps and not windows
+    monkeypatch.undo()
     monkeypatch.setattr(modules, "_step", counting(steps, modules._step,
                                                    lambda spec, gen, twice: (gen, twice)))
     found = []
-    for spec in MEMO_SPECS + [W1Sub(PrincipalSeries(Fraction(5), Parity.EVEN))]:
+    for spec in specs:
         steps.clear()
-        assert check(spec, 12).ok
+        assert not check(broken(spec, check), 12).ok
+        assert max(steps.values()) == 1
         found.append(sum(steps.values()))
     assert found == reads
 

@@ -307,28 +307,28 @@ def test_h_weight_principal_series():
 # ---------------------------------------------------------------------------
 # the checks report what fails, one line per broken relation
 
-def test_bracket_check_reports_failures(monkeypatch):
-    # a non-linear index map k -> k^2 inside the coefficients, with the
-    # shifts kept, breaks [h,e+] and [e+,e-] on a point module
-    exact = modules._step
-
-    def squared(spec, gen, twice):
-        k = twice // 2
-        return (*exact(spec, gen, 2 * k * k)[:2], exact(spec, gen, twice)[2])
-
-    monkeypatch.setattr(modules, "_step", squared)
-    report = bracket_check(PointModule(1, Orbit.AT_ZERO), 3)
+def test_bracket_check_reports_failures():
+    # h read at k^2 instead of k, 2k^2 + 2 = (8 + 2 t^2) / 4 at t = 2k, breaks
+    # [h,e+] at k >= 1 and [h,e-] and [e+,e-] at k >= 2 on a point module
+    spec = PointModule(1, Orbit.AT_ZERO)
+    d, polynomials = spec.coefficients
+    assert polynomials[Generator.H] == (8, 4, 0, 0)
+    vars(spec)["coefficients"] = (d, {**polynomials, Generator.H: (8, 0, 2, 0)})
+    report = bracket_check(spec, 3)
     assert not report.ok
     assert report.failures == (
-        "[h,e+] != 2 e+ at v[1]", "[e+,e-] != h at v[1]",
+        "[h,e+] != 2 e+ at v[1]",
         "[h,e+] != 2 e+ at v[2]", "[h,e-] != -2 e- at v[2]", "[e+,e-] != h at v[2]",
         "[h,e+] != 2 e+ at v[3]", "[h,e-] != -2 e- at v[3]", "[e+,e-] != h at v[3]",
     )
 
 
-def test_theta_check_reports_failures(monkeypatch):
-    monkeypatch.setattr(modules, "theta_sign", lambda u, spec: 1)
-    report = theta_check(PS(Fraction(1, 2), Parity.ODD), 2)
+def test_theta_check_reports_failures():
+    # e+ and e- unshifted: theta(v) theta(v) = 1, not -1, wherever they act
+    spec = PS(Fraction(1, 2), Parity.ODD)
+    d, polynomials = spec.coefficients
+    vars(spec)["coefficients"] = (d, {gen: (*p[:3], 0) for gen, p in polynomials.items()})
+    report = theta_check(spec, 2)
     assert not report.ok
     assert report.failures == tuple(
         f"theta {g} theta != -{g} at v[{n}]"

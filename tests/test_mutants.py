@@ -14,11 +14,27 @@ mutant that changes nothing fails the test unless the catalogue marks it
 equivalent and says why; a mutant marked equivalent that does change its
 result fails too, as the catalogue is then wrong.
 
+The law checks decide each law as an identity of the coefficient and
+step polynomials (``_bracket_holds``, ``_theta_holds`` and
+``_invariance_holds``) and sweep the window only when one fails.  A
+mutant of such a rule that says "fails" too often changes nothing but the
+work done, so each of these mutants is one edit of the shipped source
+that says "holds" where a law fails, and its killer is a check on a spec
+whose facts are perturbed so that the law fails there: the shipped rule
+sweeps and lists the failure (or refuses it), the mutant returns ok.
+
+The goldens are killers too: a mutant renderer of one output format in
+``cli._KINDS`` must change the bytes of a golden case in that format.
+
 No result here reads a diagonal table (verdicts and invariance walk no
 step), and a table is keyed by the step it is made of, so a mutated step
 leaves no wrong value behind for other tests.
 """
 
+import contextlib
+import inspect
+import io
+import textwrap
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional, Tuple, Union
 
@@ -30,13 +46,18 @@ from su11hodge.filtrations import hodge_level
 from su11hodge.forms import convergence_range, invariance_check
 from su11hodge.modules import (
     _continuation_step,
+    _substitute,
+    Generator,
     Orbit,
     Parity,
     PointModule,
     PrincipalSeries,
     W1Sub,
     basis_window,
+    bracket_check,
+    theta_check,
 )
+from test_golden import CASES, GOLDEN
 
 SERIES_RULE = PrincipalSeries.__dict__["breakpoints"].func  # the shipped rules
 SERIES_STEP, POINT_STEP = PrincipalSeries.__dict__["step"].func, PointModule.__dict__["step"].func
@@ -82,10 +103,107 @@ def strips_of_two():
     return tuple(convergence_range(PrincipalSeries(2, parity)) for parity in Parity)
 
 
+E, H, F = Generator.E_PLUS, Generator.H, Generator.E_MINUS
+
+
+def with_coefficients(spec, **changes):
+    """``spec`` with the coefficient tuples of the generators named in ``changes``
+    (e, h, f) replaced by a function of the shipped tuple, on the instance
+    that carries the facts (a W1's base)."""
+    d, polynomials = spec.coefficients
+    for gen, change in zip((E, H, F), (changes.get(n) for n in "ehf")):
+        if change:
+            polynomials = {**polynomials, gen: change(polynomials[gen])}
+    vars(spec.base)["coefficients"] = (d, polynomials)
+    return spec
+
+
+def plus(slot, amount=1):
+    """A coefficient tuple (a0, a1, a2, shift) with ``amount`` added at ``slot``."""
+    return lambda c: tuple(a + amount * (i == slot) for i, a in enumerate(c))
+
+
+def outcome(check, spec, bound=4):
+    """A check's result, or the ValueError it raised."""
+    try:
+        return check(spec, bound)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+def fold_invariance():
+    # W1(2, odd) holds only the fold pair (1/2, -1/2); e+ + 1 breaks it
+    return outcome(invariance_check, with_coefficients(
+        W1Sub(PrincipalSeries(2, Parity.ODD)), e=plus(0)))
+
+
+def point_side_invariance():
+    # a point module holds pairs on the side 2n >= 0 only
+    return tuple(outcome(invariance_check, with_coefficients(PointModule(3, orbit), e=plus(1)))
+                 for orbit in Orbit)
+
+
+def negative_side_invariance():
+    # e+ + 1 with the step rebuilt to keep the side 2n >= 0: N_E(x + 2) / N_F(x);
+    # on the side 2n <= 0 the identity is then off by the constant 1 - 2p
+    spec = with_coefficients(PrincipalSeries(Fraction(7, 3), Parity.EVEN), e=plus(0))
+    _, polynomials = spec.coefficients
+    vars(spec)["step"] = (_substitute(polynomials[E][:3], 2), polynomials[F][:3])
+    return outcome(invariance_check, spec)
+
+
+def flipped_theta_parities():
+    # every shift's parity flipped: e+ and e- unshifted, h moving one step
+    unshift, shift = (lambda c: (*c[:3], 0)), (lambda c: (*c[:3], 1))
+    return outcome(theta_check, with_coefficients(
+        PrincipalSeries(Fraction(7, 3), Parity.EVEN), e=unshift, h=shift, f=unshift))
+
+
+def commuting_brackets():
+    # constant coefficients commute, so each bracket is 0, not k g
+    constant = lambda c: (1, 0, 0, c[3])  # noqa: E731
+    return outcome(bracket_check, with_coefficients(
+        PrincipalSeries(Fraction(7, 3), Parity.EVEN), e=constant, h=constant, f=constant))
+
+
+def theta_past_the_end():
+    # e- (at 0) or e+ (at infinity) + 1 acts at k = 0 and leaves the lattice:
+    # theta at v[-1] is refused
+    return (outcome(theta_check, with_coefficients(PointModule(3, Orbit.AT_ZERO), f=plus(0))),
+            outcome(theta_check, with_coefficients(PointModule(3, Orbit.AT_INFINITY), e=plus(0))))
+
+
+def edited(fn, old, new):
+    """``fn`` compiled from its source with the one occurrence of ``old`` replaced
+    by ``new``, in its own module's namespace."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+def golden(name):
+    """Whether the golden case ``name`` still prints its file's bytes."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(list(dict(CASES)[name]))
+    return out.getvalue().encode() == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def renderer(kind, fmt, fn):
+    """The ``cli._KINDS`` entry of ``kind`` with the renderer of ``fmt`` replaced."""
+    entry = list(cli._KINDS[kind])
+    entry[{"text": 0, "json": 1, "csv": 3}[fmt]] = fn
+    return tuple(entry)
+
+
 class Mutant(NamedTuple):
     name: str
-    target: Union[Tuple[type, str], str]  # (spec class, fact) or a module-level rule's name
-    rule: Callable
+    # (spec class, fact), (a dict, key), or a module-level rule's name
+    target: Union[Tuple[object, str], str]
+    rule: object
     result: Callable[[], object]
     equivalent: Optional[str] = None  # why no result can tell it apart
 
@@ -168,6 +286,33 @@ CATALOGUE = [
            grid_unitary_flags),
     Mutant("definiteness without r", "definiteness", definiteness_without_r,
            grid_unitary_flags),
+    Mutant("invariance without the fold value", "_invariance_holds",
+           edited(forms._invariance_holds, "return not {-1, 1} <= near or", "return True or"),
+           fold_invariance),
+    Mutant("invariance without the side 2n >= 0", "_invariance_holds",
+           edited(forms._invariance_holds, "for side in (1, -1):", "for side in (-1,):"),
+           point_side_invariance),
+    Mutant("invariance without the side 2n <= 0", "_invariance_holds",
+           edited(forms._invariance_holds, "for side in (1, -1):", "for side in (1,):"),
+           negative_side_invariance),
+    Mutant("theta parity inverted", "_theta_holds",
+           edited(modules._theta_holds, "(-1) ** (s % 2) == k", "(-1) ** (s % 2 + 1) == k"),
+           flipped_theta_parities),
+    Mutant("bracket without k d", "_bracket_holds",
+           edited(modules._bracket_holds, "(-k * d, g[:3]", "(0, g[:3]"), commuting_brackets),
+    Mutant("theta without the lattice ends", "_theta_holds",
+           edited(modules._theta_holds,
+                  "\n               and (ends.get(s) is None or not _substitute(p, ends[s])[0])", ""),
+           theta_past_the_end),
+    Mutant("text rational as p/q always", (cli._KINDS, "rational"),
+           renderer("rational", "text", lambda q: f"{q.numerator}/{q.denominator}"),
+           lambda: golden("form-table_ps-1_2-even_text")),
+    Mutant("json index as 2n", (cli._KINDS, "index"),
+           renderer("index", "json", lambda n: cli.rational_to_json(Fraction(n.twice))),
+           lambda: golden("verify_ps-5_2-odd_json")),
+    Mutant("csv index as n", (cli._KINDS, "index"),
+           renderer("index", "csv", lambda n: (n.as_fraction,)),
+           lambda: golden("describe_ps-3-even_csv")),
     Mutant("_law_sign j0 + 1", "_law_sign", law_sign_j0_plus_one, series_verdict),
     Mutant("_past + 1", "_past", past_plus_one, series_levels),
     Mutant("_past + 1, seen by the verdict", "_past", past_plus_one, series_verdict,
@@ -179,7 +324,11 @@ CATALOGUE = [
 
 def patch(monkeypatch, mutant):
     if isinstance(mutant.target, tuple):
-        monkeypatch.setattr(*mutant.target, property(mutant.rule))
+        owner, name = mutant.target
+        if isinstance(owner, dict):
+            monkeypatch.setitem(owner, name, mutant.rule)
+        else:
+            monkeypatch.setattr(owner, name, property(mutant.rule))
         return
     patched = [module for module in PACKAGE if mutant.target in vars(module)]
     assert patched, mutant.target

@@ -233,7 +233,8 @@ def count_forms(monkeypatch):
 
 
 def invariance_reads(steps, spec, bound):
-    """The diagonal steps one passing ``invariance_check`` reads, apart from any walk."""
+    """The diagonal steps one passing ``invariance_check`` reads, apart from any walk:
+    none, as it decides on the step polynomials."""
     before = steps.calls
     assert invariance_check(spec, bound).ok
     return steps.calls - before
@@ -246,9 +247,9 @@ def test_window_sweeps_cost_one_step_per_index(monkeypatch):
     bound = 60
     window = basis_window(ps, bound)
     verify_conjecture(ps, bound)
-    # invariance reads the same steps on its fixed sample, at any bound, and walks nothing
+    # invariance reads no step, at any bound, and walks nothing
     reads = invariance_reads(steps, ps, bound)
-    assert reads == invariance_reads(steps, ps, 10 * bound) > 0
+    assert reads == invariance_reads(steps, ps, 10 * bound) == 0
     compact, noncompact = {}, {}
     for v in window:
         compact.setdefault(abs(v.index.twice), []).append(form_diagonal(v, ps))
@@ -286,7 +287,7 @@ def test_a_ladder_of_fresh_equal_specs_walks_once(monkeypatch):
             assert form_diagonal(v, ps) is form_diagonal(v, specs[0])
             gR_form_diagonal(v, ps)
             hodge_level(v, ps)
-    assert reads == [reads[0]] * 4 and reads[0] > 0  # the same sample at every bound
+    assert reads == [0] * 4  # decided on the step polynomials at every bound
     # the walk: the largest bound, not 25 + 50 + 100 + 200
     assert steps.calls - sum(reads) == 200
     assert magnitudes.calls == 1
@@ -445,21 +446,21 @@ def test_an_unpickled_spec_joins_the_shared_table():
 
 
 def test_algebraic_checks_cost_the_same_at_any_bound(monkeypatch):
-    steps = _Counter(modules._step)
+    steps, diagonal = _Counter(modules._step), _Counter(forms._diagonal_step)
+    windows = _Counter(modules.basis_window)
     monkeypatch.setattr(modules, "_step", steps)
+    monkeypatch.setattr(forms, "_diagonal_step", diagonal)
+    monkeypatch.setattr(modules, "basis_window", windows)
     # a reducible series has the same coefficient polynomials, so its
-    # bracket and theta laws are decided on the same sample
+    # bracket and theta laws are decided the same way, reading no step
     runs = [(check, PrincipalSeries(Fraction(1, 3), Parity.EVEN))
             for check in (bracket_check, theta_check, invariance_check)]
     runs += [(check, PrincipalSeries(lam, parity)) for check in (bracket_check, theta_check)
              for lam, parity in ((Fraction(3), Parity.EVEN), (Fraction(0), Parity.ODD))]
     for check, spec in runs:
-        calls = []
-        for bound in (10, 10_000):
-            steps.calls = 0
+        for bound in (0, 10, 10_000):
             assert check(spec, bound).ok
-            calls.append(steps.calls)
-        assert calls[0] == calls[1] > 0, (check.__name__, spec)
+        assert steps.calls == diagonal.calls == windows.calls == 0, (check.__name__, spec)
 
 
 def test_verdicts_walk_no_ratio(monkeypatch):
@@ -508,14 +509,10 @@ def test_a_failing_invariance_check_builds_no_table(monkeypatch):
     # module value PS(53/59, odd) is kept alive by no other test
     made = _Counter(forms._shared)
     monkeypatch.setattr(forms, "_shared", made)
-    exact = modules._step
-
-    def perturbed(spec, gen, twice):  # e+ off by 1 / denominator
-        n, d, shift = exact(spec, gen, twice)
-        return n + (gen is Generator.E_PLUS), d, shift
-
-    monkeypatch.setattr(modules, "_step", perturbed)
     series = PrincipalSeries(Fraction(53, 59), Parity.ODD)
+    d, polynomials = series.coefficients
+    a0, a1, a2, shift = polynomials[Generator.E_PLUS]  # e+ off by 1 / denominator
+    vars(series)["coefficients"] = (d, {**polynomials, Generator.E_PLUS: (a0 + 1, a1, a2, shift)})
     key = table_key(series)
     assert key not in forms._TABLES
     report = invariance_check(series, 6)
