@@ -48,7 +48,7 @@ value is a pole, and a W1 ends before it.  ``spec.breakpoints`` reads j0
 off that denominator and the level's k1 off pole order (see ``filtrations``),
 neither from the other.  Verdicts (the sign law, Jantzen, definiteness)
 read it, form values the table, and invariance the step polynomials,
-which decide each law; a failing sweep prints from the integer steps.
+which decide each law; a failing sweep prints from the steps |u| to |w|.
 The walk and that sweep read a step k out from the reference through
 ``_diagonal_step``, which evaluates ``spec.step`` at t = 2 n0 + 2k whatever
 the family; on a series that fact, ``spec.breakpoints`` and
@@ -68,23 +68,23 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .exact import _rational, HalfInt, RationalLike, Sign
 from .modules import (
+    _at,
     _continuation_step,
     _decide,
     _lattice,
     _past,
     _require_bound,
-    _rows,
+    _residual,
     _substitute,
     _theta_odd,
-    _vanishes,
     _vector,
     BasisVector,
     CheckResult,
     Generator,
     ModuleSpec,
+    Residuals,
     Step,
     require_member,
-    theta_sign,
 )
 
 __all__ = [
@@ -295,58 +295,54 @@ def convergence_range(spec: ModuleSpec) -> Optional[List[HalfInt]]:
     return None if hi is None else [HalfInt(tw) for tw in _lattice(spec, -hi, hi)]
 
 
-def _u_step(spec: ModuleSpec, twice: int) -> Tuple[int, int]:
-    """V(u) / V(u - 1) at 2u = twice as integers: the step between |u - 1|
-    and |u| upward from the smaller, inverted when that is |u|, 1 if equal."""
-    a, b = abs(twice), abs(twice - 2)
-    if a == b:
-        return 1, 1
-    up = _diagonal_step(spec, (min(a, b) - spec.lattice[0]) // 2)
-    return up if a > b else up[::-1]
-
-
 def _refuse_poles(spec: ModuleSpec) -> None:
     if spec.reducible:
         raise ValueError(f"form has a pole at every basis vector of {spec}")
 
 
-def _invariance_holds(spec: ModuleSpec) -> bool:
+def _invariance_residuals(spec: ModuleSpec) -> Residuals:
     _refuse_poles(spec)
     _, polynomials = spec.coefficients
     (*e, s), (*f, s_f) = polynomials[Generator.E_PLUS], polynomials[Generator.E_MINUS]
     if s not in (-1, 1) or s_f != -s:
-        return False
+        return ((1,),)  # never 0: a shift outside the contract is left to the sweep
     r, near = spec.lattice[0], set(_lattice(spec, -3, 3))
+    # the fold pair 2u = -s, 2w = s, where V(u) = V(w)
+    residuals = ((_at(e, -s) - _at(f, s),),) if {-1, 1} <= near else ()
     for side in (1, -1):  # 2u = side (x + outer), 2w = side (x + 2 - outer), x >= 0
         outer = 1 - side * s
         up, down = spec.step[::-1] if outer else spec.step  # V(x + 2) / V(x) = num / den
-        if {side * r, side * (r + 2)} <= near and not _vanishes(
-                (1, _substitute(e, side * outer, side), up),
-                (-1, _substitute(f, side * (2 - outer), side), down)):
-            return False
-    return not {-1, 1} <= near or _substitute(e, -s)[0] == _substitute(f, s)[0]
+        if {side * r, side * (r + 2)} <= near:
+            residuals += (_residual((1, _substitute(e, side * outer, side), up),
+                                    (-1, _substitute(f, side * (2 - outer), side), down)),)
+    return residuals
 
 
 def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     _refuse_poles(spec)
+    d, polynomials = spec.coefficients
+    (*e, s), f = polynomials[Generator.E_PLUS], polynomials[Generator.E_MINUS][:3]
+    r, window = spec.lattice[0], {v.index.twice for v in vectors}
     failures = []
-    E, F = _rows(spec, (Generator.E_PLUS, Generator.E_MINUS))
-    theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
     for v in vectors:
         u = v.index.twice
-        en, ed, shift = E(u)
-        w = u + 2 * shift  # e+ u lies on v[w], e- v[w] on u
-        if w not in theta:
+        w = u + 2 * s  # e+ u lies on v[w], e- v[w] on u
+        if w not in window:
             continue
-        fn, fd, _ = F(w)
-        sn, sd = _u_step(spec, u) if w < u else _u_step(spec, w)[::-1]  # V(u) / V(w)
+        sn = sd = 1  # V(u) / V(w): the diagonal steps between |u| and |w|, 1 if equal
+        for k in range((min(abs(u), abs(w)) - r) // 2, (max(abs(u), abs(w)) - r) // 2):
+            num, den = _diagonal_step(spec, k)
+            sn, sd = sn * num, sd * den
+        if abs(u) < abs(w):
+            sn, sd = sd, sn
+        en, fn = _at(e, u), _at(f, w)
         for flip, tu, tw, law in ((1, 1, 1, "(e+u,w)=(u,e-w)"),
-                                  (-1, theta[u], theta[w], "(e+u,w)=-(u,e-w)")):
+                                  (-1, (-1) ** _theta_odd(spec, u), (-1) ** _theta_odd(spec, w),
+                                   "(e+u,w)=-(u,e-w)")):
             # c(u) t(w) V(w) = flip c'(w) t(u) V(u) over V(w) != 0, compared and printed
-            if en * tw * fd * sd != flip * tu * fn * ed * sn:
-                failures.append(f"{law} fails at u={v}, w={_vector(w)}: "
-                                f"{Fraction(en * tw, ed)} != "
-                                f"{Fraction(flip * tu * fn * sn, fd * sd)}")
+            if en * tw * sd != flip * tu * fn * sn:
+                failures.append(f"{law} fails at u={v}, w={_vector(w)}: {Fraction(en * tw, d)}"
+                                f" != {Fraction(flip * tu * fn * sn, d * sd)}")
     return failures
 
 
@@ -364,7 +360,7 @@ def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
     fold |u| = |w| = 1/2.  The shift is odd, so theta(u) theta(w) = -1 and the
     noncompact law is the same identity, listed apart.  Decided as in
     ``modules._decide``; a failing law is listed with both sides over V(w),
-    from the same integers.  On a reducible series, whose every value is a
-    pole, it raises ValueError.
+    from N_E(u), N_F(w) and the product of the steps between |u| and |w|.
+    On a reducible series, whose every value is a pole, it raises ValueError.
     """
-    return _decide(spec, bound, _invariance_holds, _invariance_failures)
+    return _decide(spec, bound, _invariance_residuals, _invariance_failures)

@@ -59,7 +59,8 @@ largest integer < lam + 1, which bounds |2n| on the convergence strip
 base's magnitude and strip.  A new family is a class with these facts: no
 function outside this module chooses a family, and ``codim`` is read only
 as the sign law's value.
-Each check decides its laws as identities of these polynomials (``_decide``).
+Each check decides its laws as identities of these polynomials, and lists a
+failing law from the same residual (``_decide``).
 """
 
 from __future__ import annotations
@@ -68,8 +69,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .exact import _rational, HalfInt, RationalLike, beta_value
 
@@ -127,6 +128,9 @@ Lattice = Tuple[int, Optional[int], Optional[int]]
 Coefficients = Tuple[int, Dict[Generator, Tuple[int, int, int, int]]]
 # (numerator, denominator) of V(n+1) / V(n), each (a0, a1, a2): a0 + a1 t + a2 t^2, t = 2n
 Step = Tuple[Tuple[int, int, int], Tuple[int, int, int]]
+# per law, integer coefficients (c0, c1, ...) of c0 + c1 t + ... or values at indices:
+# the laws hold on every index iff each is 0
+Residuals = Tuple[Tuple[int, ...], ...]
 
 
 def _member(value, kind: type) -> None:
@@ -378,10 +382,8 @@ def _step(spec: ModuleSpec, gen: Generator, twice: int) -> Tuple[int, int, int]:
     Every generator sends a basis vector to a rational multiple of one
     basis vector: numerator / denominator times v_{n + shift}.  The
     numerator is the module's integer polynomial of degree <= 2 in t and
-    the denominator the module's own (> 0), not reduced, so callers
-    compare cross-multiplied or build a ``Fraction``; the shift is -1, 0
-    or +1.  Membership of v_n is not checked, so the law checks' sweeps may
-    read past either end of a window or of a W1 (see ``_rows``).
+    the denominator the module's own (> 0), not reduced; the shift is -1, 0
+    or +1.  Membership of v_n is not checked.
     """
     denominator, polynomials = spec.coefficients
     a0, a1, a2, shift = polynomials[gen]
@@ -469,25 +471,24 @@ class CheckResult:
     failures: Tuple[str, ...] = field(default_factory=tuple)
 
 
-def _decide(spec: ModuleSpec, bound: int, holds: Callable[[ModuleSpec], bool],
+_PASSED = CheckResult(True)  # immutable, so every passing check returns this one
+
+
+def _decide(spec: ModuleSpec, bound: int, residuals: Callable[[ModuleSpec], Residuals],
             failures: Callable[[ModuleSpec, List[BasisVector]], List[str]]) -> CheckResult:
     """Decide the laws behind ``failures`` on every index, listing window failures.
 
-    ``holds`` says whether each law is an identity of the integer polynomials
-    ``spec.coefficients`` (and ``spec.step``) in t = 2n.  If one is not, or a
-    shift is outside the contract, ``failures`` sweeps the window, comparing
-    the same integers cross-multiplied, and builds a ``Fraction`` only to print.
+    ``residuals`` writes each law as integer coefficients built from the
+    polynomials ``spec.coefficients`` (and ``spec.step``) in t = 2n: the laws
+    hold on every index iff all of them are 0.  If one is not, ``failures``
+    lists the window's failures, evaluating the same residuals at each index
+    (invariance: their factors), and builds a ``Fraction`` only to print.
     """
     _require_bound(bound)
-    if holds(spec):
-        return CheckResult(True)
+    if not any(map(any, residuals(spec))):
+        return _PASSED
     found = failures(spec, basis_window(spec, bound))
     return CheckResult(not found, tuple(found))
-
-
-def _rows(spec: ModuleSpec, gens: Iterable[Generator]) -> List[Callable[[int], tuple]]:
-    """``_step`` of each of ``gens`` as a function of 2n that reads each index once."""
-    return [lru_cache(maxsize=None)(partial(_step, spec, gen)) for gen in gens]
 
 
 def _substitute(p: Tuple[int, int, int], c: int, sign: int = 1) -> Tuple[int, int, int]:
@@ -496,90 +497,92 @@ def _substitute(p: Tuple[int, int, int], c: int, sign: int = 1) -> Tuple[int, in
     return a0 + c * (a1 + c * a2), sign * (a1 + 2 * c * a2), a2
 
 
-def _vanishes(*terms: Tuple[int, Tuple[int, int, int], Tuple[int, int, int]]) -> bool:
-    """Whether the sum of k p q over ``terms`` (k, p, q), in t as (a0, a1, a2), is 0."""
+def _at(p: Sequence[int], t: int) -> int:
+    """p(t) for p = (a0, a1, ...), a0 + a1 t + ..., by Horner's rule."""
+    value = 0
+    for a in reversed(p):
+        value = value * t + a
+    return value
+
+
+def _residual(*terms: Tuple[int, Tuple[int, int, int], Tuple[int, int, int]]) -> Tuple[int, ...]:
+    """The sum of k p q over ``terms`` (k, p, q), in t as (t0, ..., t4)."""
     t0 = t1 = t2 = t3 = t4 = 0
     for k, (a0, a1, a2), (b0, b1, b2) in terms:
         t0, t1 = t0 + k * a0 * b0, t1 + k * (a0 * b1 + a1 * b0)
         t2 += k * (a0 * b2 + a1 * b1 + a2 * b0)
         t3, t4 = t3 + k * (a1 * b2 + a2 * b1), t4 + k * a2 * b2
-    return not (t0 or t1 or t2 or t3 or t4)
+    return t0, t1, t2, t3, t4
 
 
-def _bracket_holds(spec: ModuleSpec) -> bool:
+def _bracket_residuals(spec: ModuleSpec) -> Residuals:
     d, polynomials = spec.coefficients
     E, H, F = (polynomials[gen] for gen in Generator)
-    return all(_vanishes((1, b[:3], _substitute(a[:3], 2 * b[3])),
-                         (-1, a[:3], _substitute(b[:3], 2 * a[3])), (-k * d, g[:3], (1, 0, 0)))
-               for a, b, k, g in ((H, E, 2, E), (H, F, -2, F), (E, F, 1, H)))
+    return tuple(_residual((1, b[:3], _substitute(a[:3], 2 * b[3])),
+                           (-1, a[:3], _substitute(b[:3], 2 * a[3])), (-k * d, g[:3], (1, 0, 0)))
+                 for a, b, k, g in ((H, E, 2, E), (H, F, -2, F), (E, F, 1, H)))
 
 
 def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
-    failures = []
-    E, H, F = _rows(spec, Generator)
-    # [a, b] v = k g v, with both sides on the same basis vector
-    laws = ((H, E, 2, E, "[h,e+] != 2 e+"), (H, F, -2, F, "[h,e-] != -2 e-"),
-            (E, F, 1, H, "[e+,e-] != h"))
-    for v in vectors:
-        tw = v.index.twice
-        for a, b, k, g, law in laws:
-            an, ad, a_shift = a(tw)
-            bn, bd, b_shift = b(tw)
-            # a . (b . v) = bn n1 / (bd d1) and b . (a . v) = an n2 / (ad d2)
-            n1, d1, _ = a(tw + 2 * b_shift)
-            n2, d2, _ = b(tw + 2 * a_shift)
-            n3, d3, _ = g(tw)
-            if (bn * n1 * ad * d2 - an * n2 * bd * d1) * d3 != k * n3 * bd * d1 * ad * d2:
-                failures.append(f"{law} at {v}")
-    return failures
+    laws = tuple(zip(_bracket_residuals(spec),
+                     ("[h,e+] != 2 e+", "[h,e-] != -2 e-", "[e+,e-] != h")))
+    return [f"{law} at {v}" for v in vectors for residual, law in laws
+            if _at(residual, v.index.twice)]
 
 
 def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
     """Decide [h,e+] = 2e+, [h,e-] = -2e-, [e+,e-] = h on every index, exactly.
 
     Both sides of each relation are multiples of the same basis vector
-    (shifts add), so [a, b] = k g is one identity of degree <= 4 in t,
-    N_b(t) N_a(t + 2 s_b) - N_a(t) N_b(t + 2 s_a) = k d N_g(t) over the
-    denominator d, decided as in ``_decide``.
+    (shifts add), so [a, b] = k g is one identity of degree <= 4 in t, its
+    residual N_b(t) N_a(t + 2 s_b) - N_a(t) N_b(t + 2 s_a) - k d N_g(t) over
+    the denominator d, decided as in ``_decide``.
     """
-    return _decide(spec, bound, _bracket_holds, _bracket_failures)
+    return _decide(spec, bound, _bracket_residuals, _bracket_failures)
 
 
-def _theta_holds(spec: ModuleSpec) -> bool:
+_THETAS = ((Generator.E_PLUS, -1, "theta e+ theta != -e+"),
+           (Generator.E_MINUS, -1, "theta e- theta != -e-"),
+           (Generator.H, 1, "theta h theta != h"))
+
+
+def _theta_residuals(spec: ModuleSpec) -> Residuals:
+    # ((-1)^s - k) N_g per law; then N_g at the |s| indices whose target the
+    # shift s takes past a finite end of the lattice, where g . v must be 0
     _, polynomials = spec.coefficients
-    ends = {-1: spec.lattice[1], 1: spec.lattice[2]}
-    return all(not any(p) or abs(s) < 2 and (-1) ** (s % 2) == k
-               and (ends.get(s) is None or not _substitute(p, ends[s])[0])
-               for gen, k in ((Generator.E_PLUS, -1), (Generator.E_MINUS, -1), (Generator.H, 1))
-               for *p, s in [polynomials[gen]])
+    _, lowest, highest = spec.lattice
+    laws, ends = (), ()
+    for gen, k, _ in _THETAS:
+        a0, a1, a2, s = polynomials[gen]
+        c = (-1) ** (s % 2) - k
+        laws += ((c * a0, c * a1, c * a2),)
+        end, step = (lowest, 2) if s < 0 else (highest, -2)
+        if end is not None:
+            ends += (tuple(_at((a0, a1, a2), t) for t in range(end, end - 2 * s, step)),)
+    return laws + ends
 
 
 def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
+    _, polynomials = spec.coefficients
+    laws = [(residual, polynomials[gen][:3], polynomials[gen][3], law)
+            for residual, (gen, _, law) in zip(_theta_residuals(spec), _THETAS)]
     failures = []
-    E, H, F = _rows(spec, Generator)
-    theta = {v.index.twice: theta_sign(v, spec) for v in vectors}
-    laws = ((E, -1, "theta e+ theta != -e+"), (F, -1, "theta e- theta != -e-"),
-            (H, 1, "theta h theta != h"))
     for v in vectors:
         tw = v.index.twice
-        sign = theta[tw]
-        if sign * sign != 1:
-            failures.append(f"theta^2 != 1 at {v}")
-        for row, k, law in laws:
-            n, _, shift = row(tw)
-            t = tw + 2 * shift
-            # read past the window only where gen . v is non-zero: it can leave a W1
-            if n and sign * (theta[t] if t in theta else theta_sign(_vector(t), spec)) != k:
-                failures.append(f"{law} at {v}")
+        for residual, p, s, law in laws:
+            if _at(p, tw):  # gen . v is non-zero: its target must be a basis vector
+                require_member(_vector(tw + 2 * s), spec)
+                if _at(residual, tw):
+                    failures.append(f"{law} at {v}")
     return failures
 
 
 def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
-    """Decide theta^2 = 1 and the intertwining signs on every index, exactly.
+    """Decide the intertwining signs theta g theta = +-g on every index, exactly.
 
-    theta gen theta sends v to theta(v) theta(v + shift) times gen . v, so
-    each intertwining law says (-1)^shift = +-1 wherever the coefficient
-    polynomial is non-zero, and where a shift leaves a finite end of the
-    lattice it must vanish there; decided as in ``_decide``.
+    theta gen theta sends v to theta(v) theta(v + shift) = (-1)^shift times
+    gen . v, so each law's residual is ((-1)^shift -+ 1) times the
+    coefficient polynomial, and where a shift leaves a finite end of the
+    lattice the polynomial must vanish there; decided as in ``_decide``.
     """
-    return _decide(spec, bound, _theta_holds, _theta_failures)
+    return _decide(spec, bound, _theta_residuals, _theta_failures)

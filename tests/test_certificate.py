@@ -6,8 +6,8 @@ laws as identities between the integer coefficient polynomials
 sample of indices, and sweep the window only when an identity fails, to
 list the failures.  The tests here perturb those facts on a spec, the way
 a wrong family fact would, and check that the public result is always the
-window sweep's and that an identity decided true leaves no failure on a
-far wider sweep.  They also pin the degree contract the facts keep.
+window sweep's and that residuals decided 0 leave no failure on a far
+wider sweep.  They also pin the degree contract the facts keep.
 """
 
 import math
@@ -150,8 +150,14 @@ def test_perturbation_is_listed_on_the_window(name, gen, poly, spec):
         assert not report.ok and report.failures
 
 
-HOLDS = {"bracket_check": modules._bracket_holds, "theta_check": modules._theta_holds,
-         "invariance_check": forms._invariance_holds}
+def decided(residuals):
+    """The decision ``_decide`` makes from a check's residuals: each one is 0."""
+    return lambda spec: not any(map(any, residuals(spec)))
+
+
+HOLDS = {"bracket_check": decided(modules._bracket_residuals),
+         "theta_check": decided(modules._theta_residuals),
+         "invariance_check": decided(forms._invariance_residuals)}
 integer = st.integers(-2, 2)
 facts = st.one_of(
     st.tuples(st.just(add_to_coefficient), st.sampled_from(Generator),
@@ -179,7 +185,7 @@ def test_the_decision_is_the_window_sweep_on_perturbed_facts(spec, bound, change
 @pytest.mark.parametrize("shift", [-2, 2])
 def test_a_shift_outside_the_contract_gets_a_check_result(monkeypatch, gen, shift):
     # |shift| <= 1 is the contract; past it each check still returns its
-    # sweep, which reads each coefficient once, past the window too
+    # sweep, which evaluates the residuals and reads no coefficient row
     spec = set_shift(PrincipalSeries(Fraction(1, 3), Parity.EVEN), gen, shift)
     reads, exact = Counter(), modules._step
 
@@ -191,7 +197,7 @@ def test_a_shift_outside_the_contract_gets_a_check_result(monkeypatch, gen, shif
     for check, failures in CHECKS.values():
         reads.clear()
         report = check(spec, 5)
-        assert isinstance(report, CheckResult) and set(reads.values()) <= {1}
+        assert isinstance(report, CheckResult) and not reads
         assert report == sweep(failures, spec, 5)
     assert not bracket_check(spec, 5).ok
     assert theta_check(spec, 5).ok is (gen is Generator.H)  # (-1)^shift = 1: h keeps theta

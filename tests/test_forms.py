@@ -16,11 +16,13 @@ from su11hodge.forms import (
 )
 from su11hodge.modules import (
     BasisVector,
+    Generator,
     Orbit,
     Parity,
     PointModule,
     PrincipalSeries,
     W1Sub,
+    act,
     basis_window,
     is_reduction_point,
     reference_index,
@@ -325,6 +327,58 @@ def test_invariance_reports_failing_pairs():
         "(e+u,w)=(u,e-w) fails at u=v[2], w=v[1]: -5/3 != -10/3",
         "(e+u,w)=-(u,e-w) fails at u=v[2], w=v[1]: 5/3 != 10/3",
     )
+
+
+def shifted(spec, **shifts):
+    """``spec`` with the shifts of e+ (``e``) and e- (``f``) replaced, here outside
+    the contract |shift| = 1, on the instance that carries the facts (a W1's base)."""
+    d, polynomials = spec.coefficients
+    for name, shift in shifts.items():
+        gen = {"e": Generator.E_PLUS, "f": Generator.E_MINUS}[name]
+        polynomials = {**polynomials, gen: (*polynomials[gen][:3], shift)}
+    vars(spec.base)["coefficients"] = (d, polynomials)
+    return spec
+
+
+def coefficient(gen, u, spec):
+    (value,) = act(gen, u, spec).values() or [0]
+    return value
+
+
+@pytest.mark.parametrize("make,shifts", [(lambda: W1Sub(PS(5)), {"e": 0, "f": 0}),
+                                         (lambda: PS(Fraction(1, 3)), {"e": -2, "f": 2})],
+                         ids=["W1(5) e+- unshifted", "PS(1_3) e+- shifted -2, 2"])
+def test_invariance_prints_the_true_ratio_outside_the_contract(make, shifts):
+    # e- undoes e+, so each line's right side is flip theta(u) c_F(w) V(u) / V(w),
+    # V(u) / V(w) read off a fresh equal spec's diagonal: 1 where |u| = |w|
+    # (the W1 once divided by its zero step there), two steps on the series
+    spec, fresh = shifted(make(), **shifts), make()
+    window = basis_window(spec, 3)
+    expected = []
+    for u in window:
+        w = BasisVector(u.index + shifts["e"])
+        if w not in window:
+            continue
+        assert set(act(Generator.E_MINUS, w, spec)) <= {u}
+        ratio = (form_diagonal(u, fresh).ratio_to_reference
+                 / form_diagonal(w, fresh).ratio_to_reference)
+        left, right = coefficient(Generator.E_PLUS, u, spec), coefficient(Generator.E_MINUS, w, spec)
+        for law, lhs, rhs in (("(e+u,w)=(u,e-w)", left, right * ratio),
+                              ("(e+u,w)=-(u,e-w)", left * theta_sign(w, spec),
+                               -theta_sign(u, spec) * right * ratio)):
+            if lhs != rhs:
+                expected.append(f"{law} fails at u={u}, w={w}: {lhs} != {rhs}")
+    report = invariance_check(spec, 3)
+    assert not report.ok and report.failures == tuple(expected)
+    if shifts["e"]:
+        assert "(e+u,w)=(u,e-w) fails at u=v[2], w=v[0]: -5/3 != 5/6" in expected
+
+
+def test_invariance_with_e_plus_unshifted_divides_by_no_step():
+    # e+ unshifted pairs u with itself: V(u) / V(u) is 1, not the zero step
+    # at |2n| = 4 on the W1 at 5, so the sweep returns its listing
+    report = invariance_check(shifted(W1Sub(PS(5)), e=0), 3)
+    assert not report.ok and report.failures
 
 
 def test_reference_magnitude_values():

@@ -15,7 +15,10 @@ The same reading pins where the family of a module is decided: in the
 spec classes of ``modules`` alone.  The layers above read the facts of a
 spec and read no ``codim`` but the sign law's, and none switches on a type;
 the continuation step is read by the series' own facts and by
-``continuation_ratio``.
+``continuation_ratio``.  And it pins that each law has one coding: the
+law checks' failure listings, and the helpers they call, read no
+generator action (``_step``, ``act``, ``theta_sign``), only the residuals
+and factors their decision builds.
 """
 
 import ast
@@ -170,3 +173,43 @@ def test_the_check_sees_every_caller():
     assert callers(source, "g") == {"f", "A.h", ""}
     assert readers(source, "codim") == {""}
     assert readers(source, "g") == {"A.h"}
+
+
+
+def reached(sources, roots):
+    """The names that the module-level functions ``roots`` of ``sources`` read,
+    directly or through the module-level functions they read in turn."""
+    functions = {node.name: node for source in sources for node in ast.parse(source).body
+                 if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            if name in functions:
+                todo.extend(node.id if isinstance(node, ast.Name) else node.attr
+                            for node in ast.walk(functions[name])
+                            if isinstance(node, (ast.Name, ast.Attribute)))
+    return seen
+
+
+LISTINGS = ("_bracket_failures", "_theta_failures", "_invariance_failures")
+SECOND_CODINGS = {"_step", "theta_sign", "act"}
+
+
+def test_the_failure_listings_code_no_law_a_second_time():
+    # bracket and theta list from the residuals their decision builds, and
+    # invariance from its factors and the diagonal steps: none of them, nor
+    # a helper they call, reads the action through _step, act or theta_sign
+    sources = [(PACKAGE / f"{module}.py").read_text() for module in ("modules", "forms")]
+    defined = {node.name for source in sources for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef)}
+    assert set(LISTINGS) <= defined and SECOND_CODINGS <= defined
+    assert reached(sources, LISTINGS) & SECOND_CODINGS == set()
+
+
+def test_the_check_sees_a_second_coding_through_a_helper():
+    source = ("def _rows(spec):\n    return partial(_step, spec)\n\n"
+              "def _bracket_failures(spec, vectors):\n    return _rows(spec)\n\n"
+              "def _theta_failures(spec, vectors):\n    return modules.theta_sign\n")
+    assert reached([source], LISTINGS) & SECOND_CODINGS == {"_step", "theta_sign"}

@@ -1,14 +1,17 @@
 """The integer law checks against the laws written out in ``Fraction`` arithmetic.
 
-``bracket_check``, ``theta_check`` and ``invariance_check`` compare their
-laws as cross-multiplied integer numerators, and ``definiteness`` reads the
-closed-form signs.  The reference functions here evaluate the same laws
-the plain way, as products and differences of ``Fraction`` coefficients
-and form ratios from their own step products, one ``_step`` or
-``theta_sign`` call per use, and must give the same failure lines in the
-same order, the same ``CheckResult`` and the same errors.  Counter tests
-pin that each check reads every coefficient and every theta sign once,
-and that the checks leave no state on the module beyond its cached facts.
+``bracket_check`` and ``theta_check`` list a failing law where its integer
+residual is non-zero, ``invariance_check`` compares the residual's factors
+cross-multiplied, and ``definiteness`` reads the closed-form signs.  The
+reference functions here evaluate the same laws the plain way, as
+products and differences of ``Fraction`` coefficients and form ratios
+from their own step products, one ``_step`` or ``theta_sign`` call per
+use, and must give the same failure lines in the same order, the same
+``CheckResult`` and the same errors.  Counter tests pin that a passing
+check reads no step and builds no window, that a check reads the
+coefficient table, built once, and no per-index coefficient, that a listing builds a
+``Fraction`` only to print one, and that the checks leave no state on the
+module beyond its cached facts.
 """
 
 import gc
@@ -128,7 +131,7 @@ def reference_invariance_failures(spec, vectors):
     failures = []
     members = set(vectors)
     uratio = {v: diagonal_ratio(spec, v) for v in vectors}
-    gratio = {v: forms.theta_sign(v, spec) * uratio[v] for v in vectors}
+    gratio = {v: modules.theta_sign(v, spec) * uratio[v] for v in vectors}
 
     def pair(gen, u, w, table):
         coefficient, shift = step(gen, u, spec)
@@ -258,7 +261,7 @@ def test_noncompact_value_is_the_twisted_compact_value(spec, bound):
 
 
 # ---------------------------------------------------------------------------
-# one _step per (generator, index) and one theta_sign per index
+# no step read by a passing check, and a Fraction only to print a line
 
 MEMO_SPECS = [PrincipalSeries(Fraction(1, 3), Parity.EVEN),
               PrincipalSeries(Fraction(7, 1009), Parity.ODD),
@@ -287,35 +290,51 @@ def broken(spec, check):
 @pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)
 @pytest.mark.parametrize("run", [
     lambda check, failures, spec: check(broken(spec, check), 7),
-    lambda check, failures, spec: failures(spec, basis_window(spec, 7)),
+    lambda check, failures, spec: failures(replace(spec), basis_window(spec, 7)),
 ], ids=["check", "window"])
 def test_each_check_reads_a_coefficient_once(monkeypatch, spec, run):
-    # a failing check sweeps its window as ``failures`` does: once per read
+    # a failing check sweeps its window as ``failures`` does, reading the
+    # coefficient polynomials from the module's one table, built at most once
+    # (a fresh copy builds it, ``broken`` sets it), and no per-index coefficient
+    # or theta sign through _step, act or theta_sign
+    table = vars(type(spec))["coefficients"]
     for check, failures, _ in CHECKS:
-        steps, signs = Counter(), Counter()
-        step = counting(steps, modules._step, lambda spec, gen, twice: (gen, twice))
-        monkeypatch.setattr(modules, "_step", step)
-        theta = counting(signs, modules.theta_sign, lambda v, spec: v.index.twice)
-        monkeypatch.setattr(modules, "theta_sign", theta)
-        monkeypatch.setattr(forms, "theta_sign", theta)
+        reads = Counter()
+        for name in ("_step", "act", "theta_sign"):
+            monkeypatch.setattr(modules, name, counting(reads, getattr(modules, name),
+                                                        lambda *args, name=name: name))
+        monkeypatch.setattr(table, "func", counting(reads, table.func,
+                                                    lambda spec: "coefficients"))
         result = run(check, failures, spec)
-        assert result == [] or not result.ok and result.failures
-        assert steps and max(steps.values()) == 1, check.__name__
-        assert not signs or max(signs.values()) == 1, check.__name__
-        assert bool(signs) == (check is not bracket_check)
         monkeypatch.undo()
+        assert result == [] or not result.ok and result.failures, check.__name__
+        assert set(reads) <= {"coefficients"} and reads["coefficients"] <= 1, check.__name__
 
 
-@pytest.mark.parametrize("check,reads", [(bracket_check, [79, 76, 43, 19]),
-                                         (theta_check, [75, 72, 39, 15]),
-                                         (invariance_check, [49, 47, 25, 9])],
+@pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)
+@pytest.mark.parametrize("run", [
+    lambda check, failures, spec: check(spec, 7).failures,
+    lambda check, failures, spec: failures(spec, basis_window(spec, 7)),
+], ids=["check", "window"])
+def test_each_listing_builds_a_fraction_only_to_print(monkeypatch, spec, run):
+    # bracket and theta evaluate integer residuals and print no coefficient;
+    # invariance compares integers and builds the two sides of a line to print it
+    for check, failures, _ in CHECKS:
+        failing = broken(spec, check)
+        assert not failing.reducible  # cached first: it reads lam through a Fraction
+        made = Counter()
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(
+            counting(made, Fraction.__new__, lambda *args: "Fraction")))
+        lines = run(check, failures, failing)
+        monkeypatch.undo()
+        assert lines, check.__name__
+        assert made["Fraction"] == (2 * len(lines) if check is invariance_check else 0)
+
+
+@pytest.mark.parametrize("check", [bracket_check, theta_check, invariance_check],
                          ids=["bracket", "theta", "invariance"])
-def test_each_check_reads_one_step_row_per_generator(monkeypatch, check, reads):
-    # a passing check reads no step and builds no window, at any bound; a
-    # failing one reads its rows over the window (25, 24, 13 vectors, the
-    # W1's 5), each index once: bracket all three, h one index past either
-    # end and e+ and e- one past the end their partner's shift reaches;
-    # theta all three on the window; invariance e+ on u and e- on w
+def test_each_check_reads_one_step_row_per_generator(monkeypatch, check):
+    # a passing check reads no step and builds no window, at any bound
     steps, windows = Counter(), []
     monkeypatch.setattr(modules, "_step", counting(steps, modules._step,
                                                    lambda spec, gen, twice: (gen, twice)))
@@ -327,16 +346,6 @@ def test_each_check_reads_one_step_row_per_generator(monkeypatch, check, reads):
         for bound in (0, 12, 10_000):
             assert check(spec, bound).ok
     assert not steps and not windows
-    monkeypatch.undo()
-    monkeypatch.setattr(modules, "_step", counting(steps, modules._step,
-                                                   lambda spec, gen, twice: (gen, twice)))
-    found = []
-    for spec in specs:
-        steps.clear()
-        assert not check(broken(spec, check), 12).ok
-        assert max(steps.values()) == 1
-        found.append(sum(steps.values()))
-    assert found == reads
 
 
 def test_an_empty_window_passes_every_check():

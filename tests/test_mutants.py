@@ -14,14 +14,17 @@ mutant that changes nothing fails the test unless the catalogue marks it
 equivalent and says why; a mutant marked equivalent that does change its
 result fails too, as the catalogue is then wrong.
 
-The law checks decide each law as an identity of the coefficient and
-step polynomials (``_bracket_holds``, ``_theta_holds`` and
-``_invariance_holds``) and sweep the window only when one fails.  A
-mutant of such a rule that says "fails" too often changes nothing but the
-work done, so each of these mutants is one edit of the shipped source
-that says "holds" where a law fails, and its killer is a check on a spec
-whose facts are perturbed so that the law fails there: the shipped rule
-sweeps and lists the failure (or refuses it), the mutant returns ok.
+The law checks write each law as a residual of the coefficient and step
+polynomials (``_bracket_residuals``, ``_theta_residuals`` and
+``_invariance_residuals``), pass where every residual is 0 and sweep the
+window otherwise.  The bracket and theta sweeps list a failure wherever
+that same residual is non-zero at an index, so a mutant of those
+residuals changes the listing too, not only the work done; a mutant of
+the invariance residuals changes only whether the sweep runs.  Each of
+these mutants is one edit of the shipped source that makes a residual 0
+where a law fails, and its killer is a check on a spec whose facts are
+perturbed so that the law fails there: the shipped rule sweeps and lists
+the failure (or refuses it), the mutant returns ok.
 
 The goldens are killers too: a mutant renderer of one output format in
 ``cli._KINDS`` must change the bytes of a golden case in that format.
@@ -286,23 +289,22 @@ CATALOGUE = [
            grid_unitary_flags),
     Mutant("definiteness without r", "definiteness", definiteness_without_r,
            grid_unitary_flags),
-    Mutant("invariance without the fold value", "_invariance_holds",
-           edited(forms._invariance_holds, "return not {-1, 1} <= near or", "return True or"),
+    Mutant("invariance without the fold value", "_invariance_residuals",
+           edited(forms._invariance_residuals, "if {-1, 1} <= near else ()", "if False else ()"),
            fold_invariance),
-    Mutant("invariance without the side 2n >= 0", "_invariance_holds",
-           edited(forms._invariance_holds, "for side in (1, -1):", "for side in (-1,):"),
+    Mutant("invariance without the side 2n >= 0", "_invariance_residuals",
+           edited(forms._invariance_residuals, "for side in (1, -1):", "for side in (-1,):"),
            point_side_invariance),
-    Mutant("invariance without the side 2n <= 0", "_invariance_holds",
-           edited(forms._invariance_holds, "for side in (1, -1):", "for side in (1,):"),
+    Mutant("invariance without the side 2n <= 0", "_invariance_residuals",
+           edited(forms._invariance_residuals, "for side in (1, -1):", "for side in (1,):"),
            negative_side_invariance),
-    Mutant("theta parity inverted", "_theta_holds",
-           edited(modules._theta_holds, "(-1) ** (s % 2) == k", "(-1) ** (s % 2 + 1) == k"),
+    Mutant("theta parity inverted", "_theta_residuals",
+           edited(modules._theta_residuals, "(-1) ** (s % 2) - k", "(-1) ** (s % 2 + 1) - k"),
            flipped_theta_parities),
-    Mutant("bracket without k d", "_bracket_holds",
-           edited(modules._bracket_holds, "(-k * d, g[:3]", "(0, g[:3]"), commuting_brackets),
-    Mutant("theta without the lattice ends", "_theta_holds",
-           edited(modules._theta_holds,
-                  "\n               and (ends.get(s) is None or not _substitute(p, ends[s])[0])", ""),
+    Mutant("bracket without k d", "_bracket_residuals",
+           edited(modules._bracket_residuals, "(-k * d, g[:3]", "(0, g[:3]"), commuting_brackets),
+    Mutant("theta without the lattice ends", "_theta_residuals",
+           edited(modules._theta_residuals, "return laws + ends", "return laws"),
            theta_past_the_end),
     Mutant("text rational as p/q always", (cli._KINDS, "rational"),
            renderer("rational", "text", lambda q: f"{q.numerator}/{q.denominator}"),
