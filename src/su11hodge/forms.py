@@ -82,7 +82,7 @@ from .modules import (
     CheckResult,
     Generator,
     ModuleSpec,
-    Residuals,
+    Laws,
     Step,
     require_member,
 )
@@ -300,49 +300,54 @@ def _refuse_poles(spec: ModuleSpec) -> None:
         raise ValueError(f"form has a pole at every basis vector of {spec}")
 
 
-def _invariance_residuals(spec: ModuleSpec) -> Residuals:
+_E, _H, _F = Generator  # a member read through the enum class costs a descriptor call
+# (a, b, flip, twist, law): (a u, w) = flip (u, b w), on the form twisted by theta^twist
+_PAIRINGS = ((_E, _F, 1, 0, "(e+u,w)=(u,e-w)"), (_H, _H, 1, 0, "(hu,w)=(u,hw)"),
+             (_E, _F, -1, 1, "(e+u,w)=-(u,e-w)"))
+
+
+def _invariance_laws(spec: ModuleSpec) -> Laws:
     _refuse_poles(spec)
     _, polynomials = spec.coefficients
-    (*e, s), (*f, s_f) = polynomials[Generator.E_PLUS], polynomials[Generator.E_MINUS]
-    if s not in (-1, 1) or s_f != -s:
-        return ((1,),)  # never 0: a shift outside the contract is left to the sweep
+    (*e, s), (*f, s_f) = polynomials[_E], polynomials[_F]
+    if s not in (-1, 1) or s_f != -s or polynomials[_H][3]:
+        return (("a shift outside the contract", (1,), None),)  # never 0: left to the sweep
     r, near = spec.lattice[0], set(_lattice(spec, -3, 3))
     # the fold pair 2u = -s, 2w = s, where V(u) = V(w)
-    residuals = ((_at(e, -s) - _at(f, s),),) if {-1, 1} <= near else ()
+    laws = (("the fold", (_at(e, -s) - _at(f, s),), None),) if {-1, 1} <= near else ()
     for side in (1, -1):  # 2u = side (x + outer), 2w = side (x + 2 - outer), x >= 0
         outer = 1 - side * s
         up, down = spec.step[::-1] if outer else spec.step  # V(x + 2) / V(x) = num / den
         if {side * r, side * (r + 2)} <= near:
-            residuals += (_residual((1, _substitute(e, side * outer, side), up),
-                                    (-1, _substitute(f, side * (2 - outer), side), down)),)
-    return residuals
+            laws += (("a side", _residual((1, _substitute(e, side * outer, side), up),
+                                          (-1, _substitute(f, side * (2 - outer), side), down)),
+                      None),)
+    return laws
 
 
 def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
     _refuse_poles(spec)
     d, polynomials = spec.coefficients
-    (*e, s), f = polynomials[Generator.E_PLUS], polynomials[Generator.E_MINUS][:3]
     r, window = spec.lattice[0], {v.index.twice for v in vectors}
     failures = []
     for v in vectors:
         u = v.index.twice
-        w = u + 2 * s  # e+ u lies on v[w], e- v[w] on u
-        if w not in window:
-            continue
-        sn = sd = 1  # V(u) / V(w): the diagonal steps between |u| and |w|, 1 if equal
-        for k in range((min(abs(u), abs(w)) - r) // 2, (max(abs(u), abs(w)) - r) // 2):
-            num, den = _diagonal_step(spec, k)
-            sn, sd = sn * num, sd * den
-        if abs(u) < abs(w):
-            sn, sd = sd, sn
-        en, fn = _at(e, u), _at(f, w)
-        for flip, tu, tw, law in ((1, 1, 1, "(e+u,w)=(u,e-w)"),
-                                  (-1, (-1) ** _theta_odd(spec, u), (-1) ** _theta_odd(spec, w),
-                                   "(e+u,w)=-(u,e-w)")):
-            # c(u) t(w) V(w) = flip c'(w) t(u) V(u) over V(w) != 0, compared and printed
-            if en * tw * sd != flip * tu * fn * sn:
-                failures.append(f"{law} fails at u={v}, w={_vector(w)}: {Fraction(en * tw, d)}"
-                                f" != {Fraction(flip * tu * fn * sn, d * sd)}")
+        for a, b, flip, twist, law in _PAIRINGS:
+            (*p, s_a), (*q, s_b) = polynomials[a], polynomials[b]
+            tu = (-1) ** (twist * _theta_odd(spec, u))
+            for w in sorted({u + 2 * s_a, u - 2 * s_b} & window):  # where a side's shift binds
+                sn = sd = 1  # V(u) / V(w): the diagonal steps between |u| and |w|, 1 if equal
+                for k in range((min(abs(u), abs(w)) - r) // 2, (max(abs(u), abs(w)) - r) // 2):
+                    num, den = _diagonal_step(spec, k)
+                    sn, sd = sn * num, sd * den
+                sn, sd = (sd, sn) if abs(u) < abs(w) else (sn, sd)
+                # c_a(u) t(w) V(w) = flip c_b(w) t(u) V(u) over V(w), 0 where a shift misses
+                tw = (-1) ** (twist * _theta_odd(spec, w))
+                left = tw * _at(p, u) if u + 2 * s_a == w else 0
+                right = flip * tu * _at(q, w) * sn if w + 2 * s_b == u else 0
+                if left * sd != right:
+                    failures.append(f"{law} fails at u={v}, w={_vector(w)}: {Fraction(left, d)}"
+                                    f" != {Fraction(right, d * sd)}")
     return failures
 
 
@@ -352,15 +357,16 @@ def invariance_check(spec: ModuleSpec, bound: int) -> CheckResult:
     Compact form:    (e+ u, w) = (u, e- w)  and  (h u, w) = (u, h w).
     Noncompact form: (e+ u, w) = -(u, e- w).
 
-    All pairings reduce to the diagonal and h is diagonal, so its law holds
-    termwise; the others bind only where e+ u lands on w = u + shift, as
-    N_E(u) V(w) = N_F(w) V(u).  With V(x+1) / V(x) = ``spec.step`` at the
-    smaller |index| x, that is one identity of degree <= 4 in t = 2n on each
-    side of the fold V(-n) = V(n) that holds a pair, and one value at the
-    fold |u| = |w| = 1/2.  The shift is odd, so theta(u) theta(w) = -1 and the
-    noncompact law is the same identity, listed apart.  Decided as in
-    ``modules._decide``; a failing law is listed with both sides over V(w),
-    from N_E(u), N_F(w) and the product of the steps between |u| and |w|.
-    On a reducible series, whose every value is a pole, it raises ValueError.
+    All pairings reduce to the diagonal.  In the contract h is unshifted, so
+    its law holds termwise, and e- undoes the shift +-1 of e+: the others bind
+    where e+ u lands on w, as N_E(u) V(w) = N_F(w) V(u), one identity of
+    degree <= 4 in t = 2n (V(x+1) / V(x) = ``spec.step`` at the smaller
+    |index| x) on each side of the fold V(-n) = V(n) that holds a pair, and
+    one value at the fold |u| = |w| = 1/2; theta(u) theta(w) = -1, so the
+    noncompact law is the same identity.  Decided as in ``modules._decide``,
+    a shift outside the contract swept; each law of ``_PAIRINGS`` is listed
+    at the pairs either side's shift binds, both sides over V(w) (0 where a
+    shift misses).  On a reducible series, whose every value is a pole, it
+    raises ValueError.
     """
-    return _decide(spec, bound, _invariance_residuals, _invariance_failures)
+    return _decide(spec, bound, _invariance_laws, _invariance_failures)

@@ -59,8 +59,8 @@ largest integer < lam + 1, which bounds |2n| on the convergence strip
 base's magnitude and strip.  A new family is a class with these facts: no
 function outside this module chooses a family, and ``codim`` is read only
 as the sign law's value.
-Each check decides its laws as identities of these polynomials, and lists a
-failing law from the same residual (``_decide``).
+Each check writes its laws as one table of residual polynomials and the
+indices where each binds, which its decision and its listing read (``_decide``).
 """
 
 from __future__ import annotations
@@ -128,9 +128,9 @@ Lattice = Tuple[int, Optional[int], Optional[int]]
 Coefficients = Tuple[int, Dict[Generator, Tuple[int, int, int, int]]]
 # (numerator, denominator) of V(n+1) / V(n), each (a0, a1, a2): a0 + a1 t + a2 t^2, t = 2n
 Step = Tuple[Tuple[int, int, int], Tuple[int, int, int]]
-# per law, integer coefficients (c0, c1, ...) of c0 + c1 t + ... or values at indices:
-# the laws hold on every index iff each is 0
-Residuals = Tuple[Tuple[int, ...], ...]
+# per law (label, (c0, c1, ...), where): the residual c0 + c1 t + ... in t = 2n, integers,
+# is 0 at each 2n in ``where``, or identically where ``where`` is None, iff the law holds
+Laws = Tuple[Tuple[str, Tuple[int, ...], Optional[Tuple[int, ...]]], ...]
 
 
 def _member(value, kind: type) -> None:
@@ -474,21 +474,32 @@ class CheckResult:
 _PASSED = CheckResult(True)  # immutable, so every passing check returns this one
 
 
-def _decide(spec: ModuleSpec, bound: int, residuals: Callable[[ModuleSpec], Residuals],
-            failures: Callable[[ModuleSpec, List[BasisVector]], List[str]]) -> CheckResult:
-    """Decide the laws behind ``failures`` on every index, listing window failures.
+def _decide(spec: ModuleSpec, bound: int, laws: Callable[[ModuleSpec], Laws],
+            failures: Optional[Callable[..., List[str]]] = None) -> CheckResult:
+    """Decide the laws of the table ``laws(spec)`` on every index, listing window failures.
 
-    ``residuals`` writes each law as integer coefficients built from the
-    polynomials ``spec.coefficients`` (and ``spec.step``) in t = 2n: the laws
-    hold on every index iff all of them are 0.  If one is not, ``failures``
-    lists the window's failures, evaluating the same residuals at each index
-    (invariance: their factors), and builds a ``Fraction`` only to print.
-    """
+    Each row is a law's residual, integer coefficients in t = 2n built from
+    ``spec.coefficients`` (and ``spec.step``), and the indices where it binds:
+    the laws hold iff each residual is 0 where its law binds.  If one is not,
+    the window's failures are listed from the same table (``_law_lines``), or
+    by ``failures(spec, vectors)`` (invariance prints both sides of each law),
+    with a ``Fraction`` built only to print."""
     _require_bound(bound)
-    if not any(map(any, residuals(spec))):
+    table = laws(spec)
+    for _, residual, where in table:
+        if any(residual) if where is None else any(_at(residual, t) for t in where):
+            break
+    else:
         return _PASSED
-    found = failures(spec, basis_window(spec, bound))
+    vectors = basis_window(spec, bound)
+    found = _law_lines(table, vectors) if failures is None else failures(spec, vectors)
     return CheckResult(not found, tuple(found))
+
+
+def _law_lines(laws: Laws, vectors: List[BasisVector]) -> List[str]:
+    """``{law} at {v}`` wherever a row binds at 2n and its residual is non-zero there."""
+    return [f"{law} at {v}" for v in vectors for law, residual, where in laws
+            if (where is None or v.index.twice in where) and _at(residual, v.index.twice)]
 
 
 def _substitute(p: Tuple[int, int, int], c: int, sign: int = 1) -> Tuple[int, int, int]:
@@ -515,19 +526,15 @@ def _residual(*terms: Tuple[int, Tuple[int, int, int], Tuple[int, int, int]]) ->
     return t0, t1, t2, t3, t4
 
 
-def _bracket_residuals(spec: ModuleSpec) -> Residuals:
+def _bracket_laws(spec: ModuleSpec) -> Laws:
     d, polynomials = spec.coefficients
     E, H, F = (polynomials[gen] for gen in Generator)
-    return tuple(_residual((1, b[:3], _substitute(a[:3], 2 * b[3])),
-                           (-1, a[:3], _substitute(b[:3], 2 * a[3])), (-k * d, g[:3], (1, 0, 0)))
-                 for a, b, k, g in ((H, E, 2, E), (H, F, -2, F), (E, F, 1, H)))
-
-
-def _bracket_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
-    laws = tuple(zip(_bracket_residuals(spec),
-                     ("[h,e+] != 2 e+", "[h,e-] != -2 e-", "[e+,e-] != h")))
-    return [f"{law} at {v}" for v in vectors for residual, law in laws
-            if _at(residual, v.index.twice)]
+    return tuple((law, _residual((1, b[:3], _substitute(a[:3], 2 * b[3])),
+                                 (-1, a[:3], _substitute(b[:3], 2 * a[3])),
+                                 (-k * d, g[:3], (1, 0, 0))), None)
+                 for a, b, k, g, law in ((H, E, 2, E, "[h,e+] != 2 e+"),
+                                         (H, F, -2, F, "[h,e-] != -2 e-"),
+                                         (E, F, 1, H, "[e+,e-] != h")))
 
 
 def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
@@ -538,7 +545,7 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
     residual N_b(t) N_a(t + 2 s_b) - N_a(t) N_b(t + 2 s_a) - k d N_g(t) over
     the denominator d, decided as in ``_decide``.
     """
-    return _decide(spec, bound, _bracket_residuals, _bracket_failures)
+    return _decide(spec, bound, _bracket_laws)
 
 
 _THETAS = ((Generator.E_PLUS, -1, "theta e+ theta != -e+"),
@@ -546,35 +553,21 @@ _THETAS = ((Generator.E_PLUS, -1, "theta e+ theta != -e+"),
            (Generator.H, 1, "theta h theta != h"))
 
 
-def _theta_residuals(spec: ModuleSpec) -> Residuals:
+def _theta_laws(spec: ModuleSpec) -> Laws:
     # ((-1)^s - k) N_g per law; then N_g at the |s| indices whose target the
     # shift s takes past a finite end of the lattice, where g . v must be 0
     _, polynomials = spec.coefficients
     _, lowest, highest = spec.lattice
     laws, ends = (), ()
-    for gen, k, _ in _THETAS:
+    for gen, k, law in _THETAS:
         a0, a1, a2, s = polynomials[gen]
         c = (-1) ** (s % 2) - k
-        laws += ((c * a0, c * a1, c * a2),)
+        laws += ((law, (c * a0, c * a1, c * a2), None),)
         end, step = (lowest, 2) if s < 0 else (highest, -2)
-        if end is not None:
-            ends += (tuple(_at((a0, a1, a2), t) for t in range(end, end - 2 * s, step)),)
+        if end is not None and s:
+            ends += ((f"{gen.value} leaves the basis", (a0, a1, a2),
+                      tuple(range(end, end - 2 * s, step))),)
     return laws + ends
-
-
-def _theta_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[str]:
-    _, polynomials = spec.coefficients
-    laws = [(residual, polynomials[gen][:3], polynomials[gen][3], law)
-            for residual, (gen, _, law) in zip(_theta_residuals(spec), _THETAS)]
-    failures = []
-    for v in vectors:
-        tw = v.index.twice
-        for residual, p, s, law in laws:
-            if _at(p, tw):  # gen . v is non-zero: its target must be a basis vector
-                require_member(_vector(tw + 2 * s), spec)
-                if _at(residual, tw):
-                    failures.append(f"{law} at {v}")
-    return failures
 
 
 def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
@@ -582,7 +575,7 @@ def theta_check(spec: ModuleSpec, bound: int) -> CheckResult:
 
     theta gen theta sends v to theta(v) theta(v + shift) = (-1)^shift times
     gen . v, so each law's residual is ((-1)^shift -+ 1) times the
-    coefficient polynomial, and where a shift leaves a finite end of the
-    lattice the polynomial must vanish there; decided as in ``_decide``.
+    coefficient polynomial; where a shift leaves a finite end of the lattice
+    the polynomial must vanish, else the generator leaves the basis there.
     """
-    return _decide(spec, bound, _theta_residuals, _theta_failures)
+    return _decide(spec, bound, _theta_laws)

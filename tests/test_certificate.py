@@ -36,9 +36,14 @@ from su11hodge.modules import (
     theta_check,
 )
 
+def listing(laws):
+    """The window listing a check makes from the law table ``laws`` builds."""
+    return lambda spec, vectors: modules._law_lines(laws(spec), vectors)
+
+
 CHECKS = {
-    "bracket_check": (bracket_check, modules._bracket_failures),
-    "theta_check": (theta_check, modules._theta_failures),
+    "bracket_check": (bracket_check, listing(modules._bracket_laws)),
+    "theta_check": (theta_check, listing(modules._theta_laws)),
     "invariance_check": (invariance_check, forms._invariance_failures),
 }
 
@@ -150,14 +155,17 @@ def test_perturbation_is_listed_on_the_window(name, gen, poly, spec):
         assert not report.ok and report.failures
 
 
-def decided(residuals):
-    """The decision ``_decide`` makes from a check's residuals: each one is 0."""
-    return lambda spec: not any(map(any, residuals(spec)))
+def decided(laws):
+    """The decision ``_decide`` makes from a check's law table: each residual is 0
+    where its law binds."""
+    return lambda spec: all(
+        not any(residual) if where is None else not any(modules._at(residual, t) for t in where)
+        for _, residual, where in laws(spec))
 
 
-HOLDS = {"bracket_check": decided(modules._bracket_residuals),
-         "theta_check": decided(modules._theta_residuals),
-         "invariance_check": decided(forms._invariance_residuals)}
+HOLDS = {"bracket_check": decided(modules._bracket_laws),
+         "theta_check": decided(modules._theta_laws),
+         "invariance_check": decided(forms._invariance_laws)}
 integer = st.integers(-2, 2)
 facts = st.one_of(
     st.tuples(st.just(add_to_coefficient), st.sampled_from(Generator),
@@ -185,7 +193,7 @@ def test_the_decision_is_the_window_sweep_on_perturbed_facts(spec, bound, change
 @pytest.mark.parametrize("shift", [-2, 2])
 def test_a_shift_outside_the_contract_gets_a_check_result(monkeypatch, gen, shift):
     # |shift| <= 1 is the contract; past it each check still returns its
-    # sweep, which evaluates the residuals and reads no coefficient row
+    # sweep, which evaluates its law table and reads no coefficient row
     spec = set_shift(PrincipalSeries(Fraction(1, 3), Parity.EVEN), gen, shift)
     reads, exact = Counter(), modules._step
 

@@ -330,11 +330,12 @@ def test_invariance_reports_failing_pairs():
 
 
 def shifted(spec, **shifts):
-    """``spec`` with the shifts of e+ (``e``) and e- (``f``) replaced, here outside
-    the contract |shift| = 1, on the instance that carries the facts (a W1's base)."""
+    """``spec`` with the shifts of e+ (``e``), h (``h``) and e- (``f``) replaced, here
+    outside the contract (e+ and e- by -+1, h by 0), on the instance that carries
+    the facts (a W1's base)."""
     d, polynomials = spec.coefficients
     for name, shift in shifts.items():
-        gen = {"e": Generator.E_PLUS, "f": Generator.E_MINUS}[name]
+        gen = {"e": Generator.E_PLUS, "h": Generator.H, "f": Generator.E_MINUS}[name]
         polynomials = {**polynomials, gen: (*polynomials[gen][:3], shift)}
     vars(spec.base)["coefficients"] = (d, polynomials)
     return spec
@@ -379,6 +380,22 @@ def test_invariance_with_e_plus_unshifted_divides_by_no_step():
     # at |2n| = 4 on the W1 at 5, so the sweep returns its listing
     report = invariance_check(shifted(W1Sub(PS(5)), e=0), 3)
     assert not report.ok and report.failures
+
+
+def test_invariance_lists_the_pairs_only_e_minus_binds():
+    # e+ unshifted, e- still raising: e- binds u = v[-1] to w = v[-2], where
+    # (e+ u, w) = 0 but (u, e- w) = -4 V(-1); at u = w = v[-2] both sides are 0
+    report = invariance_check(shifted(W1Sub(PS(5)), e=0), 3)
+    assert not report.ok
+    assert "(e+u,w)=(u,e-w) fails at u=v[-1], w=v[-2]: 0 != -1" in report.failures
+    assert not [line for line in report.failures if "u=v[-2], w=v[-2]" in line]
+
+
+def test_invariance_lists_the_h_law_with_h_shifted():
+    # h moving one step: (h u, w) = 2 V(0) at u = v[-1], w = v[0], (u, h w) = 0
+    report = invariance_check(shifted(PS(Fraction(1, 3)), h=1), 2)
+    assert not report.ok
+    assert "(hu,w)=(u,hw) fails at u=v[-1], w=v[0]: 2 != 0" in report.failures
 
 
 def test_reference_magnitude_values():

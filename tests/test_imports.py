@@ -193,14 +193,15 @@ def reached(sources, roots):
     return seen
 
 
-LISTINGS = ("_bracket_failures", "_theta_failures", "_invariance_failures")
-SECOND_CODINGS = {"_step", "theta_sign", "act"}
+LISTINGS = ("_law_lines", "_invariance_failures")
+SECOND_CODINGS = {"_step", "theta_sign", "act", "require_member", "belongs"}
 
 
 def test_the_failure_listings_code_no_law_a_second_time():
-    # bracket and theta list from the residuals their decision builds, and
-    # invariance from its factors and the diagonal steps: none of them, nor
-    # a helper they call, reads the action through _step, act or theta_sign
+    # bracket and theta list from the law table their decision reads, and
+    # invariance from its pairings and the diagonal steps: none of them, nor
+    # a helper they call, reads the action through _step, act or theta_sign,
+    # or where a law binds through require_member or belongs
     sources = [(PACKAGE / f"{module}.py").read_text() for module in ("modules", "forms")]
     defined = {node.name for source in sources for node in ast.parse(source).body
                if isinstance(node, ast.FunctionDef)}
@@ -210,6 +211,7 @@ def test_the_failure_listings_code_no_law_a_second_time():
 
 def test_the_check_sees_a_second_coding_through_a_helper():
     source = ("def _rows(spec):\n    return partial(_step, spec)\n\n"
-              "def _bracket_failures(spec, vectors):\n    return _rows(spec)\n\n"
-              "def _theta_failures(spec, vectors):\n    return modules.theta_sign\n")
-    assert reached([source], LISTINGS) & SECOND_CODINGS == {"_step", "theta_sign"}
+              "def _law_lines(laws, vectors):\n    return _rows(laws)\n\n"
+              "def _invariance_failures(spec, vectors):\n"
+              "    return modules.theta_sign, belongs\n")
+    assert reached([source], LISTINGS) & SECOND_CODINGS == {"_step", "theta_sign", "belongs"}

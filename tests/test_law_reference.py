@@ -1,8 +1,9 @@
 """The integer law checks against the laws written out in ``Fraction`` arithmetic.
 
-``bracket_check`` and ``theta_check`` list a failing law where its integer
-residual is non-zero, ``invariance_check`` compares the residual's factors
-cross-multiplied, and ``definiteness`` reads the closed-form signs.  The
+``bracket_check`` and ``theta_check`` list a failing law where its law table
+binds and its integer residual is non-zero, ``invariance_check`` compares
+both sides of each law cross-multiplied on the pairs either side's shift
+binds, and ``definiteness`` reads the closed-form signs.  The
 reference functions here evaluate the same laws the plain way, as
 products and differences of ``Fraction`` coefficients and form ratios
 from their own step products, one ``_step`` or ``theta_sign`` call per
@@ -90,9 +91,12 @@ def reference_bracket_failures(spec, vectors):
 
 def reference_theta_failures(spec, vectors):
     failures = []
+    n0 = modules.reference_index(spec).as_fraction
 
-    def theta(v):
-        return modules.theta_sign(v, spec)
+    def theta(v):  # (-1)^(n - n0), also at a target past a finite end of the lattice
+        if modules.belongs(v, spec):
+            return modules.theta_sign(v, spec)
+        return -1 if (v.index.as_fraction - n0) % 2 else 1
 
     def conjugate(gen, v):
         c, shift = step(gen, v, spec)
@@ -109,6 +113,10 @@ def reference_theta_failures(spec, vectors):
             failures.append(f"theta e- theta != -e- at {v}")
         if conjugate(H, v) != Fraction(step(H, v, spec)[0]):
             failures.append(f"theta h theta != h at {v}")
+        for gen in (E, F, H):
+            c, shift = step(gen, v, spec)
+            if c and not modules.belongs(BasisVector(v.index + shift), spec):
+                failures.append(f"{gen.value} leaves the basis at {v}")
     return failures
 
 
@@ -152,9 +160,14 @@ def reference_invariance_failures(spec, vectors):
     return failures
 
 
+def listing(laws):
+    """The window listing a check makes from the law table ``laws`` builds."""
+    return lambda spec, vectors: modules._law_lines(laws(spec), vectors)
+
+
 CHECKS = [
-    (bracket_check, modules._bracket_failures, reference_bracket_failures),
-    (theta_check, modules._theta_failures, reference_theta_failures),
+    (bracket_check, listing(modules._bracket_laws), reference_bracket_failures),
+    (theta_check, listing(modules._theta_laws), reference_theta_failures),
     (invariance_check, forms._invariance_failures, reference_invariance_failures),
 ]
 
@@ -197,9 +210,20 @@ def add_to_coefficient(spec, gen, poly):
     return spec
 
 
+def set_shifts(spec, shifts):
+    """``spec`` with the shifts of the generators in ``shifts`` replaced, written on
+    the instance that carries the facts (a W1's base)."""
+    d, polynomials = spec.coefficients
+    vars(spec.base)["coefficients"] = (d, {gen: (*p[:3], shifts.get(gen, p[3]))
+                                           for gen, p in polynomials.items()})
+    return spec
+
+
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 perturbations = st.none() | st.tuples(st.sampled_from(Generator),
                                       st.tuples(small, small, small))
+# the +-1 neighbourhood that reference_invariance_failures pairs
+shift_perturbations = st.dictionaries(st.sampled_from(Generator), st.integers(-1, 1))
 
 
 def reference_sweep(reference, spec, bound):
@@ -215,11 +239,11 @@ def assert_same_as_reference(spec, bound):
 
 
 @settings(max_examples=150, deadline=None)
-@given(specs, bounds, perturbations)
-def test_checks_match_the_fraction_reference(spec, bound, perturbation):
+@given(specs, bounds, perturbations, shift_perturbations)
+def test_checks_match_the_fraction_reference(spec, bound, perturbation, shifts):
     if perturbation is not None:
         add_to_coefficient(spec, *perturbation)
-    assert_same_as_reference(spec, bound)
+    assert_same_as_reference(set_shifts(spec, shifts), bound)
 
 
 def test_reference_sees_a_perturbation():

@@ -336,6 +336,18 @@ def test_theta_check_reports_failures():
     )
 
 
+def test_theta_check_lists_a_generator_leaving_the_basis():
+    # e- + 1 acts at k = 0 on the point module at 0, and its target v[-1] is
+    # no basis vector: the end law is listed (the listing once raised ValueError)
+    spec = PointModule(3, Orbit.AT_ZERO)
+    d, polynomials = spec.coefficients
+    a0, a1, a2, shift = polynomials[Generator.E_MINUS]
+    vars(spec)["coefficients"] = (d, {**polynomials, Generator.E_MINUS: (a0 + 1, a1, a2, shift)})
+    report = theta_check(spec, 4)
+    assert not report.ok
+    assert report.failures == ("e- leaves the basis at v[0]",)
+
+
 # ---------------------------------------------------------------------------
 # the lattice and the coefficients each spec carries
 

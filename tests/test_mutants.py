@@ -14,17 +14,20 @@ mutant that changes nothing fails the test unless the catalogue marks it
 equivalent and says why; a mutant marked equivalent that does change its
 result fails too, as the catalogue is then wrong.
 
-The law checks write each law as a residual of the coefficient and step
-polynomials (``_bracket_residuals``, ``_theta_residuals`` and
-``_invariance_residuals``), pass where every residual is 0 and sweep the
-window otherwise.  The bracket and theta sweeps list a failure wherever
-that same residual is non-zero at an index, so a mutant of those
-residuals changes the listing too, not only the work done; a mutant of
-the invariance residuals changes only whether the sweep runs.  Each of
-these mutants is one edit of the shipped source that makes a residual 0
-where a law fails, and its killer is a check on a spec whose facts are
-perturbed so that the law fails there: the shipped rule sweeps and lists
-the failure (or refuses it), the mutant returns ok.
+The law checks write their laws as one table of residuals of the
+coefficient and step polynomials, each with the indices where it binds
+(``_bracket_laws``, ``_theta_laws`` and ``_invariance_laws``), pass where
+every residual is 0 where it binds and sweep the window otherwise.  The
+bracket and theta sweeps list a failure wherever that same row binds and
+its residual is non-zero, so a mutant of those tables changes the listing
+too, not only the work done; a mutant of the invariance table changes
+only whether the sweep runs, which lists the pairs that either side's
+shift binds (``_invariance_failures``).  Each of these mutants is one edit
+of the shipped source that makes a residual 0 where a law fails, leaves a
+law out of the decision, or drops the pairs one side binds; its killer is
+a check on a spec whose facts are perturbed so that the law fails there:
+the shipped rule sweeps and lists the failure, the mutant returns ok or
+lists other lines.
 
 The goldens are killers too: a mutant renderer of one output format in
 ``cli._KINDS`` must change the bytes of a golden case in that format.
@@ -171,9 +174,22 @@ def commuting_brackets():
 
 def theta_past_the_end():
     # e- (at 0) or e+ (at infinity) + 1 acts at k = 0 and leaves the lattice:
-    # theta at v[-1] is refused
+    # listed as leaving the basis at v[0]
     return (outcome(theta_check, with_coefficients(PointModule(3, Orbit.AT_ZERO), f=plus(0))),
             outcome(theta_check, with_coefficients(PointModule(3, Orbit.AT_INFINITY), e=plus(0))))
+
+
+def right_side_pairs():
+    # W1(5) with e+ unshifted: e- still binds u = v[-1] to w = v[-2], where only
+    # the right side (u, e- w) is non-zero
+    return outcome(invariance_check, with_coefficients(
+        W1Sub(PrincipalSeries(5, Parity.EVEN)), e=lambda c: (*c[:3], 0)), 3)
+
+
+def h_shifted_invariance():
+    # h moving one step pairs (h u, w) with w = u + 1: the h law fails there
+    return outcome(invariance_check, with_coefficients(
+        PrincipalSeries(Fraction(1, 3), Parity.EVEN), h=lambda c: (*c[:3], 1)), 2)
 
 
 def edited(fn, old, new):
@@ -289,22 +305,28 @@ CATALOGUE = [
            grid_unitary_flags),
     Mutant("definiteness without r", "definiteness", definiteness_without_r,
            grid_unitary_flags),
-    Mutant("invariance without the fold value", "_invariance_residuals",
-           edited(forms._invariance_residuals, "if {-1, 1} <= near else ()", "if False else ()"),
+    Mutant("invariance without the fold value", "_invariance_laws",
+           edited(forms._invariance_laws, "if {-1, 1} <= near else ()", "if False else ()"),
            fold_invariance),
-    Mutant("invariance without the side 2n >= 0", "_invariance_residuals",
-           edited(forms._invariance_residuals, "for side in (1, -1):", "for side in (-1,):"),
+    Mutant("invariance without the side 2n >= 0", "_invariance_laws",
+           edited(forms._invariance_laws, "for side in (1, -1):", "for side in (-1,):"),
            point_side_invariance),
-    Mutant("invariance without the side 2n <= 0", "_invariance_residuals",
-           edited(forms._invariance_residuals, "for side in (1, -1):", "for side in (1,):"),
+    Mutant("invariance without the side 2n <= 0", "_invariance_laws",
+           edited(forms._invariance_laws, "for side in (1, -1):", "for side in (1,):"),
            negative_side_invariance),
-    Mutant("theta parity inverted", "_theta_residuals",
-           edited(modules._theta_residuals, "(-1) ** (s % 2) - k", "(-1) ** (s % 2 + 1) - k"),
+    Mutant("invariance without the h shift in the contract", "_invariance_laws",
+           edited(forms._invariance_laws, " or polynomials[_H][3]:", ":"),
+           h_shifted_invariance),
+    Mutant("invariance pairs bound only by the left side", "_invariance_failures",
+           edited(forms._invariance_failures, "{u + 2 * s_a, u - 2 * s_b}", "{u + 2 * s_a}"),
+           right_side_pairs),
+    Mutant("theta parity inverted", "_theta_laws",
+           edited(modules._theta_laws, "(-1) ** (s % 2) - k", "(-1) ** (s % 2 + 1) - k"),
            flipped_theta_parities),
-    Mutant("bracket without k d", "_bracket_residuals",
-           edited(modules._bracket_residuals, "(-k * d, g[:3]", "(0, g[:3]"), commuting_brackets),
-    Mutant("theta without the lattice ends", "_theta_residuals",
-           edited(modules._theta_residuals, "return laws + ends", "return laws"),
+    Mutant("bracket without k d", "_bracket_laws",
+           edited(modules._bracket_laws, "(-k * d, g[:3]", "(0, g[:3]"), commuting_brackets),
+    Mutant("theta without the lattice ends", "_theta_laws",
+           edited(modules._theta_laws, "return laws + ends", "return laws"),
            theta_past_the_end),
     Mutant("text rational as p/q always", (cli._KINDS, "rational"),
            renderer("rational", "text", lambda q: f"{q.numerator}/{q.denominator}"),
