@@ -54,7 +54,7 @@ The walk and that sweep read a step k out from the reference through
 the family; on a series that fact, ``spec.breakpoints`` and
 ``continuation_ratio`` each read ``_continuation_step`` of (p, q, t1 = 2n + 1).
 No function here chooses a family: the step, the reference magnitude and
-the strip are the spec's.
+the strip are the spec's, and the generators ``modules``' ``_E, _H, _F``.
 """
 
 from __future__ import annotations
@@ -71,6 +71,9 @@ from .modules import (
     _at,
     _continuation_step,
     _decide,
+    _E,
+    _F,
+    _H,
     _lattice,
     _past,
     _require_bound,
@@ -80,7 +83,6 @@ from .modules import (
     _vector,
     BasisVector,
     CheckResult,
-    Generator,
     ModuleSpec,
     Laws,
     Step,
@@ -300,7 +302,6 @@ def _refuse_poles(spec: ModuleSpec) -> None:
         raise ValueError(f"form has a pole at every basis vector of {spec}")
 
 
-_E, _H, _F = Generator  # a member read through the enum class costs a descriptor call
 # (a, b, flip, twist, law): (a u, w) = flip (u, b w), on the form twisted by theta^twist
 _PAIRINGS = ((_E, _F, 1, 0, "(e+u,w)=(u,e-w)"), (_H, _H, 1, 0, "(hu,w)=(u,hw)"),
              (_E, _F, -1, 1, "(e+u,w)=-(u,e-w)"))
@@ -329,12 +330,13 @@ def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[s
     _refuse_poles(spec)
     d, polynomials = spec.coefficients
     r, window = spec.lattice[0], {v.index.twice for v in vectors}
+    pairings = [(polynomials[a][:3], polynomials[a][3], polynomials[b][:3], polynomials[b][3],
+                 *row) for a, b, *row in _PAIRINGS]
     failures = []
     for v in vectors:
         u = v.index.twice
-        for a, b, flip, twist, law in _PAIRINGS:
-            (*p, s_a), (*q, s_b) = polynomials[a], polynomials[b]
-            tu = (-1) ** (twist * _theta_odd(spec, u))
+        for p, s_a, q, s_b, flip, twist, law in pairings:
+            tu = (-1) ** (twist and _theta_odd(spec, u))  # theta is read on the twisted form only
             for w in sorted({u + 2 * s_a, u - 2 * s_b} & window):  # where a side's shift binds
                 sn = sd = 1  # V(u) / V(w): the diagonal steps between |u| and |w|, 1 if equal
                 for k in range((min(abs(u), abs(w)) - r) // 2, (max(abs(u), abs(w)) - r) // 2):
@@ -342,7 +344,7 @@ def _invariance_failures(spec: ModuleSpec, vectors: List[BasisVector]) -> List[s
                     sn, sd = sn * num, sd * den
                 sn, sd = (sd, sn) if abs(u) < abs(w) else (sn, sd)
                 # c_a(u) t(w) V(w) = flip c_b(w) t(u) V(u) over V(w), 0 where a shift misses
-                tw = (-1) ** (twist * _theta_odd(spec, w))
+                tw = (-1) ** (twist and _theta_odd(spec, w))
                 left = tw * _at(p, u) if u + 2 * s_a == w else 0
                 right = flip * tu * _at(q, w) * sn if w + 2 * s_b == u else 0
                 if left * sd != right:

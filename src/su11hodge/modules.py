@@ -60,7 +60,8 @@ base's magnitude and strip.  A new family is a class with these facts: no
 function outside this module chooses a family, and ``codim`` is read only
 as the sign law's value.
 Each check writes its laws as one table of residual polynomials and the
-indices where each binds, which its decision and its listing read (``_decide``).
+indices where each binds, which its decision and its listing read
+(``_decide``); every law reads the generators as the constants ``_E, _H, _F``.
 """
 
 from __future__ import annotations
@@ -120,6 +121,8 @@ class Generator(Enum):
 
     __hash__ = object.__hash__  # members are singletons: no Python-level hash per lookup
 
+
+_E, _H, _F = Generator  # the members once: a read through the enum class costs a descriptor call
 
 # (2n mod 2, lowest 2n, highest 2n) over the basis indices n; None: no limit
 Lattice = Tuple[int, Optional[int], Optional[int]]
@@ -196,8 +199,7 @@ class PrincipalSeries:
     def coefficients(self) -> Coefficients:
         # over 2q, lam = p/q: -mu = (q - p) / 2q, n = q t / 2q
         p, q = self.lam.numerator, self.lam.denominator
-        return 2 * q, {Generator.E_PLUS: (q - p, -q, 0, -1), Generator.H: (0, -2 * q, 0, 0),
-                       Generator.E_MINUS: (q - p, q, 0, 1)}
+        return 2 * q, {_E: (q - p, -q, 0, -1), _H: (0, -2 * q, 0, 0), _F: (q - p, q, 0, 1)}
 
     @cached_property
     def breakpoints(self) -> Tuple[int, int, int]:
@@ -255,12 +257,11 @@ class PointModule:
     @cached_property
     def coefficients(self) -> Coefficients:
         # over 4, k = t / 2: k (k + m) = (t^2 + 2 m t) / 4
-        m, E, H, F = self.m, Generator.E_PLUS, Generator.H, Generator.E_MINUS
-        up, down = (-4, 0, 0, 1), (0, 2 * m, 1, -1)
+        up, down = (-4, 0, 0, 1), (0, 2 * self.m, 1, -1)
         if self.orbit is Orbit.AT_ZERO:
-            return 4, {E: up, H: (4 * m + 4, 4, 0, 0), F: down}
+            return 4, {_E: up, _H: (4 * self.m + 4, 4, 0, 0), _F: down}
         # at infinity: e+ <-> e-, h -> -h
-        return 4, {E: down, H: (-4 * m - 4, -4, 0, 0), F: up}
+        return 4, {_E: down, _H: (-4 * self.m - 4, -4, 0, 0), _F: up}
 
     @cached_property
     def step(self) -> Step:
@@ -459,7 +460,7 @@ def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:
     """Exact h-eigenvalue of a basis vector (always an integer)."""
     require_member(v, spec)
-    n, d, _ = _step(spec, Generator.H, v.index.twice)
+    n, d, _ = _step(spec, _H, v.index.twice)
     return n // d
 
 
@@ -528,7 +529,7 @@ def _residual(*terms: Tuple[int, Tuple[int, int, int], Tuple[int, int, int]]) ->
 
 def _bracket_laws(spec: ModuleSpec) -> Laws:
     d, polynomials = spec.coefficients
-    E, H, F = (polynomials[gen] for gen in Generator)
+    E, H, F = polynomials[_E], polynomials[_H], polynomials[_F]
     return tuple((law, _residual((1, b[:3], _substitute(a[:3], 2 * b[3])),
                                  (-1, a[:3], _substitute(b[:3], 2 * a[3])),
                                  (-k * d, g[:3], (1, 0, 0))), None)
@@ -548,9 +549,8 @@ def bracket_check(spec: ModuleSpec, bound: int) -> CheckResult:
     return _decide(spec, bound, _bracket_laws)
 
 
-_THETAS = ((Generator.E_PLUS, -1, "theta e+ theta != -e+"),
-           (Generator.E_MINUS, -1, "theta e- theta != -e-"),
-           (Generator.H, 1, "theta h theta != h"))
+_THETAS = ((_E, -1, "theta e+ theta != -e+"), (_F, -1, "theta e- theta != -e-"),
+           (_H, 1, "theta h theta != h"))
 
 
 def _theta_laws(spec: ModuleSpec) -> Laws:

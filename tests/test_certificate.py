@@ -10,14 +10,13 @@ window sweep's and that residuals decided 0 leave no failure on a far
 wider sweep.  They also pin the degree contract the facts keep.
 """
 
-import math
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perturb import add_to_coefficient, add_to_step, fresh, listing, set_shifts, small, sweep, w1
 from su11hodge import forms, modules
 from su11hodge.exact import HalfInt
 from su11hodge.forms import form_diagonal, invariance_check
@@ -29,28 +28,17 @@ from su11hodge.modules import (
     Parity,
     PointModule,
     PrincipalSeries,
-    W1Sub,
     basis_window,
     bracket_check,
     reference_index,
     theta_check,
 )
 
-def listing(laws):
-    """The window listing a check makes from the law table ``laws`` builds."""
-    return lambda spec, vectors: modules._law_lines(laws(spec), vectors)
-
-
 CHECKS = {
     "bracket_check": (bracket_check, listing(modules._bracket_laws)),
     "theta_check": (theta_check, listing(modules._theta_laws)),
     "invariance_check": (invariance_check, forms._invariance_failures),
 }
-
-
-def sweep(failures, spec, bound) -> CheckResult:
-    found = failures(spec, basis_window(spec, bound))
-    return CheckResult(not found, tuple(found))
 
 
 def outcome(fn, *args):
@@ -60,10 +48,6 @@ def outcome(fn, *args):
         return fn(*args)
     except (ValueError, ZeroDivisionError) as exc:
         return (type(exc).__name__, str(exc))
-
-
-def w1(lam0: int) -> W1Sub:
-    return W1Sub(PrincipalSeries(Fraction(lam0), Parity.EVEN if lam0 % 2 else Parity.ODD))
 
 
 specs = st.one_of(
@@ -80,46 +64,6 @@ bounds = st.integers(0, 40)
 def test_checks_agree_with_their_window_sweeps(spec, bound):
     for check, failures in CHECKS.values():
         assert outcome(check, spec, bound) == outcome(sweep, failures, spec, bound)
-
-
-def fresh(spec):
-    """An equal spec that shares no instance, and so no cached fact, with ``spec``."""
-    return W1Sub(replace(spec.base)) if isinstance(spec, W1Sub) else replace(spec)
-
-
-def add_to_coefficient(spec, gen, poly):
-    """``spec`` with the polynomial ``poly`` in n added to gen's coefficient, written
-    on the instance that carries the facts (a W1's base) over the common
-    denominator d L, L = 4 lcm of the denominators of ``poly`` (n = t / 2)."""
-    d, polynomials = spec.coefficients
-    scale = 4 * math.lcm(*(Fraction(c).denominator for c in poly))
-    new = {g: (a0 * scale, a1 * scale, a2 * scale, shift)
-           for g, (a0, a1, a2, shift) in polynomials.items()}
-    extra = [Fraction(c) * d * scale / 2 ** i for i, c in enumerate(poly)]  # in t
-    assert all(c.denominator == 1 for c in extra)
-    a0, a1, a2, shift = new[gen]
-    new[gen] = (a0 + int(extra[0]), a1 + int(extra[1]), a2 + int(extra[2]), shift)
-    vars(spec.base)["coefficients"] = (d * scale, new)
-    return spec
-
-
-def add_to_step(spec, half, poly):
-    """``spec`` with the integer polynomial ``poly`` in t added to the numerator
-    (``half`` 0) or the denominator (1) of its step fact."""
-    step = [list(p) for p in spec.step]
-    step[half] = [a + b for a, b in zip(step[half], poly)]
-    vars(spec.base)["step"] = tuple(map(tuple, step))
-    return spec
-
-
-def set_shift(spec, gen, shift):
-    """``spec`` with gen's shift replaced, the contract's |shift| <= 1 or not."""
-    d, polynomials = spec.coefficients
-    vars(spec.base)["coefficients"] = (d, {**polynomials, gen: (*polynomials[gen][:3], shift)})
-    return spec
-
-
-small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,7 +115,8 @@ facts = st.one_of(
     st.tuples(st.just(add_to_coefficient), st.sampled_from(Generator),
               st.tuples(small, small, small)),
     st.tuples(st.just(add_to_step), st.integers(0, 1), st.tuples(integer, integer, integer)),
-    st.tuples(st.just(set_shift), st.sampled_from(Generator), integer),
+    st.tuples(st.just(set_shifts), st.dictionaries(st.sampled_from(Generator), integer,
+                                                   min_size=1, max_size=1)),
 )
 
 
@@ -194,7 +139,7 @@ def test_the_decision_is_the_window_sweep_on_perturbed_facts(spec, bound, change
 def test_a_shift_outside_the_contract_gets_a_check_result(monkeypatch, gen, shift):
     # |shift| <= 1 is the contract; past it each check still returns its
     # sweep, which evaluates its law table and reads no coefficient row
-    spec = set_shift(PrincipalSeries(Fraction(1, 3), Parity.EVEN), gen, shift)
+    spec = set_shifts(PrincipalSeries(Fraction(1, 3), Parity.EVEN), {gen: shift})
     reads, exact = Counter(), modules._step
 
     def step(spec, g, twice):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from perturb import E, F, H, set_shifts
 from su11hodge.exact import Sign, quadrature_integral
 from su11hodge.filtrations import hodge_level
 from su11hodge.forms import (
@@ -16,7 +17,6 @@ from su11hodge.forms import (
 )
 from su11hodge.modules import (
     BasisVector,
-    Generator,
     Orbit,
     Parity,
     PointModule,
@@ -329,41 +329,29 @@ def test_invariance_reports_failing_pairs():
     )
 
 
-def shifted(spec, **shifts):
-    """``spec`` with the shifts of e+ (``e``), h (``h``) and e- (``f``) replaced, here
-    outside the contract (e+ and e- by -+1, h by 0), on the instance that carries
-    the facts (a W1's base)."""
-    d, polynomials = spec.coefficients
-    for name, shift in shifts.items():
-        gen = {"e": Generator.E_PLUS, "h": Generator.H, "f": Generator.E_MINUS}[name]
-        polynomials = {**polynomials, gen: (*polynomials[gen][:3], shift)}
-    vars(spec.base)["coefficients"] = (d, polynomials)
-    return spec
-
-
 def coefficient(gen, u, spec):
     (value,) = act(gen, u, spec).values() or [0]
     return value
 
 
-@pytest.mark.parametrize("make,shifts", [(lambda: W1Sub(PS(5)), {"e": 0, "f": 0}),
-                                         (lambda: PS(Fraction(1, 3)), {"e": -2, "f": 2})],
+@pytest.mark.parametrize("make,shifts", [(lambda: W1Sub(PS(5)), {E: 0, F: 0}),
+                                         (lambda: PS(Fraction(1, 3)), {E: -2, F: 2})],
                          ids=["W1(5) e+- unshifted", "PS(1_3) e+- shifted -2, 2"])
 def test_invariance_prints_the_true_ratio_outside_the_contract(make, shifts):
     # e- undoes e+, so each line's right side is flip theta(u) c_F(w) V(u) / V(w),
     # V(u) / V(w) read off a fresh equal spec's diagonal: 1 where |u| = |w|
     # (the W1 once divided by its zero step there), two steps on the series
-    spec, fresh = shifted(make(), **shifts), make()
+    spec, fresh = set_shifts(make(), shifts), make()
     window = basis_window(spec, 3)
     expected = []
     for u in window:
-        w = BasisVector(u.index + shifts["e"])
+        w = BasisVector(u.index + shifts[E])
         if w not in window:
             continue
-        assert set(act(Generator.E_MINUS, w, spec)) <= {u}
+        assert set(act(F, w, spec)) <= {u}
         ratio = (form_diagonal(u, fresh).ratio_to_reference
                  / form_diagonal(w, fresh).ratio_to_reference)
-        left, right = coefficient(Generator.E_PLUS, u, spec), coefficient(Generator.E_MINUS, w, spec)
+        left, right = coefficient(E, u, spec), coefficient(F, w, spec)
         for law, lhs, rhs in (("(e+u,w)=(u,e-w)", left, right * ratio),
                               ("(e+u,w)=-(u,e-w)", left * theta_sign(w, spec),
                                -theta_sign(u, spec) * right * ratio)):
@@ -371,21 +359,21 @@ def test_invariance_prints_the_true_ratio_outside_the_contract(make, shifts):
                 expected.append(f"{law} fails at u={u}, w={w}: {lhs} != {rhs}")
     report = invariance_check(spec, 3)
     assert not report.ok and report.failures == tuple(expected)
-    if shifts["e"]:
+    if shifts[E]:
         assert "(e+u,w)=(u,e-w) fails at u=v[2], w=v[0]: -5/3 != 5/6" in expected
 
 
 def test_invariance_with_e_plus_unshifted_divides_by_no_step():
     # e+ unshifted pairs u with itself: V(u) / V(u) is 1, not the zero step
     # at |2n| = 4 on the W1 at 5, so the sweep returns its listing
-    report = invariance_check(shifted(W1Sub(PS(5)), e=0), 3)
+    report = invariance_check(set_shifts(W1Sub(PS(5)), {E: 0}), 3)
     assert not report.ok and report.failures
 
 
 def test_invariance_lists_the_pairs_only_e_minus_binds():
     # e+ unshifted, e- still raising: e- binds u = v[-1] to w = v[-2], where
     # (e+ u, w) = 0 but (u, e- w) = -4 V(-1); at u = w = v[-2] both sides are 0
-    report = invariance_check(shifted(W1Sub(PS(5)), e=0), 3)
+    report = invariance_check(set_shifts(W1Sub(PS(5)), {E: 0}), 3)
     assert not report.ok
     assert "(e+u,w)=(u,e-w) fails at u=v[-1], w=v[-2]: 0 != -1" in report.failures
     assert not [line for line in report.failures if "u=v[-2], w=v[-2]" in line]
@@ -393,7 +381,7 @@ def test_invariance_lists_the_pairs_only_e_minus_binds():
 
 def test_invariance_lists_the_h_law_with_h_shifted():
     # h moving one step: (h u, w) = 2 V(0) at u = v[-1], w = v[0], (u, h w) = 0
-    report = invariance_check(shifted(PS(Fraction(1, 3)), h=1), 2)
+    report = invariance_check(set_shifts(PS(Fraction(1, 3)), {H: 1}), 2)
     assert not report.ok
     assert "(hu,w)=(u,hw) fails at u=v[-1], w=v[0]: 2 != 0" in report.failures
 

@@ -18,7 +18,8 @@ the continuation step is read by the series' own facts and by
 ``continuation_ratio``.  And it pins that each law has one coding: the
 law checks' failure listings, and the helpers they call, read no
 generator action (``_step``, ``act``, ``theta_sign``), only the residuals
-and factors their decision builds.
+and factors their decision builds.  The generators themselves are read as
+the constants ``modules`` unpacks once, never by iterating their class.
 """
 
 import ast
@@ -215,3 +216,33 @@ def test_the_check_sees_a_second_coding_through_a_helper():
               "def _invariance_failures(spec, vectors):\n"
               "    return modules.theta_sign, belongs\n")
     assert reached([source], LISTINGS) & SECOND_CODINGS == {"_step", "theta_sign", "belongs"}
+
+
+def generator_reads(source: str):
+    """The scopes in ``source`` that iterate the ``Generator`` class (a loop, a
+    comprehension or a starred read over it), and those that unpack it into names."""
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "Generator"
+
+    def iterates(node):
+        return (isinstance(node, (ast.For, ast.comprehension)) and named(node.iter)
+                or isinstance(node, ast.Starred) and named(node.value))
+
+    return scopes(source, iterates), scopes(source, lambda node: isinstance(
+        node, ast.Assign) and named(node.value) and isinstance(node.targets[0], ast.Tuple))
+
+
+def test_the_generators_are_one_set_of_constants():
+    # modules unpacks the members once, next to the class, into _E, _H, _F;
+    # every law reads those, and no function iterates the class per call
+    found = {(p.stem, kind, scope) for p in PACKAGE.glob("*.py")
+             for kind, hits in zip(("iterates", "unpacks"), generator_reads(p.read_text()))
+             for scope in hits}
+    assert found == {("modules", "unpacks", "")}
+
+
+def test_the_check_sees_a_generator_iterated_or_unpacked():
+    source = ("E, H, F = Generator\n\ndef f(c):\n    return [c[g] for g in Generator]\n\n"
+              "class A:\n    def g(self):\n        for g in modules.Generator:\n"
+              "            pass\n        return (*Generator,), isinstance(self, Generator)\n")
+    assert generator_reads(source) == ({"f", "A.g"}, {""})

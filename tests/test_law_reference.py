@@ -16,7 +16,6 @@ module beyond its cached facts.
 """
 
 import gc
-import math
 import pickle
 import sys
 import threading
@@ -29,6 +28,7 @@ from functools import cached_property
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from perturb import E, F, H, add_to_coefficient, fresh, listing, set_shifts, small, sweep, w1
 from su11hodge import forms, modules
 from su11hodge.analysis import Definiteness, definiteness
 from su11hodge.exact import Sign
@@ -52,9 +52,6 @@ from su11hodge.modules import (
     bracket_check,
     theta_check,
 )
-
-E, H, F = Generator.E_PLUS, Generator.H, Generator.E_MINUS
-
 
 # ---------------------------------------------------------------------------
 # the three laws in Fraction arithmetic, read through the patchable sources
@@ -160,11 +157,6 @@ def reference_invariance_failures(spec, vectors):
     return failures
 
 
-def listing(laws):
-    """The window listing a check makes from the law table ``laws`` builds."""
-    return lambda spec, vectors: modules._law_lines(laws(spec), vectors)
-
-
 CHECKS = [
     (bracket_check, listing(modules._bracket_laws), reference_bracket_failures),
     (theta_check, listing(modules._theta_laws), reference_theta_failures),
@@ -180,10 +172,6 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
-def w1(lam0: int) -> W1Sub:
-    return W1Sub(PrincipalSeries(Fraction(lam0), Parity.EVEN if lam0 % 2 else Parity.ODD))
-
-
 rational_lams = st.sampled_from(list(range(1, 10)) + [1009]).flatmap(
     lambda q: st.integers(0, 400 * q).map(lambda p: Fraction(p, q)))
 specs = st.one_of(
@@ -194,47 +182,16 @@ specs = st.one_of(
 bounds = st.integers(0, 40)
 
 
-def add_to_coefficient(spec, gen, poly):
-    """``spec`` with the polynomial ``poly`` in n added to gen's coefficient, written
-    on the instance that carries the facts (a W1's base) over the common
-    denominator d L, L = 4 lcm of the denominators of ``poly`` (n = t / 2)."""
-    d, polynomials = spec.coefficients
-    scale = 4 * math.lcm(*(Fraction(c).denominator for c in poly))
-    new = {g: (a0 * scale, a1 * scale, a2 * scale, shift)
-           for g, (a0, a1, a2, shift) in polynomials.items()}
-    extra = [Fraction(c) * d * scale / 2 ** i for i, c in enumerate(poly)]  # in t
-    assert all(c.denominator == 1 for c in extra)
-    a0, a1, a2, shift = new[gen]
-    new[gen] = (a0 + int(extra[0]), a1 + int(extra[1]), a2 + int(extra[2]), shift)
-    vars(spec.base)["coefficients"] = (d * scale, new)
-    return spec
-
-
-def set_shifts(spec, shifts):
-    """``spec`` with the shifts of the generators in ``shifts`` replaced, written on
-    the instance that carries the facts (a W1's base)."""
-    d, polynomials = spec.coefficients
-    vars(spec.base)["coefficients"] = (d, {gen: (*p[:3], shifts.get(gen, p[3]))
-                                           for gen, p in polynomials.items()})
-    return spec
-
-
-small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 perturbations = st.none() | st.tuples(st.sampled_from(Generator),
                                       st.tuples(small, small, small))
 # the +-1 neighbourhood that reference_invariance_failures pairs
 shift_perturbations = st.dictionaries(st.sampled_from(Generator), st.integers(-1, 1))
 
 
-def reference_sweep(reference, spec, bound):
-    found = reference(spec, basis_window(spec, bound))
-    return CheckResult(not found, tuple(found))
-
-
 def assert_same_as_reference(spec, bound):
     window = basis_window(spec, bound)
     for check, failures, reference in CHECKS:
-        assert outcome(check, spec, bound) == outcome(reference_sweep, reference, spec, bound)
+        assert outcome(check, spec, bound) == outcome(sweep, reference, spec, bound)
         assert outcome(failures, spec, window) == outcome(reference, spec, window)
 
 
@@ -253,7 +210,7 @@ def test_reference_sees_a_perturbation():
     for check, _, reference in CHECKS[::2]:  # theta signs do not see sizes
         report = check(spec, 3)
         assert not report.ok
-        assert report == reference_sweep(reference, spec, 3)
+        assert report == sweep(reference, spec, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +259,10 @@ def counting(calls, fn, key):
 def broken(spec, check):
     """A fresh copy of ``spec`` on which ``check`` fails and so sweeps its window:
     e+ unshifted for theta, whose signs do not see sizes, else e+ plus t / d."""
-    spec = W1Sub(replace(spec.base)) if isinstance(spec, W1Sub) else replace(spec)
-    d, polynomials = spec.coefficients
-    a0, a1, a2, shift = polynomials[E]
-    polynomials = {**polynomials, E: (a0, a1, a2, 0) if check is theta_check
-                   else (a0, a1 + 1, a2, shift)}
-    vars(spec.base)["coefficients"] = (d, polynomials)
-    return spec
+    spec = fresh(spec)
+    if check is theta_check:
+        return set_shifts(spec, {E: 0})
+    return add_to_coefficient(spec, E, (0, Fraction(2, spec.coefficients[0]), 0))
 
 
 @pytest.mark.parametrize("spec", MEMO_SPECS, ids=str)

@@ -46,6 +46,7 @@ from typing import Callable, NamedTuple, Optional, Tuple, Union
 
 import pytest
 
+from perturb import E, F, H, set_shifts, w1
 from su11hodge import analysis, cli, exact, filtrations, forms, modules
 from su11hodge.analysis import Definiteness, classify, verify_conjecture
 from su11hodge.filtrations import hodge_level
@@ -53,7 +54,6 @@ from su11hodge.forms import convergence_range, invariance_check
 from su11hodge.modules import (
     _continuation_step,
     _substitute,
-    Generator,
     Orbit,
     Parity,
     PointModule,
@@ -109,9 +109,6 @@ def strips_of_two():
     return tuple(convergence_range(PrincipalSeries(2, parity)) for parity in Parity)
 
 
-E, H, F = Generator.E_PLUS, Generator.H, Generator.E_MINUS
-
-
 def with_coefficients(spec, **changes):
     """``spec`` with the coefficient tuples of the generators named in ``changes``
     (e, h, f) replaced by a function of the shipped tuple, on the instance
@@ -139,8 +136,7 @@ def outcome(check, spec, bound=4):
 
 def fold_invariance():
     # W1(2, odd) holds only the fold pair (1/2, -1/2); e+ + 1 breaks it
-    return outcome(invariance_check, with_coefficients(
-        W1Sub(PrincipalSeries(2, Parity.ODD)), e=plus(0)))
+    return outcome(invariance_check, with_coefficients(w1(2), e=plus(0)))
 
 
 def point_side_invariance():
@@ -160,9 +156,8 @@ def negative_side_invariance():
 
 def flipped_theta_parities():
     # every shift's parity flipped: e+ and e- unshifted, h moving one step
-    unshift, shift = (lambda c: (*c[:3], 0)), (lambda c: (*c[:3], 1))
-    return outcome(theta_check, with_coefficients(
-        PrincipalSeries(Fraction(7, 3), Parity.EVEN), e=unshift, h=shift, f=unshift))
+    return outcome(theta_check, set_shifts(PrincipalSeries(Fraction(7, 3), Parity.EVEN),
+                                           {E: 0, H: 1, F: 0}))
 
 
 def commuting_brackets():
@@ -182,25 +177,36 @@ def theta_past_the_end():
 def right_side_pairs():
     # W1(5) with e+ unshifted: e- still binds u = v[-1] to w = v[-2], where only
     # the right side (u, e- w) is non-zero
-    return outcome(invariance_check, with_coefficients(
-        W1Sub(PrincipalSeries(5, Parity.EVEN)), e=lambda c: (*c[:3], 0)), 3)
+    return outcome(invariance_check, set_shifts(w1(5), {E: 0}), 3)
 
 
 def h_shifted_invariance():
     # h moving one step pairs (h u, w) with w = u + 1: the h law fails there
+    return outcome(invariance_check, set_shifts(PrincipalSeries(Fraction(1, 3), Parity.EVEN),
+                                                {H: 1}), 2)
+
+
+def twisted_invariance():
+    # e+ + 1 breaks the e+/e- laws; the twisted law's sides carry theta(w) and theta(u)
     return outcome(invariance_check, with_coefficients(
-        PrincipalSeries(Fraction(1, 3), Parity.EVEN), h=lambda c: (*c[:3], 1)), 2)
+        PrincipalSeries(Fraction(7, 3), Parity.EVEN), e=plus(0)))
 
 
-def edited(fn, old, new):
-    """``fn`` compiled from its source with the one occurrence of ``old`` replaced
-    by ``new``, in its own module's namespace."""
-    source = textwrap.dedent(inspect.getsource(fn))
-    assert source.count(old) == 1, old
-    namespace = {}
-    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
-         fn.__globals__, namespace)
-    return namespace[fn.__name__]
+class Edit(NamedTuple):
+    """A one-edit copy of the shipped rule a mutant replaces: the one occurrence of
+    ``old`` in its source replaced by ``new``, compiled only when its case runs, so
+    that a stale edit fails that case alone."""
+    old: str
+    new: str
+
+    def compiled(self, fn):
+        """``fn`` compiled from its edited source, in its own module's namespace."""
+        source = textwrap.dedent(inspect.getsource(fn))
+        assert source.count(self.old) == 1, f"{self.old!r} is not once in {fn.__name__}"
+        namespace = {}
+        exec(compile(source.replace(self.old, self.new), inspect.getsourcefile(fn), "exec"),
+             fn.__globals__, namespace)
+        return namespace[fn.__name__]
 
 
 def golden(name):
@@ -222,7 +228,7 @@ class Mutant(NamedTuple):
     name: str
     # (spec class, fact), (a dict, key), or a module-level rule's name
     target: Union[Tuple[object, str], str]
-    rule: object
+    rule: object  # an Edit of the rule named by ``target``, or its replacement
     result: Callable[[], object]
     equivalent: Optional[str] = None  # why no result can tell it apart
 
@@ -306,28 +312,25 @@ CATALOGUE = [
     Mutant("definiteness without r", "definiteness", definiteness_without_r,
            grid_unitary_flags),
     Mutant("invariance without the fold value", "_invariance_laws",
-           edited(forms._invariance_laws, "if {-1, 1} <= near else ()", "if False else ()"),
-           fold_invariance),
+           Edit("if {-1, 1} <= near else ()", "if False else ()"), fold_invariance),
     Mutant("invariance without the side 2n >= 0", "_invariance_laws",
-           edited(forms._invariance_laws, "for side in (1, -1):", "for side in (-1,):"),
-           point_side_invariance),
+           Edit("for side in (1, -1):", "for side in (-1,):"), point_side_invariance),
     Mutant("invariance without the side 2n <= 0", "_invariance_laws",
-           edited(forms._invariance_laws, "for side in (1, -1):", "for side in (1,):"),
-           negative_side_invariance),
+           Edit("for side in (1, -1):", "for side in (1,):"), negative_side_invariance),
     Mutant("invariance without the h shift in the contract", "_invariance_laws",
-           edited(forms._invariance_laws, " or polynomials[_H][3]:", ":"),
-           h_shifted_invariance),
+           Edit(" or polynomials[_H][3]:", ":"), h_shifted_invariance),
     Mutant("invariance pairs bound only by the left side", "_invariance_failures",
-           edited(forms._invariance_failures, "{u + 2 * s_a, u - 2 * s_b}", "{u + 2 * s_a}"),
-           right_side_pairs),
+           Edit("{u + 2 * s_a, u - 2 * s_b}", "{u + 2 * s_a}"), right_side_pairs),
+    Mutant("twisted invariance law read without theta", "_invariance_failures",
+           Edit("*row) for a, b, *row in _PAIRINGS]",
+                "flip, 0, law) for a, b, flip, twist, law in _PAIRINGS]"),
+           twisted_invariance),
     Mutant("theta parity inverted", "_theta_laws",
-           edited(modules._theta_laws, "(-1) ** (s % 2) - k", "(-1) ** (s % 2 + 1) - k"),
-           flipped_theta_parities),
+           Edit("(-1) ** (s % 2) - k", "(-1) ** (s % 2 + 1) - k"), flipped_theta_parities),
     Mutant("bracket without k d", "_bracket_laws",
-           edited(modules._bracket_laws, "(-k * d, g[:3]", "(0, g[:3]"), commuting_brackets),
+           Edit("(-k * d, g[:3]", "(0, g[:3]"), commuting_brackets),
     Mutant("theta without the lattice ends", "_theta_laws",
-           edited(modules._theta_laws, "return laws + ends", "return laws"),
-           theta_past_the_end),
+           Edit("return laws + ends", "return laws"), theta_past_the_end),
     Mutant("text rational as p/q always", (cli._KINDS, "rational"),
            renderer("rational", "text", lambda q: f"{q.numerator}/{q.denominator}"),
            lambda: golden("form-table_ps-1_2-even_text")),
@@ -356,8 +359,11 @@ def patch(monkeypatch, mutant):
         return
     patched = [module for module in PACKAGE if mutant.target in vars(module)]
     assert patched, mutant.target
+    rule = mutant.rule
+    if isinstance(rule, Edit):
+        rule = rule.compiled(getattr(patched[0], mutant.target))
     for module in patched:
-        monkeypatch.setattr(module, mutant.target, mutant.rule)
+        monkeypatch.setattr(module, mutant.target, rule)
 
 
 @pytest.mark.parametrize("mutant", CATALOGUE, ids=[m.name for m in CATALOGUE])
