@@ -6,6 +6,15 @@ a (the codimension of the supporting orbit), the compact-form-invariant
 diagonal value at Hodge level p has sign (-1)^(p-a).  Unitarity is then
 read off from the noncompact-form signs, which differ by the diagonal
 Cartan involution.
+
+The window records of ``verify_conjecture`` and ``jantzen_crossing`` are
+values of integers, shared like the window vectors: each report reads its
+rules (``_levels``, ``_signs``, ``belongs``) once per |2n|, as every rule
+is even in n, and takes each record of the central indices of ``_vector``
+from a memo of ``_RECORDS`` records per kind, keyed by exactly the
+record's content.  Equal reports share their records; the records off
+the central indices are built fresh and never enter the memo, and a
+changed rule changes the content, so it never reads a stale record.
 """
 
 from __future__ import annotations
@@ -13,19 +22,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import Callable, Optional, Tuple
 
-from .exact import _rational, RationalLike, Sign
+from .exact import _POWERS, _rational, RationalLike, Sign
 from .filtrations import _levels
 from .forms import _signs
 from .modules import (
     _require_bound,
+    _vector,
+    _window,
     BasisVector,
     ModuleSpec,
     Parity,
     PrincipalSeries,
     W1Sub,
-    basis_window,
     belongs,
     constituents,
 )
@@ -80,14 +91,14 @@ def verify_conjecture(spec: ModuleSpec, bound: int) -> ConjectureReport:
     A pole (reducible ambient module) is recorded as a mismatch, so the
     report fails closed.
     """
-    records = []
     a = spec.codim
     level, sign = _levels(spec), _signs(spec)  # the window vectors are members
-    for v in basis_window(spec, bound):
-        p = level(v.index.twice)
-        expected = Sign.POSITIVE if (p - a) % 2 == 0 else Sign.NEGATIVE
-        records.append(ConjectureRecord(v, p, a, sign(v.index.twice), expected))
-    return ConjectureReport(spec, bound, tuple(records))
+
+    def row(size):
+        p = level(size)
+        return p, a, sign(size), _POWERS[(p - a) % 2]
+
+    return ConjectureReport(spec, bound, _records(_window(spec, bound), row, _conjecture))
 
 
 @dataclass(frozen=True)
@@ -116,6 +127,41 @@ class JantzenReport:
         return all(r.preserved == r.w1 for r in self.records)
 
 
+_RECORDS = 256  # records kept per kind: a few small windows' worth, which specs repeat
+
+
+def _interned(kind: type):
+    """``kind``'s record of v_n from 2n and the rest of its content, through a memo
+    keyed by exactly that content: one shared record per content, as ``_vector``
+    shares vectors.  A mutated rule changes the content, so it reads no stale record."""
+    def build(twice: int, content: tuple):
+        return kind(_vector(twice), *content)
+
+    return lru_cache(maxsize=_RECORDS)(build)
+
+
+_conjecture, _jantzen = _interned(ConjectureRecord), _interned(JantzenRecord)
+
+
+def _records(window: range, row: Callable[[int], tuple], memo: Callable) -> tuple:
+    """The record ``memo(2n, row(|2n|))`` at each 2n of ``window``, increasing.  ``row``
+    reads the rules once per |2n|: each is even in n, so v_n and v_-n share one row.
+    Off the central indices of ``_vector``, -2048 <= 2n < 2048, the record is built
+    fresh by the function the memo wraps, so the memo holds none of them."""
+    if not window:
+        return ()
+    lo, hi = window[0], window[-1]
+    build, above, below = memo.__wrapped__, [], []
+    for size in range(lo % 2 if lo < 0 else lo, max(-lo, hi) + 1, 2):
+        content = row(size)
+        if size <= hi:
+            above.append((memo if size < 2048 else build)(size, content))
+        if 0 < size <= -lo:
+            below.append((memo if size <= 2048 else build)(-size, content))
+    below.reverse()
+    return tuple(below + above)
+
+
 def jantzen_crossing(
     lambda0: RationalLike, parity: Parity, epsilon: RationalLike, bound: int
 ) -> JantzenReport:
@@ -131,8 +177,11 @@ def jantzen_crossing(
     below = PrincipalSeries(lambda0 - epsilon, parity)
     # both series share one lattice, so the window vectors are members of each
     sign_below, sign_above = _signs(below), _signs(PrincipalSeries(lambda0 + epsilon, parity))
-    records = tuple(JantzenRecord(v, sign_below(v.index.twice), sign_above(v.index.twice),
-                                  belongs(v, w1)) for v in basis_window(below, bound))
+
+    def row(size):
+        return sign_below(size), sign_above(size), belongs(_vector(size), w1)
+
+    records = _records(_window(below, bound), row, _jantzen)
     return JantzenReport(lambda0, parity, epsilon, bound, records)
 
 

@@ -128,6 +128,8 @@ class Sign(Enum):
     ZERO = "0"
     POLE = "pole"
 
+    __hash__ = object.__hash__  # members are singletons: no Python-level hash per key
+
     @classmethod
     def of(cls, x: Optional[RationalLike]) -> "Sign":
         if x is None:
@@ -144,6 +146,9 @@ class Sign(Enum):
         if self is Sign.NEGATIVE:
             return Sign.POSITIVE
         return self
+
+
+_POWERS = (Sign.POSITIVE, Sign.NEGATIVE)  # the sign of (-1)^e, by e % 2
 
 
 def beta_value(a: RationalLike, b: RationalLike) -> Optional[float]:

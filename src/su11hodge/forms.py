@@ -66,7 +66,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .exact import _rational, HalfInt, RationalLike, Sign
+from .exact import _POWERS, _rational, HalfInt, RationalLike, Sign
 from .modules import (
     _at,
     _continuation_step,
@@ -248,7 +248,7 @@ def form_diagonal(v: BasisVector, spec: ModuleSpec) -> FormValue:
 
 
 def _law_sign(r: int, j0: int, twice: int) -> Sign:
-    return Sign.NEGATIVE if _past(r, j0, twice) % 2 else Sign.POSITIVE
+    return _POWERS[_past(r, j0, twice) % 2]
 
 
 def _pole(twice: int) -> Sign:

@@ -451,10 +451,16 @@ def _lattice(spec: ModuleSpec, lo: int, hi: int) -> range:
     return range(lo + (lo - residue) % 2, hi + 1, 2)
 
 
+def _window(spec: ModuleSpec, bound: int) -> range:
+    """The doubled indices 2n of the basis with |n| <= bound (k <= bound on point
+    modules), increasing."""
+    _require_bound(bound)
+    return _lattice(spec, -2 * bound, 2 * bound)
+
+
 def basis_window(spec: ModuleSpec, bound: int) -> List[BasisVector]:
     """All basis vectors with |n| <= bound (k <= bound on point modules)."""
-    _require_bound(bound)
-    return list(map(_vector, _lattice(spec, -2 * bound, 2 * bound)))
+    return list(map(_vector, _window(spec, bound)))
 
 
 def h_weight(v: BasisVector, spec: ModuleSpec) -> int:

@@ -29,6 +29,11 @@ a check on a spec whose facts are perturbed so that the law fails there:
 the shipped rule sweeps and lists the failure, the mutant returns ok or
 lists other lines.
 
+The window records of ``verify_conjecture`` and ``jantzen_crossing`` are
+read once per |2n| and shared through a memo keyed by their content
+(``_records``, ``_conjecture``): a memo keyed without 2n, or a record of
+the side 2n >= 0 built at -|2n|, must change a report's records.
+
 The goldens are killers too: a mutant renderer of one output format in
 ``cli._KINDS`` must change the bytes of a golden case in that format.
 
@@ -83,6 +88,10 @@ def series_levels():
 
 def point_verdicts():
     return tuple(verify_conjecture(PointModule(3, orbit), 4).verdict for orbit in Orbit)
+
+
+def series_records():
+    return verify_conjecture(PrincipalSeries(Fraction(7, 3), Parity.EVEN), 4).records
 
 
 def point_invariance():
@@ -288,6 +297,20 @@ def past_plus_one(r, t, twice):
     return PAST(r, t, twice) + 1
 
 
+def keyed_without_twice(memo):
+    """The record memo ``memo`` keyed by the content without 2n: the record first
+    built with a content is served at every index with that content."""
+    build, built = memo.__wrapped__, {}
+
+    def keyed(twice, content):
+        if content not in built:
+            built[content] = build(twice, content)
+        return built[content]
+
+    keyed.__wrapped__ = build
+    return keyed
+
+
 SERIES, POINT, W1 = ((cls, "breakpoints") for cls in (PrincipalSeries, PointModule, W1Sub))
 
 CATALOGUE = [
@@ -340,6 +363,10 @@ CATALOGUE = [
     Mutant("csv index as n", (cli._KINDS, "index"),
            renderer("index", "csv", lambda n: (n.as_fraction,)),
            lambda: golden("describe_ps-3-even_csv")),
+    Mutant("record memo keyed without 2n", "_conjecture",
+           keyed_without_twice(analysis._conjecture), series_records),
+    Mutant("record at 2n >= 0 built at -|2n|", "_records",
+           Edit("else build)(size, content)", "else build)(-size, content)"), series_records),
     Mutant("_law_sign j0 + 1", "_law_sign", law_sign_j0_plus_one, series_verdict),
     Mutant("_past + 1", "_past", past_plus_one, series_levels),
     Mutant("_past + 1, seen by the verdict", "_past", past_plus_one, series_verdict,
